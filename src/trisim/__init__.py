@@ -4,24 +4,15 @@ brute-force verification oracles."""
 
 __version__ = "0.1.0"
 
-from .core import (
-    ClassPrior,
-    CorrectionKind,
-    LabeledPool,
-    LossSpec,
-    UncertainTriplet,
-    WeakDataset,
-)
+from .core import ClassPrior, CorrectionKind, LabeledPool, WeakDataset
 from .risk import RiskValue, Thetas, compute_thetas, empirical_risk
 
 __all__ = [
     "ClassPrior",
     "CorrectionKind",
     "LabeledPool",
-    "LossSpec",
     "RiskValue",
     "Thetas",
-    "UncertainTriplet",
     "WeakDataset",
     "compute_thetas",
     "empirical_risk",

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import ClassPrior, CorrectionKind, LossSpec, TrisimError
+from .core import ClassPrior, CorrectionKind, TrisimError
 from .dataio import (
     read_labeled_csv,
     read_weak_dataset,
@@ -139,7 +139,6 @@ def cmd_train(args) -> int:
     prior = ClassPrior(args.pi)
     config = TrainConfig(
         prior=prior,
-        loss=LossSpec(),
         correction=CorrectionKind(args.correction),
         estimator=args.estimator,
         epochs=args.epochs,

@@ -1,5 +1,5 @@
-"""Shared vocabulary: class priors, labeled/weak data containers, losses,
-and the non-negativity correction functions.
+"""Shared vocabulary: class priors, labeled/weak data containers, and the
+non-negativity correction functions.
 
 All types here are immutable values and every function is pure, so the
 module is safe to use from any number of concurrent workers.
@@ -7,7 +7,7 @@ module is safe to use from any number of concurrent workers.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,32 +66,6 @@ class ClassPrior:
             )
 
 
-class LossKind(str, enum.Enum):
-    SQUARE = "square"
-
-
-@dataclass(frozen=True)
-class LossSpec:
-    """Square loss l(z, y) = (1 - y*z)^2.
-
-    lipschitz_bound / value_bound are metadata documenting the bounds that
-    hold on a caller-declared score interval [-B, B]; they are never used
-    during training.
-    """
-
-    kind: LossKind = LossKind.SQUARE
-    lipschitz_bound: float | None = None
-    value_bound: float | None = None
-
-    def __post_init__(self):
-        if not isinstance(self.kind, LossKind):
-            object.__setattr__(self, "kind", LossKind(self.kind))
-        for name in ("lipschitz_bound", "value_bound"):
-            v = getattr(self, name)
-            if v is not None and (not np.isfinite(v) or v < 0):
-                raise InvalidInputError(f"{name} must be a nonnegative real, got {v!r}")
-
-
 class CorrectionKind(str, enum.Enum):
     """Correction g applied to the whole per-batch risk estimate."""
 
@@ -116,66 +90,6 @@ class CorrectionKind(str, enum.Enum):
         if z > 0:
             return 1.0
         return -1.0 if z < 0 else 0.0
-
-
-def _check_label(label: int) -> int:
-    if label not in (1, -1):
-        raise InvalidInputError(f"label must be +1 or -1, got {label!r}")
-    return label
-
-
-def loss_value(spec: LossSpec, score: float, label: int) -> float:
-    """(1 - label*score)^2; always nonnegative."""
-    _check_label(label)
-    if not np.isfinite(score):
-        raise InvalidInputError(f"score must be finite, got {score!r}")
-    return float((1.0 - label * score) ** 2)
-
-
-def loss_grad(spec: LossSpec, score: float, label: int) -> float:
-    """Exact derivative of loss_value with respect to the score:
-    -2*label*(1 - label*score)."""
-    _check_label(label)
-    if not np.isfinite(score):
-        raise InvalidInputError(f"score must be finite, got {score!r}")
-    return float(-2.0 * label * (1.0 - label * score))
-
-
-def loss_values(spec: LossSpec, scores: np.ndarray, label: int) -> np.ndarray:
-    """Vectorized loss_value over an array of scores."""
-    _check_label(label)
-    scores = np.asarray(scores, dtype=float)
-    return (1.0 - label * scores) ** 2
-
-
-def loss_grads(spec: LossSpec, scores: np.ndarray, label: int) -> np.ndarray:
-    """Vectorized loss_grad over an array of scores."""
-    _check_label(label)
-    scores = np.asarray(scores, dtype=float)
-    return -2.0 * label * (1.0 - label * scores)
-
-
-@dataclass(frozen=True)
-class UncertainTriplet:
-    """Anchor plus two companions; at least two of the three instances share
-    a class, but no labels are stored."""
-
-    anchor: np.ndarray
-    companion_a: np.ndarray
-    companion_b: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.anchor, dtype=float)
-        ca = np.asarray(self.companion_a, dtype=float)
-        cb = np.asarray(self.companion_b, dtype=float)
-        if not (a.shape == ca.shape == cb.shape) or a.ndim != 1:
-            raise ShapeError("triplet members must be 1-D vectors of equal dimension")
-        object.__setattr__(self, "anchor", a)
-        object.__setattr__(self, "companion_a", ca)
-        object.__setattr__(self, "companion_b", cb)
-
-    def as_array(self) -> np.ndarray:
-        return np.stack([self.anchor, self.companion_a, self.companion_b])
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,8 @@ def write_labeled_csv(path, pool: LabeledPool) -> None:
 
 
 def read_labeled_csv(path) -> LabeledPool:
+    """Labeled pool from a CSV with a 'y' column first; a malformed row
+    raises InvalidInputError naming its line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -35,8 +37,17 @@ def read_labeled_csv(path) -> LabeledPool:
             raise InvalidInputError(f"{path}: expected header starting with 'y'")
         ys, xs = [], []
         for row in reader:
-            ys.append(int(row[0]))
-            xs.append([float(v) for v in row[1:]])
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise InvalidInputError(
+                    f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}"
+                )
+            try:
+                ys.append(int(row[0]))
+                xs.append([float(v) for v in row[1:]])
+            except ValueError as exc:
+                raise InvalidInputError(f"{path}:{reader.line_num}: {exc}") from None
     if not ys:
         raise InvalidInputError(f"{path}: no data rows")
     return LabeledPool(x=np.array(xs), y=np.array(ys))
@@ -57,17 +68,50 @@ def write_triplets_jsonl(path, triplets: np.ndarray) -> None:
             )
 
 
-def read_triplets_jsonl(path) -> np.ndarray:
-    rows = []
+def _read_jsonl(path, keys: tuple[str, ...], what: str) -> np.ndarray:
+    """The named fields of every non-blank line as one float array of shape
+    (lines, len(keys), d). A line that is not a JSON object with those keys,
+    or whose values are not numeric vectors of the first line's shape,
+    raises InvalidInputError naming the line."""
+    rows, linenos = [], []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            rec = json.loads(line)
-            rows.append([rec["anchor"], rec["c1"], rec["c2"]])
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise InvalidInputError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from None
+            if not isinstance(rec, dict) or not all(k in rec for k in keys):
+                raise InvalidInputError(
+                    f"{path}:{lineno}: expected a JSON object with keys {', '.join(keys)}"
+                )
+            rows.append([rec[k] for k in keys])
+            linenos.append(lineno)
     if not rows:
-        raise InvalidInputError(f"{path}: no triplets")
-    return np.array(rows, dtype=float)
+        raise InvalidInputError(f"{path}: no {what}")
+    try:
+        return np.array(rows, dtype=float)
+    except (TypeError, ValueError) as exc:
+        error = exc
+    # name the first line that is not numeric or not shaped like line one
+    first_shape = None
+    for lineno, row in zip(linenos, rows):
+        try:
+            shape = np.array(row, dtype=float).shape
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError(f"{path}:{lineno}: {exc}") from None
+        first_shape = first_shape or shape
+        if shape != first_shape:
+            raise InvalidInputError(
+                f"{path}:{lineno}: ragged row: values of shape {shape[1:]}, "
+                f"line {linenos[0]} has {first_shape[1:]}"
+            )
+    raise InvalidInputError(f"{path}: {error}")
+
+
+def read_triplets_jsonl(path) -> np.ndarray:
+    return _read_jsonl(path, ("anchor", "c1", "c2"), "triplets")
 
 
 def write_unlabeled_jsonl(path, x: np.ndarray) -> None:
@@ -77,15 +121,7 @@ def write_unlabeled_jsonl(path, x: np.ndarray) -> None:
 
 
 def read_unlabeled_jsonl(path) -> np.ndarray:
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rows.append(json.loads(line)["x"])
-    if not rows:
-        raise InvalidInputError(f"{path}: no unlabeled points")
-    return np.array(rows, dtype=float)
+    return _read_jsonl(path, ("x",), "unlabeled points")[:, 0]
 
 
 def read_weak_dataset(

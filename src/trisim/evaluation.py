@@ -1,6 +1,5 @@
-"""Metrics and desk-scale ablation sweeps: accuracy, robustness to a
-misspecified training prior, accuracy-vs-data-fraction curves, and the
-correction-function comparison.
+"""Desk-scale ablation sweeps: robustness to a misspecified training prior,
+accuracy-vs-data-fraction curves, and the correction-function comparison.
 
 Each (setting, seed) cell is an independent training run; results are
 assembled deterministically ordered by setting then seed.
@@ -11,14 +10,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import (
-    ClassPrior,
-    ConfigurationError,
-    CorrectionKind,
-    InvalidInputError,
-    LabeledPool,
-)
-from .model import Model, forward
+from .core import ClassPrior, ConfigurationError, CorrectionKind
+from .model import accuracy
 from .sampler import (
     GaussianSource,
     GaussianSourceSpec,
@@ -27,16 +20,6 @@ from .sampler import (
     synth_gaussian_labeled,
 )
 from .trainer import TrainConfig, train, train_supervised_oracle
-
-
-def accuracy(model: Model, test: LabeledPool) -> float:
-    """Fraction of test points whose score sign matches the label;
-    sign(0) counts as +1."""
-    if len(test) == 0:
-        raise InvalidInputError("test set is empty")
-    scores = np.atleast_1d(forward(model, test.x))
-    pred = np.where(scores >= 0, 1, -1)
-    return float(np.mean(pred == test.y))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Hypothesis classes: a linear scorer and a one-hidden-layer relu scorer,
-with exact analytic gradients, a decoupled-weight-decay Adam optimizer, and
-JSON-friendly serialization.
+with exact analytic gradients, sign accuracy, a decoupled-weight-decay Adam
+optimizer, and JSON-friendly serialization.
 
 Parameters live in plain dicts of numpy arrays so the optimizer is shared
 between architectures.
@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import InvalidInputError, ShapeError
+from .core import InvalidInputError, LabeledPool, ShapeError
 
 
 @dataclass
@@ -100,6 +100,15 @@ def forward(model: Model, x) -> float | np.ndarray:
         h = np.maximum(arr @ model.w1.T + model.b1, 0.0)
         out = h @ model.w2 + model.b2[0]
     return float(out[0]) if single else out
+
+
+def accuracy(model: Model, pool: LabeledPool) -> float:
+    """Fraction of points whose score sign matches the label; sign(0)
+    counts as +1."""
+    if len(pool) == 0:
+        raise InvalidInputError("test set is empty")
+    scores = np.atleast_1d(forward(model, pool.x))
+    return float(np.mean(np.where(scores >= 0, 1, -1) == pool.y))
 
 
 def backward(model: Model, x, upstream) -> dict[str, np.ndarray]:

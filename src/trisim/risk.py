@@ -1,5 +1,5 @@
-"""Risk machinery: mixing coefficients, corrected per-point losses, the
-empirical risk estimator with its gradient, and the exact discrete-domain
+"""Risk machinery: mixing coefficients, the corrected losses, the empirical
+risk estimator with its gradient, and the exact discrete-domain
 reconstruction of the supervised risk.
 
 The four coefficients (with w = pi_plus - pi_minus, q = 1 - pi_plus*pi_minus):
@@ -11,6 +11,16 @@ The four coefficients (with w = pi_plus - pi_minus, q = 1 - pi_plus*pi_minus):
 They are the unique solution of the 4-equation matching system checked in
 trisim.verify, and they make the weighted class-conditional expectation of
 the corrected losses reproduce the supervised risk exactly.
+
+Under the square loss the theta combinations of the per-label losses
+(1 - z)^2 and (1 + z)^2 collapse to polynomials in the score z:
+
+    l_us(z) = -(2q/w) * z             l_u(z) = 1 + z^2 + 2z/w
+
+(the analytic squared-loss structure of SU learning, Bao, Niu and Sugiyama,
+ICML 2018). The estimator is written in this form. The per-label form
+survives only in square_loss, which the supervised oracle trains on and
+the identity oracle checks the polynomial against.
 """
 from __future__ import annotations
 
@@ -18,15 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    ClassPrior,
-    CorrectionKind,
-    InsufficientDataError,
-    InvalidInputError,
-    LossSpec,
-    loss_grads,
-    loss_values,
-)
+from .core import ClassPrior, CorrectionKind, InsufficientDataError, InvalidInputError
 
 
 @dataclass(frozen=True)
@@ -112,45 +114,28 @@ def matched_point_weights(prior: ClassPrior, sampler_kind: str, n_triplets: int)
     return np.tile(per_triplet, n_triplets), c_u
 
 
-def corrected_loss_us(score: float, thetas: Thetas, spec: LossSpec) -> float:
-    """Similarity-side corrected loss; a linear combination of the two
-    per-label losses, possibly negative."""
-    return float(
-        thetas.theta_us_plus * loss_values(spec, score, 1)
-        + thetas.theta_us_minus * loss_values(spec, score, -1)
-    )
+def square_loss(scores, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Per-label square loss (1 - y*z)^2 and its derivative in z, for
+    labels y in {+1, -1} broadcast against the scores."""
+    margin = 1.0 - labels * np.asarray(scores, dtype=float)
+    return margin**2, -2.0 * labels * margin
 
 
-def corrected_loss_u(score: float, thetas: Thetas, spec: LossSpec) -> float:
-    """Unlabeled-side corrected loss."""
-    return float(
-        thetas.theta_u_plus * loss_values(spec, score, 1)
-        + thetas.theta_u_minus * loss_values(spec, score, -1)
-    )
+def _polynomial(prior: ClassPrior) -> tuple[float, float]:
+    """Coefficients (a, b) of l_us(z) = a*z and l_u(z) = 1 + z^2 + b*z."""
+    prior.require_non_degenerate()
+    w = prior.pi_plus - prior.pi_minus
+    q = 1.0 - prior.pi_plus * prior.pi_minus
+    return -2.0 * q / w, 2.0 / w
 
 
-def corrected_loss_us_vec(scores: np.ndarray, thetas: Thetas, spec: LossSpec) -> np.ndarray:
-    return thetas.theta_us_plus * loss_values(spec, scores, 1) + (
-        thetas.theta_us_minus * loss_values(spec, scores, -1)
-    )
-
-
-def corrected_loss_u_vec(scores: np.ndarray, thetas: Thetas, spec: LossSpec) -> np.ndarray:
-    return thetas.theta_u_plus * loss_values(spec, scores, 1) + (
-        thetas.theta_u_minus * loss_values(spec, scores, -1)
-    )
-
-
-def corrected_loss_us_grad_vec(scores: np.ndarray, thetas: Thetas, spec: LossSpec) -> np.ndarray:
-    return thetas.theta_us_plus * loss_grads(spec, scores, 1) + (
-        thetas.theta_us_minus * loss_grads(spec, scores, -1)
-    )
-
-
-def corrected_loss_u_grad_vec(scores: np.ndarray, thetas: Thetas, spec: LossSpec) -> np.ndarray:
-    return thetas.theta_u_plus * loss_grads(spec, scores, 1) + (
-        thetas.theta_u_minus * loss_grads(spec, scores, -1)
-    )
+def corrected_losses(scores, prior: ClassPrior) -> tuple[np.ndarray, np.ndarray]:
+    """Similarity-side and unlabeled-side corrected losses at each score,
+    l_us(z) = -(2q/w)*z and l_u(z) = 1 + z^2 + 2z/w. Both can be negative.
+    Raises DegeneratePriorError at pi_plus = 0.5."""
+    a, b = _polynomial(prior)
+    z = np.asarray(scores, dtype=float)
+    return a * z, 1.0 + z * z + b * z
 
 
 @dataclass(frozen=True)
@@ -188,11 +173,23 @@ def _check_weights(us_weights, n: int) -> np.ndarray | None:
     return w
 
 
+def _side_terms(us_scores, u_scores, prior, us_weights, u_plus_coef):
+    """Validated score and weight arrays, then the two side means."""
+    us = _check_scores(us_scores, "similarity")
+    u = _check_scores(u_scores, "unlabeled")
+    w = _check_weights(us_weights, us.size)
+    l_us, _ = corrected_losses(us, prior)
+    l_us_at_u, l_u = corrected_losses(u, prior)
+    us_term = float(np.mean(l_us if w is None else w * l_us))
+    if u_plus_coef:
+        us_term += u_plus_coef * float(np.mean(l_us_at_u))
+    return us, u, w, us_term, float(np.mean(l_u))
+
+
 def empirical_risk(
     us_scores,
     u_scores,
-    thetas: Thetas,
-    spec: LossSpec,
+    prior: ClassPrior,
     correction: CorrectionKind,
     us_weights=None,
     u_plus_coef: float = 0.0,
@@ -205,14 +202,7 @@ def empirical_risk(
     uses (see matched_point_weights); those extra pieces are folded into
     us_term.
     """
-    us = _check_scores(us_scores, "similarity")
-    u = _check_scores(u_scores, "unlabeled")
-    w = _check_weights(us_weights, us.size)
-    lus = corrected_loss_us_vec(us, thetas, spec)
-    us_term = float(np.mean(lus if w is None else w * lus))
-    if u_plus_coef:
-        us_term += u_plus_coef * float(np.mean(corrected_loss_us_vec(u, thetas, spec)))
-    u_term = float(np.mean(corrected_loss_u_vec(u, thetas, spec)))
+    _, _, _, us_term, u_term = _side_terms(us_scores, u_scores, prior, us_weights, u_plus_coef)
     raw = us_term + u_term
     return RiskValue(us_term=us_term, u_term=u_term, raw=raw, corrected=correction.apply(raw))
 
@@ -220,8 +210,7 @@ def empirical_risk(
 def empirical_risk_grad(
     us_scores,
     u_scores,
-    thetas: Thetas,
-    spec: LossSpec,
+    prior: ClassPrior,
     correction: CorrectionKind,
     us_weights=None,
     u_plus_coef: float = 0.0,
@@ -229,24 +218,16 @@ def empirical_risk_grad(
     """d corrected / d score for every input score.
 
     The raw estimate is linear in the per-point corrected losses, so each
-    per-score derivative is the (weighted) per-point loss derivative divided
-    by its side's count, scaled by dg/d raw (0 at the raw = 0 kink).
+    per-score derivative is the (weighted) per-point loss derivative,
+    dl_us/dz = -2q/w or dl_u/dz = 2z + 2/w, divided by its side's count and
+    scaled by dg/d raw (0 at the raw = 0 kink).
     """
-    us = _check_scores(us_scores, "similarity")
-    u = _check_scores(u_scores, "unlabeled")
-    w = _check_weights(us_weights, us.size)
-    lus = corrected_loss_us_vec(us, thetas, spec)
-    us_term = float(np.mean(lus if w is None else w * lus))
-    if u_plus_coef:
-        us_term += u_plus_coef * float(np.mean(corrected_loss_us_vec(u, thetas, spec)))
-    u_term = float(np.mean(corrected_loss_u_vec(u, thetas, spec)))
+    us, u, w, us_term, u_term = _side_terms(us_scores, u_scores, prior, us_weights, u_plus_coef)
     factor = correction.grad_factor(us_term + u_term)
-    dus = corrected_loss_us_grad_vec(us, thetas, spec)
-    g_us = factor / us.size * (dus if w is None else w * dus)
-    du = corrected_loss_u_grad_vec(u, thetas, spec)
-    if u_plus_coef:
-        du = du + u_plus_coef * corrected_loss_us_grad_vec(u, thetas, spec)
-    g_u = factor / u.size * du
+    a, b = _polynomial(prior)
+    scale = factor / us.size * a
+    g_us = np.full(us.size, scale) if w is None else scale * w
+    g_u = factor / u.size * (2.0 * u + (b + u_plus_coef * a))
     return g_us, g_u
 
 
@@ -286,15 +267,15 @@ class DiscreteDomainSpec:
         return self.prior.pi_plus * self.p_plus + self.prior.pi_minus * self.p_minus
 
 
-def supervised_risk_discrete(domain: DiscreteDomainSpec, spec: LossSpec) -> float:
+def supervised_risk_discrete(domain: DiscreteDomainSpec) -> float:
     """Prior-weighted class-conditional expectation of the per-label losses,
     taken as an exact sum over the support."""
-    pos = float(np.sum(domain.p_plus * loss_values(spec, domain.scores, 1)))
-    neg = float(np.sum(domain.p_minus * loss_values(spec, domain.scores, -1)))
+    pos = float(np.sum(domain.p_plus * square_loss(domain.scores, 1)[0]))
+    neg = float(np.sum(domain.p_minus * square_loss(domain.scores, -1)[0]))
     return domain.prior.pi_plus * pos + domain.prior.pi_minus * neg
 
 
-def reconstructed_risk_discrete(domain: DiscreteDomainSpec, spec: LossSpec) -> float:
+def reconstructed_risk_discrete(domain: DiscreteDomainSpec) -> float:
     """The weak-supervision risk rebuilt from corrected losses.
 
     Expands both side expectations into weighted class-conditional sums:
@@ -306,12 +287,10 @@ def reconstructed_risk_discrete(domain: DiscreteDomainSpec, spec: LossSpec) -> f
     risk for every valid domain; trisim.verify property-tests the identity.
     """
     prior = domain.prior
-    thetas = compute_thetas(prior)
     q = 1.0 - prior.pi_plus * prior.pi_minus
     w_plus = 2.0 * prior.pi_plus**2 / q
     w_minus = 2.0 * prior.pi_minus**2 / q
-    lus = corrected_loss_us_vec(domain.scores, thetas, spec)
-    lu = corrected_loss_u_vec(domain.scores, thetas, spec)
+    lus, lu = corrected_losses(domain.scores, prior)
     e_us = w_plus * np.sum(domain.p_plus * lus) + w_minus * np.sum(domain.p_minus * lus)
     e_u = prior.pi_plus * np.sum(domain.p_plus * lu) + prior.pi_minus * np.sum(domain.p_minus * lu)
     return float(e_us + e_u)

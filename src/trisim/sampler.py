@@ -20,7 +20,6 @@ from .core import (
     InvalidInputError,
     LabeledPool,
     ShapeError,
-    UncertainTriplet,
     WeakDataset,
 )
 
@@ -203,12 +202,6 @@ def sample_triplets_rejection(
     return triplets, RejectionStats(n_raw=n_raw, n_accepted=n)
 
 
-def sample_triplet_rejection(source, rng: np.random.Generator) -> UncertainTriplet:
-    """Single-triplet convenience wrapper around sample_triplets_rejection."""
-    t, _ = sample_triplets_rejection(source, 1, rng)
-    return UncertainTriplet(anchor=t[0, 0], companion_a=t[0, 1], companion_b=t[0, 2])
-
-
 def paper_case_weights(prior: ClassPrior) -> np.ndarray:
     """Probabilities of the four tied-pair cases
     (anchor+first positive, anchor+first negative, anchor+second positive,
@@ -247,11 +240,6 @@ def sample_triplets_paper_case(
     swap = rng.random(n) < 0.5
     triplets[swap] = triplets[swap][:, [0, 2, 1]]
     return triplets
-
-
-def sample_triplet_paper_case(source, rng: np.random.Generator) -> UncertainTriplet:
-    t = sample_triplets_paper_case(source, 1, rng)
-    return UncertainTriplet(anchor=t[0, 0], companion_a=t[0, 1], companion_b=t[0, 2])
 
 
 def sample_unlabeled(source, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,15 +1,18 @@
-"""Training loop: per epoch, disassemble the triplets into a pointwise pool,
-shuffle both pools, split them into ratio-preserving joint mini-batches,
-and take one optimizer step per batch on the corrected risk.
+"""Training loop: per epoch, shuffle each pool, split the shuffled indices
+into ratio-preserving joint mini-batches, and take one optimizer step per
+batch; after the epoch, evaluate the full-pool risk once.
 
 Ratio-preserving batching (every batch gets a near-proportional share of
 both pools) keeps the two per-batch means well defined; a plain merged
 shuffle could produce batches with an empty side, where a term of the
 estimator has no value.
+
+The weak trainer and the supervised oracle share the loop and differ only
+in the per-batch upstream gradient and the per-epoch risk they plug in.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,18 +22,16 @@ from .core import (
     CorrectionKind,
     InsufficientDataError,
     LabeledPool,
-    LossSpec,
     WeakDataset,
-    loss_grads,
-    loss_values,
 )
 from .model import AdamState, Model, adam_step, backward, forward, init_model
+from .model import accuracy as _accuracy
 from .risk import (
-    Thetas,
-    compute_thetas,
+    RiskValue,
     empirical_risk,
     empirical_risk_grad,
     matched_point_weights,
+    square_loss,
 )
 from .sampler import disassemble
 
@@ -42,7 +43,6 @@ class TrainConfig:
     studying misspecification."""
 
     prior: ClassPrior
-    loss: LossSpec = field(default_factory=LossSpec)
     correction: CorrectionKind = CorrectionKind.ABS
     estimator: str = "matched"
     epochs: int = 600
@@ -93,12 +93,6 @@ class TrainLog:
         ]
 
 
-def _accuracy(model: Model, x: np.ndarray, y: np.ndarray) -> float:
-    scores = np.atleast_1d(forward(model, x))
-    pred = np.where(scores >= 0, 1, -1)  # sign(0) counts as +1
-    return float(np.mean(pred == y))
-
-
 def _batch_plan(n_us: int, n_u: int, batch_size: int) -> int:
     """Number of joint batches; errors out when the sizes cannot give every
     batch at least one point from each pool."""
@@ -116,6 +110,39 @@ def _batch_plan(n_us: int, n_u: int, batch_size: int) -> int:
             f"(sizes {n_us} and {n_u}); increase --batch"
         )
     return n_batches
+
+
+def _fit(config, model, pool_sizes, n_batches, batch_upstream, epoch_risk, eval_set):
+    """Shared loop. Each epoch draws one permutation per pool, in pool
+    order, and splits each into n_batches index arrays. Per batch,
+    batch_upstream(model, *indices) returns the batch's rows and the
+    gradient of the batch objective with respect to their scores; one
+    backward pass and one Adam step follow. After the epoch's last step,
+    epoch_risk(model) gives the full-pool risk for the log."""
+    _, ss_shuffle = np.random.SeedSequence(config.seed).spawn(2)
+    rng = np.random.default_rng(ss_shuffle)
+    state = AdamState.for_params(
+        model.params(), lr=config.lr, weight_decay=config.weight_decay
+    )
+    log = TrainLog()
+    for epoch in range(1, config.epochs + 1):
+        splits = [np.array_split(rng.permutation(n), n_batches) for n in pool_sizes]
+        for indices in zip(*splits):
+            x, upstream = batch_upstream(model, *indices)
+            adam_step(model.params(), backward(model, x, upstream), state)
+        rv = epoch_risk(model)
+        acc = _accuracy(model, eval_set) if eval_set is not None else None
+        log.records.append(
+            EpochRecord(
+                epoch=epoch,
+                raw_risk=rv.raw,
+                corrected_risk=rv.corrected,
+                us_term=rv.us_term,
+                u_term=rv.u_term,
+                test_accuracy=acc,
+            )
+        )
+    return model, log
 
 
 def train(
@@ -139,73 +166,43 @@ def train(
         )
     us_pool = disassemble(data.triplets)
     u_pool = data.unlabeled
-    thetas = compute_thetas(config.prior)
     if config.estimator == "matched":
         us_weights, u_plus_coef = matched_point_weights(
             config.prior, data.sampler_kind, data.n_triplets
         )
     else:
         us_weights, u_plus_coef = None, 0.0
-
-    _, ss_shuffle = np.random.SeedSequence(config.seed).spawn(2)
-    dim = us_pool.shape[1]
-    model = init_model(config.model_kind, dim, config.hidden, seed=config.seed)
-    log = TrainLog()
+    model = init_model(config.model_kind, us_pool.shape[1], config.hidden, seed=config.seed)
     if config.epochs == 0:
-        return model, log
-
+        return model, TrainLog()
     n_batches = _batch_plan(us_pool.shape[0], u_pool.shape[0], config.batch_size)
-    state = AdamState.for_params(
-        model.params(), lr=config.lr, weight_decay=config.weight_decay
-    )
-    rng = np.random.default_rng(ss_shuffle)
 
-    for epoch in range(1, config.epochs + 1):
-        us_order = rng.permutation(us_pool.shape[0])
-        us_perm = us_pool[us_order]
-        w_perm = None if us_weights is None else us_weights[us_order]
-        u_perm = u_pool[rng.permutation(u_pool.shape[0])]
-        w_batches = (
-            [None] * n_batches if w_perm is None else np.array_split(w_perm, n_batches)
+    def batch_upstream(model, us_idx, u_idx):
+        us_batch, u_batch = us_pool[us_idx], u_pool[u_idx]
+        g_us, g_u = empirical_risk_grad(
+            np.atleast_1d(forward(model, us_batch)),
+            np.atleast_1d(forward(model, u_batch)),
+            config.prior,
+            config.correction,
+            us_weights=None if us_weights is None else us_weights[us_idx],
+            u_plus_coef=u_plus_coef,
         )
-        for us_batch, w_batch, u_batch in zip(
-            np.array_split(us_perm, n_batches), w_batches, np.array_split(u_perm, n_batches)
-        ):
-            us_scores = np.atleast_1d(forward(model, us_batch))
-            u_scores = np.atleast_1d(forward(model, u_batch))
-            g_us, g_u = empirical_risk_grad(
-                us_scores,
-                u_scores,
-                thetas,
-                config.loss,
-                config.correction,
-                us_weights=w_batch,
-                u_plus_coef=u_plus_coef,
-            )
-            x_all = np.concatenate([us_batch, u_batch])
-            grads = backward(model, x_all, np.concatenate([g_us, g_u]))
-            adam_step(model.params(), grads, state)
-        rv = empirical_risk(
+        return np.concatenate([us_batch, u_batch]), np.concatenate([g_us, g_u])
+
+    def epoch_risk(model):
+        return empirical_risk(
             np.atleast_1d(forward(model, us_pool)),
             np.atleast_1d(forward(model, u_pool)),
-            thetas,
-            config.loss,
+            config.prior,
             config.correction,
             us_weights=us_weights,
             u_plus_coef=u_plus_coef,
         )
-        acc = _accuracy(model, eval_set.x, eval_set.y) if eval_set is not None else None
-        log.records.append(
-            EpochRecord(
-                epoch=epoch,
-                raw_risk=rv.raw,
-                corrected_risk=rv.corrected,
-                us_term=rv.us_term,
-                u_term=rv.u_term,
-                test_accuracy=acc,
-            )
-        )
-    return model, log
+
+    return _fit(
+        config, model, (us_pool.shape[0], u_pool.shape[0]), n_batches,
+        batch_upstream, epoch_risk, eval_set,
+    )
 
 
 def train_supervised_oracle(
@@ -213,60 +210,31 @@ def train_supervised_oracle(
     labeled: LabeledPool,
     eval_set: LabeledPool | None = None,
 ) -> tuple[Model, TrainLog]:
-    """Identical loop minimizing the plain supervised empirical risk; the
+    """The same loop minimizing the plain supervised empirical risk; the
     upper-reference model for acceptance comparisons."""
     if len(labeled) < 1:
         raise InsufficientDataError("supervised training needs a non-empty pool")
-    _, ss_shuffle = np.random.SeedSequence(config.seed).spawn(2)
     model = init_model(
         config.model_kind, labeled.x.shape[1], config.hidden, seed=config.seed
     )
-    log = TrainLog()
     if config.epochs == 0:
-        return model, log
-
+        return model, TrainLog()
     n = len(labeled)
     if config.batch_size > n:
         raise ConfigurationError(
             f"batch_size {config.batch_size} exceeds pool size {n}"
         )
-    n_batches = -(-n // config.batch_size)
-    state = AdamState.for_params(
-        model.params(), lr=config.lr, weight_decay=config.weight_decay
-    )
-    rng = np.random.default_rng(ss_shuffle)
 
-    for epoch in range(1, config.epochs + 1):
-        perm = rng.permutation(n)
-        for idx in np.array_split(perm, n_batches):
-            x, y = labeled.x[idx], labeled.y[idx]
-            scores = np.atleast_1d(forward(model, x))
-            upstream = np.where(
-                y == 1,
-                loss_grads(config.loss, scores, 1),
-                loss_grads(config.loss, scores, -1),
-            ) / idx.size
-            grads = backward(model, x, upstream)
-            adam_step(model.params(), grads, state)
-        scores = np.atleast_1d(forward(model, labeled.x))
-        risk = float(
-            np.mean(
-                np.where(
-                    labeled.y == 1,
-                    loss_values(config.loss, scores, 1),
-                    loss_values(config.loss, scores, -1),
-                )
-            )
-        )
-        acc = _accuracy(model, eval_set.x, eval_set.y) if eval_set is not None else None
-        log.records.append(
-            EpochRecord(
-                epoch=epoch,
-                raw_risk=risk,
-                corrected_risk=risk,
-                us_term=risk,
-                u_term=0.0,
-                test_accuracy=acc,
-            )
-        )
-    return model, log
+    def batch_upstream(model, idx):
+        x = labeled.x[idx]
+        _, dloss = square_loss(np.atleast_1d(forward(model, x)), labeled.y[idx])
+        return x, dloss / idx.size
+
+    def epoch_risk(model):
+        loss, _ = square_loss(np.atleast_1d(forward(model, labeled.x)), labeled.y)
+        risk = float(np.mean(loss))
+        return RiskValue(us_term=risk, u_term=0.0, raw=risk, corrected=risk)
+
+    return _fit(
+        config, model, (n,), -(-n // config.batch_size), batch_upstream, epoch_risk, eval_set
+    )

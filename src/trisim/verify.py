@@ -14,17 +14,15 @@ import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import stats as scipy_stats
 
-from .core import ClassPrior, CorrectionKind, EnumerationSizeError, LossSpec
+from .core import ClassPrior, CorrectionKind, EnumerationSizeError, InvalidInputError
 from .evaluation import fraction_sweep
 from .model import backward, forward, init_model
 from .risk import (
     DiscreteDomainSpec,
     Thetas,
     compute_thetas,
-    corrected_loss_u_vec,
-    corrected_loss_us_vec,
+    corrected_losses,
     empirical_risk,
     empirical_risk_grad,
     matched_us_coefficients,
@@ -154,14 +152,10 @@ def check_risk_identity(n_trials: int = 100, seed: int = 0) -> VerifyReport:
     discrete domains; the two are algebraically identical."""
     report = VerifyReport(suite="identity")
     rng = np.random.default_rng(seed)
-    spec = LossSpec()
     worst = 0.0
     for _ in range(n_trials):
         domain = random_domain(rng)
-        gap = abs(
-            supervised_risk_discrete(domain, spec)
-            - reconstructed_risk_discrete(domain, spec)
-        )
+        gap = abs(supervised_risk_discrete(domain) - reconstructed_risk_discrete(domain))
         worst = max(worst, gap)
     report.add(f"max_reconstruction_gap_{n_trials}_trials", 0.0, worst, 1e-10)
     return report
@@ -185,107 +179,64 @@ def check_acceptance_rate(
     return report
 
 
-def enumerate_estimator_expectation(
-    domain: DiscreteDomainSpec, sampler_kind: str, spec: LossSpec
-) -> tuple[float, float]:
-    """Exact E[estimator] under the chosen sampler by full enumeration.
+def position_expectations(
+    domain: DiscreteDomainSpec, sampler_kind: str, values: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Exact per-position expectations (anchor, first companion, second
+    companion) of a pointwise function given by its values on the support,
+    under the chosen sampler's triplet distribution, plus the total
+    probability of the enumerated configurations (1 up to rounding).
 
-    Returns (expectation, total probability mass of the enumerated triplet
-    configurations); the latter must be 1 up to rounding.
+    One joint enumeration: the (K, K, K) pmf of the three members' support
+    points is summed over the sampler's accepted label patterns (rejection)
+    or its four tied-pair cases (paper_case), then symmetrized over the two
+    companion slots, since both samplers swap them with probability 1/2.
     """
     if domain.support_size > ENUMERATION_CAP:
         raise EnumerationSizeError(
             f"support size {domain.support_size} exceeds enumeration cap {ENUMERATION_CAP}"
         )
     prior = domain.prior
-    thetas = compute_thetas(prior)
-    lus = corrected_loss_us_vec(domain.scores, thetas, spec)
-    lu = corrected_loss_u_vec(domain.scores, thetas, spec)
-    k = domain.support_size
     cond = {1: domain.p_plus, -1: domain.p_minus}
-    class_prob = {1: prior.pi_plus, -1: prior.pi_minus}
-    # mean of the three pointwise losses, over all (k1, k2, k3)
-    mean_loss = (
-        lus[:, None, None] + lus[None, :, None] + lus[None, None, :]
-    ) / 3.0
-
-    total_prob = 0.0
-    e_us = 0.0
+    members = []  # (probability, anchor pmf, first companion pmf, second companion pmf)
     if sampler_kind == "rejection":
+        class_prob = {1: prior.pi_plus, -1: prior.pi_minus}
         p_accept = 1.0 - prior.pi_plus * prior.pi_minus
         for y1, y2, y3 in itertools.product((1, -1), repeat=3):
             if y2 == y3 != y1:
-                continue
-            label_prob = class_prob[y1] * class_prob[y2] * class_prob[y3] / p_accept
-            point_prob = (
-                cond[y1][:, None, None]
-                * cond[y2][None, :, None]
-                * cond[y3][None, None, :]
-            )
-            config = label_prob * point_prob
-            total_prob += float(config.sum())
-            e_us += float((config * mean_loss).sum())
+                continue  # rejected: the companions share a class the anchor lacks
+            prob = class_prob[y1] * class_prob[y2] * class_prob[y3] / p_accept
+            members.append((prob, cond[y1], cond[y2], cond[y3]))
     elif sampler_kind == "paper_case":
-        weights = paper_case_weights(prior)
+        # cases 0 and 1 tie the anchor to the first companion, cases 2 and 3
+        # to the second; the remaining slot holds the marginal draw
         marginal = domain.p_marginal
-        tied_class = (1, -1, 1, -1)
-        for case, w in enumerate(weights):
-            tied = cond[tied_class[case]]
-            config = (
-                w
-                * tied[:, None, None]
-                * tied[None, :, None]
-                * marginal[None, None, :]
-            )
-            total_prob += float(config.sum())
-            e_us += float((config * mean_loss).sum())
+        for case, w in enumerate(paper_case_weights(prior)):
+            tied = cond[1] if case % 2 == 0 else cond[-1]
+            members.append((w, tied, tied, marginal) if case < 2 else (w, tied, marginal, tied))
     else:
-        raise ValueError(f"unknown sampler kind {sampler_kind!r}")
+        raise InvalidInputError(f"unknown sampler kind {sampler_kind!r}")
+    joint = sum(
+        w * a[:, None, None] * b[None, :, None] * c[None, None, :] for w, a, b, c in members
+    )
+    joint = 0.5 * (joint + joint.transpose(0, 2, 1))
+    slots = (joint.sum(axis=(1, 2)), joint.sum(axis=(0, 2)), joint.sum(axis=(0, 1)))
+    return np.array([slot @ values for slot in slots]), float(joint.sum())
 
-    e_u = float(np.sum(domain.p_marginal * lu))
-    return e_us + e_u, total_prob
 
+def enumerate_estimator_expectation(
+    domain: DiscreteDomainSpec, sampler_kind: str
+) -> tuple[float, float]:
+    """Exact E[estimator] under the chosen sampler by full enumeration: the
+    mean of the three position expectations of l_us plus the marginal
+    expectation of l_u.
 
-def enumerate_position_expectations(
-    domain: DiscreteDomainSpec, sampler_kind: str, values: np.ndarray
-) -> tuple[float, float, float]:
-    """Exact per-position expectations (anchor, first companion, second
-    companion) of a pointwise function given by its values on the support,
-    under the chosen sampler's triplet distribution."""
-    if domain.support_size > ENUMERATION_CAP:
-        raise EnumerationSizeError(
-            f"support size {domain.support_size} exceeds enumeration cap {ENUMERATION_CAP}"
-        )
-    prior = domain.prior
-    cond = {1: domain.p_plus, -1: domain.p_minus}
-    class_prob = {1: prior.pi_plus, -1: prior.pi_minus}
-    e_pos = np.zeros(3)
-    if sampler_kind == "rejection":
-        p_accept = 1.0 - prior.pi_plus * prior.pi_minus
-        for labels in itertools.product((1, -1), repeat=3):
-            y1, y2, y3 = labels
-            if y2 == y3 != y1:
-                continue
-            label_prob = class_prob[y1] * class_prob[y2] * class_prob[y3] / p_accept
-            for pos, y in enumerate(labels):
-                e_pos[pos] += label_prob * float(np.sum(cond[y] * values))
-        # the sampler swaps the two companions with probability 1/2
-        e_pos[1] = e_pos[2] = 0.5 * (e_pos[1] + e_pos[2])
-    elif sampler_kind == "paper_case":
-        weights = paper_case_weights(prior)
-        marginal = domain.p_marginal
-        e_marginal = float(np.sum(marginal * values))
-        tied_class = (1, -1, 1, -1)
-        for case, w in enumerate(weights):
-            e_tied = float(np.sum(cond[tied_class[case]] * values))
-            e_pos[0] += w * e_tied
-            # each companion is the tied partner or the marginal draw with
-            # probability 1/2 (case choice plus the swap randomization)
-            e_pos[1] += w * 0.5 * (e_tied + e_marginal)
-            e_pos[2] += w * 0.5 * (e_tied + e_marginal)
-    else:
-        raise ValueError(f"unknown sampler kind {sampler_kind!r}")
-    return float(e_pos[0]), float(e_pos[1]), float(e_pos[2])
+    Returns (expectation, total probability mass of the enumerated triplet
+    configurations); the latter must be 1 up to rounding.
+    """
+    lus, lu = corrected_losses(domain.scores, domain.prior)
+    e_pos, total_prob = position_expectations(domain, sampler_kind, lus)
+    return float(e_pos.mean()) + float(np.sum(domain.p_marginal * lu)), total_prob
 
 
 def check_matched_calibration(n_trials: int = 50, seed: int = 0) -> VerifyReport:
@@ -295,19 +246,16 @@ def check_matched_calibration(n_trials: int = 50, seed: int = 0) -> VerifyReport
     suite: the plain pooled mean is biased, the matched combination is not."""
     report = VerifyReport(suite="matched")
     rng = np.random.default_rng(seed)
-    spec = LossSpec()
     worst = {"rejection": 0.0, "paper_case": 0.0}
     for _ in range(n_trials):
         domain = random_domain(rng)
-        thetas = compute_thetas(domain.prior)
-        lus = corrected_loss_us_vec(domain.scores, thetas, spec)
-        lu = corrected_loss_u_vec(domain.scores, thetas, spec)
+        lus, lu = corrected_losses(domain.scores, domain.prior)
         e_u = float(np.sum(domain.p_marginal * lu))
         e_us_marginal = float(np.sum(domain.p_marginal * lus))
-        supervised = supervised_risk_discrete(domain, spec)
+        supervised = supervised_risk_discrete(domain)
         for kind in worst:
             c_a, c_c, c_u = matched_us_coefficients(domain.prior, kind)
-            e_a, e_c1, e_c2 = enumerate_position_expectations(domain, kind, lus)
+            (e_a, e_c1, e_c2), _ = position_expectations(domain, kind, lus)
             expected_raw = (
                 c_a * e_a
                 + 0.5 * c_c * (e_c1 + e_c2)
@@ -334,12 +282,11 @@ def measure_estimator_bias(
     parts are the enumeration's total probability and the Monte Carlo
     self-consistency.
     """
-    spec = LossSpec()
     report = VerifyReport(suite="bias")
-    expectation, total_prob = enumerate_estimator_expectation(domain, sampler_kind, spec)
+    expectation, total_prob = enumerate_estimator_expectation(domain, sampler_kind)
     report.add("enumeration_total_probability", 1.0, total_prob, 1e-12)
 
-    supervised = supervised_risk_discrete(domain, spec)
+    supervised = supervised_risk_discrete(domain)
     report.add(
         "bias_delta",
         None,
@@ -349,17 +296,15 @@ def measure_estimator_bias(
         assertable=False,
     )
 
-    thetas = compute_thetas(domain.prior)
     source = DiscreteSource(domain.p_plus, domain.p_minus, domain.prior)
     rng = np.random.default_rng(seed)
     if sampler_kind == "rejection":
         triplets, _ = sample_triplets_rejection(source, n_mc, rng)
     else:
         triplets = sample_triplets_paper_case(source, n_mc, rng)
-    idx = triplets[:, :, 0].astype(int)
-    per_triplet = corrected_loss_us_vec(domain.scores[idx], thetas, spec).mean(axis=1)
-    u_idx = sample_unlabeled(source, n_mc, rng)[:, 0].astype(int)
-    per_u = corrected_loss_u_vec(domain.scores[u_idx], thetas, spec)
+    lus, lu = corrected_losses(domain.scores, domain.prior)
+    per_triplet = lus[triplets[:, :, 0].astype(int)].mean(axis=1)
+    per_u = lu[sample_unlabeled(source, n_mc, rng)[:, 0].astype(int)]
     mc = float(per_triplet.mean() + per_u.mean())
     se = float(
         np.sqrt(
@@ -370,7 +315,7 @@ def measure_estimator_bias(
     return report
 
 
-def constant_scorer_bias_closed_form(prior: ClassPrior, c: float, spec: LossSpec) -> float:
+def constant_scorer_bias_closed_form(prior: ClassPrior, c: float) -> float:
     """For a constant scorer both estimator terms collapse to the corrected
     losses at c, giving a sampler-independent closed form for the bias."""
     thetas = compute_thetas(prior)
@@ -385,7 +330,6 @@ def run_bias_suite(seed: int = 0, n_mc: int = 50_000) -> VerifyReport:
     """Standard bias measurements: constant-scorer enumeration against the
     closed form, then Monte Carlo self-consistency on a random support-4
     domain, for both sampler kinds."""
-    spec = LossSpec()
     report = VerifyReport(suite="bias")
     prior = ClassPrior(0.4)
     for c in (0.0, 1.0, -0.5):
@@ -395,10 +339,10 @@ def run_bias_suite(seed: int = 0, n_mc: int = 50_000) -> VerifyReport:
             prior=prior,
             scores=np.array([c, c]),
         )
-        closed = constant_scorer_bias_closed_form(prior, c, spec)
+        closed = constant_scorer_bias_closed_form(prior, c)
         for kind in ("rejection", "paper_case"):
-            expectation, _ = enumerate_estimator_expectation(domain, kind, spec)
-            delta = expectation - supervised_risk_discrete(domain, spec)
+            expectation, _ = enumerate_estimator_expectation(domain, kind)
+            delta = expectation - supervised_risk_discrete(domain)
             report.add(f"constant_scorer_c={c}_{kind}", closed, delta, 1e-10)
 
     rng = np.random.default_rng(seed)
@@ -420,7 +364,6 @@ def check_gradients(n_trials: int = 50, seed: int = 0) -> VerifyReport:
     central finite differences, away from correction and relu kinks."""
     report = VerifyReport(suite="gradients")
     rng = np.random.default_rng(seed)
-    spec = LossSpec()
     corrections = list(CorrectionKind)
     trial = 0
     attempts = 0
@@ -431,7 +374,6 @@ def check_gradients(n_trials: int = 50, seed: int = 0) -> VerifyReport:
         dim = int(rng.integers(2, 5))
         hidden = int(rng.integers(3, 7))
         prior = ClassPrior(float(rng.choice([0.2, 0.3, 0.4, 0.6, 0.7, 0.8])))
-        thetas = compute_thetas(prior)
         model = init_model(kind, dim, hidden, seed=int(rng.integers(1 << 31)))
         for p in model.params().values():
             p += 0.3 * rng.standard_normal(p.shape)
@@ -449,8 +391,7 @@ def check_gradients(n_trials: int = 50, seed: int = 0) -> VerifyReport:
             return empirical_risk(
                 np.atleast_1d(forward(model, x_us)),
                 np.atleast_1d(forward(model, x_u)),
-                thetas,
-                spec,
+                prior,
                 correction,
                 us_weights=us_weights,
                 u_plus_coef=u_plus_coef,
@@ -459,8 +400,7 @@ def check_gradients(n_trials: int = 50, seed: int = 0) -> VerifyReport:
         raw = empirical_risk(
             np.atleast_1d(forward(model, x_us)),
             np.atleast_1d(forward(model, x_u)),
-            thetas,
-            spec,
+            prior,
             CorrectionKind.NONE,
             us_weights=us_weights,
             u_plus_coef=u_plus_coef,
@@ -475,8 +415,7 @@ def check_gradients(n_trials: int = 50, seed: int = 0) -> VerifyReport:
         g_us, g_u = empirical_risk_grad(
             np.atleast_1d(forward(model, x_us)),
             np.atleast_1d(forward(model, x_u)),
-            thetas,
-            spec,
+            prior,
             correction,
             us_weights=us_weights,
             u_plus_coef=u_plus_coef,
@@ -545,7 +484,9 @@ def check_error_trend(
         None,
         passed=means[-1] >= means[0],
     )
-    rho = float(scipy_stats.spearmanr(fractions, means).statistic)
+    from scipy import stats  # imported here: scipy.stats costs about a second at CLI start
+
+    rho = float(stats.spearmanr(fractions, means).statistic)
     report.add("spearman_rank_correlation", None, rho, None, passed=rho > 0)
     return report
 

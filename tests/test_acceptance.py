@@ -18,7 +18,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 import trisim
-from trisim.core import ClassPrior, CorrectionKind, LossSpec
+from trisim.core import ClassPrior, CorrectionKind
 from trisim.evaluation import correction_sweep, prior_sweep, supervised_run, weak_run
 from trisim.risk import DiscreteDomainSpec
 from trisim.trainer import TrainConfig
@@ -78,7 +78,6 @@ def test_criterion_3_rejection_acceptance_rate():
 
 def test_criterion_4_estimator_bias_oracle():
     start = time.monotonic()
-    spec = LossSpec()
     prior = ClassPrior(0.4)
     worst_closed = 0.0
     for c in (0.0, 0.5, 1.0, -1.0, -0.3):
@@ -88,12 +87,12 @@ def test_criterion_4_estimator_bias_oracle():
             prior=prior,
             scores=np.array([c, c]),
         )
-        closed = constant_scorer_bias_closed_form(prior, c, spec)
+        closed = constant_scorer_bias_closed_form(prior, c)
         assert abs(closed - (-2.8 * c)) < 1e-12  # closed form is -2.8c at pi=0.4
         for kind in ("rejection", "paper_case"):
-            expectation, total = enumerate_estimator_expectation(domain, kind, spec)
+            expectation, total = enumerate_estimator_expectation(domain, kind)
             assert abs(total - 1.0) < 1e-12
-            delta = expectation - supervised_risk_discrete(domain, spec)
+            delta = expectation - supervised_risk_discrete(domain)
             worst_closed = max(worst_closed, abs(delta - closed))
     assert worst_closed < 1e-10
 

@@ -112,6 +112,36 @@ class TestTrainEval:
         assert rc == EXIT_CONFIG
 
 
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "target,bad_line",
+        [
+            ("test", "+1,0.5,abc"),
+            ("unlabeled", '{"x": [1.0]}'),
+            ("triplets", '{"anchor": [1.0], "c1": [2.0]}'),
+        ],
+    )
+    def test_exits_config_with_one_line(self, tmp_path, capsys, target, bad_line):
+        data = _synth(tmp_path)
+        triplets, unlabeled = _weak(tmp_path, data)
+        bad = {"test": data, "unlabeled": unlabeled, "triplets": triplets}[target]
+        lines = bad.read_text().splitlines()
+        lines[5] = bad_line
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        rc = main(
+            [
+                "train", "--us", str(triplets), "--u", str(unlabeled), "--pi", "0.4",
+                "--epochs", "1", "--batch", "30", "--test", str(data),
+                "--out", str(tmp_path / "m.json"),
+            ]
+        )
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith(f"error: {bad}:6: ")
+
+
 class TestVerify:
     def test_quick_suites_pass(self, tmp_path, capsys):
         for suite in ("thetas", "identity", "matched"):

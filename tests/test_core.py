@@ -1,5 +1,5 @@
-"""Unit tests for the shared vocabulary: priors, losses, corrections, and
-data containers."""
+"""Unit tests for the shared vocabulary: priors, the per-label square loss,
+corrections, and data containers."""
 import numpy as np
 import pytest
 
@@ -9,15 +9,10 @@ from trisim.core import (
     DegeneratePriorError,
     InvalidInputError,
     LabeledPool,
-    LossSpec,
     ShapeError,
-    UncertainTriplet,
     WeakDataset,
-    loss_grad,
-    loss_grads,
-    loss_value,
-    loss_values,
 )
+from trisim.risk import square_loss
 
 
 class TestClassPrior:
@@ -39,45 +34,19 @@ class TestClassPrior:
 
 class TestSquareLoss:
     def test_pinned_values(self):
-        spec = LossSpec()
-        assert loss_value(spec, 0.0, 1) == pytest.approx(1.0)
-        assert loss_value(spec, 1.0, 1) == pytest.approx(0.0)
-        assert loss_value(spec, 1.0, -1) == pytest.approx(4.0)
-        assert loss_value(spec, -0.5, -1) == pytest.approx(0.25)
+        assert square_loss(0.0, 1)[0] == pytest.approx(1.0)
+        assert square_loss(1.0, 1)[0] == pytest.approx(0.0)
+        assert square_loss(1.0, -1)[0] == pytest.approx(4.0)
+        assert square_loss(-0.5, -1)[0] == pytest.approx(0.25)
 
     def test_gradient_matches_finite_difference(self):
-        spec = LossSpec()
         rng = np.random.default_rng(0)
         eps = 1e-6
         for _ in range(20):
             z = float(rng.uniform(-2, 2))
             y = int(rng.choice([1, -1]))
-            fd = (loss_value(spec, z + eps, y) - loss_value(spec, z - eps, y)) / (2 * eps)
-            assert loss_grad(spec, z, y) == pytest.approx(fd, abs=1e-6)
-
-    def test_vectorized_agrees_with_scalar(self):
-        spec = LossSpec()
-        z = np.array([-1.5, 0.0, 0.7, 2.0])
-        for y in (1, -1):
-            np.testing.assert_allclose(
-                loss_values(spec, z, y), [loss_value(spec, v, y) for v in z]
-            )
-            np.testing.assert_allclose(
-                loss_grads(spec, z, y), [loss_grad(spec, v, y) for v in z]
-            )
-
-    def test_rejects_bad_label(self):
-        with pytest.raises(InvalidInputError):
-            loss_value(LossSpec(), 0.0, 0)
-
-    def test_rejects_non_finite_score(self):
-        with pytest.raises(InvalidInputError):
-            loss_value(LossSpec(), float("inf"), 1)
-
-    def test_bound_metadata_validation(self):
-        LossSpec(lipschitz_bound=6.0, value_bound=9.0)
-        with pytest.raises(InvalidInputError):
-            LossSpec(lipschitz_bound=-1.0)
+            fd = (square_loss(z + eps, y)[0] - square_loss(z - eps, y)[0]) / (2 * eps)
+            assert square_loss(z, y)[1] == pytest.approx(fd, abs=1e-6)
 
 
 class TestCorrectionKind:
@@ -105,16 +74,6 @@ class TestCorrectionKind:
 
 
 class TestContainers:
-    def test_triplet_requires_matching_shapes(self):
-        with pytest.raises(ShapeError):
-            UncertainTriplet(
-                anchor=np.zeros(2), companion_a=np.zeros(3), companion_b=np.zeros(2)
-            )
-
-    def test_triplet_as_array(self):
-        t = UncertainTriplet(np.array([1.0, 2.0]), np.array([3.0, 4.0]), np.array([5.0, 6.0]))
-        assert t.as_array().shape == (3, 2)
-
     def test_weak_dataset_shapes(self):
         data = WeakDataset(
             triplets=np.zeros((4, 3, 2)),

@@ -101,6 +101,40 @@ class TestJsonl:
         assert data.sampler_kind == "paper_case"
 
 
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "reader,text,message",
+        [
+            (read_labeled_csv, "y,f1,f2\n+1,0.5,1.0\n+1,0.5,abc\n", ":3: could not convert"),
+            (read_labeled_csv, "y,f1,f2\n+1,0.5,1.0\n1.5,0.5,1.0\n", ":3: invalid literal"),
+            (read_labeled_csv, "y,f1,f2\n+1,0.5,1.0\n-1,0.5\n", ":3: expected 3 fields, got 2"),
+            (read_unlabeled_jsonl, '{"x": [1.0, 2.0]}\n{"x": [1.0]}\n', ":2: ragged row"),
+            (read_unlabeled_jsonl, '{"x": [1.0, "abc"]}\n', ":1: could not convert"),
+            (read_unlabeled_jsonl, '{"x": [1.0]}\n{"x": [1.0,\n', ":2: invalid JSON"),
+            (read_unlabeled_jsonl, "[1.0, 2.0]\n", ":1: expected a JSON object with keys x"),
+            (read_triplets_jsonl, '{"anchor": [1.0], "c1": [2.0]}\n', ":1: expected a JSON object"),
+            (
+                read_triplets_jsonl,
+                '{"anchor": [1.0], "c1": [2.0], "c2": [3.0]}\n'
+                '{"anchor": [1.0], "c1": [2.0], "c2": [1.0, 2.0]}\n',
+                ":2: ",
+            ),
+        ],
+        ids=[
+            "csv-bad-number", "csv-bad-label", "csv-ragged", "jsonl-ragged",
+            "jsonl-bad-number", "jsonl-invalid-json", "jsonl-not-object",
+            "triplet-missing-key", "triplet-ragged",
+        ],
+    )
+    def test_names_path_and_line(self, tmp_path, reader, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(InvalidInputError) as exc:
+            reader(path)
+        assert str(exc.value).startswith(f"{path}:")
+        assert message in str(exc.value)
+
+
 class TestModelFile:
     @pytest.mark.parametrize("kind", ["linear", "mlp"])
     def test_round_trip(self, tmp_path, kind):

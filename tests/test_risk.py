@@ -10,15 +10,11 @@ from trisim.core import (
     DegeneratePriorError,
     InsufficientDataError,
     InvalidInputError,
-    LossSpec,
 )
 from trisim.risk import (
     DiscreteDomainSpec,
     compute_thetas,
-    corrected_loss_u,
-    corrected_loss_u_vec,
-    corrected_loss_us,
-    corrected_loss_us_vec,
+    corrected_losses,
     empirical_risk,
     empirical_risk_grad,
     matched_point_weights,
@@ -27,8 +23,9 @@ from trisim.risk import (
     similarity_mass,
     supervised_risk_discrete,
 )
+from trisim.verify import default_prior_grid
 
-SPEC = LossSpec()
+PRIOR = ClassPrior(0.4)
 
 
 class TestThetas:
@@ -66,43 +63,53 @@ class TestThetas:
 
 class TestCorrectedLosses:
     def test_pinned_values_score_zero(self):
-        t = compute_thetas(ClassPrior(0.4))
-        assert corrected_loss_us(0.0, t, SPEC) == pytest.approx(0.0, abs=1e-12)
-        assert corrected_loss_u(0.0, t, SPEC) == pytest.approx(1.0, abs=1e-12)
+        l_us, l_u = corrected_losses(0.0, PRIOR)
+        assert l_us == pytest.approx(0.0, abs=1e-12)
+        assert l_u == pytest.approx(1.0, abs=1e-12)
 
     def test_pinned_values_score_one(self):
-        t = compute_thetas(ClassPrior(0.4))
-        assert corrected_loss_us(1.0, t, SPEC) == pytest.approx(7.6, abs=1e-12)
-        assert corrected_loss_us(-1.0, t, SPEC) == pytest.approx(-7.6, abs=1e-12)
-        assert corrected_loss_u(1.0, t, SPEC) == pytest.approx(-8.0, abs=1e-12)
-        assert corrected_loss_u(-1.0, t, SPEC) == pytest.approx(12.0, abs=1e-12)
+        l_us, l_u = corrected_losses(np.array([1.0, -1.0]), PRIOR)
+        np.testing.assert_allclose(l_us, [7.6, -7.6], atol=1e-12)
+        np.testing.assert_allclose(l_u, [-8.0, 12.0], atol=1e-12)
 
     def test_similarity_loss_is_linear_in_score(self):
         # for the square loss the label-difference combination collapses to
         # a pure linear function of the score
-        t = compute_thetas(ClassPrior(0.4))
         z = np.linspace(-2, 2, 9)
-        np.testing.assert_allclose(
-            corrected_loss_us_vec(z, t, SPEC), 7.6 * z, atol=1e-12
-        )
+        np.testing.assert_allclose(corrected_losses(z, PRIOR)[0], 7.6 * z, atol=1e-12)
 
-    def test_vectorized_agrees_with_scalar(self):
-        t = compute_thetas(ClassPrior(0.3))
-        z = np.array([-1.0, -0.2, 0.0, 0.8, 1.7])
+    def test_balanced_prior_raises(self):
+        with pytest.raises(DegeneratePriorError):
+            corrected_losses(0.0, ClassPrior(0.5))
+
+    @pytest.mark.parametrize("pi", default_prior_grid())
+    def test_polynomial_matches_theta_combination(self, pi):
+        # the polynomial form equals the theta combination of the per-label
+        # losses, and the slopes empirical_risk_grad uses are its derivatives
+        prior = ClassPrior(pi)
+        t = compute_thetas(prior)
+        z = np.linspace(-3.0, 3.0, 25)
+        l_us, l_u = corrected_losses(z, prior)
+        lp, lm = (1.0 - z) ** 2, (1.0 + z) ** 2
         np.testing.assert_allclose(
-            corrected_loss_us_vec(z, t, SPEC), [corrected_loss_us(v, t, SPEC) for v in z]
+            l_us, t.theta_us_plus * lp + t.theta_us_minus * lm, rtol=1e-12, atol=1e-12
         )
         np.testing.assert_allclose(
-            corrected_loss_u_vec(z, t, SPEC), [corrected_loss_u(v, t, SPEC) for v in z]
+            l_u, t.theta_u_plus * lp + t.theta_u_minus * lm, rtol=1e-12, atol=1e-12
         )
+        eps = 1e-6
+        up, down = corrected_losses(z + eps, prior), corrected_losses(z - eps, prior)
+        for i, zi in enumerate(z):
+            g_us, g_u = empirical_risk_grad([zi], [zi], prior, CorrectionKind.NONE)
+            assert g_us[0] == pytest.approx((up[0][i] - down[0][i]) / (2 * eps), abs=1e-6)
+            assert g_u[0] == pytest.approx((up[1][i] - down[1][i]) / (2 * eps), abs=1e-6)
 
 
 class TestEmpiricalRisk:
     def test_pinned_example(self):
         # three similarity scores at -1 and one unlabeled score at 1
-        t = compute_thetas(ClassPrior(0.4))
         rv = empirical_risk(
-            np.array([-1.0, -1.0, -1.0]), np.array([1.0]), t, SPEC, CorrectionKind.NONE
+            np.array([-1.0, -1.0, -1.0]), np.array([1.0]), PRIOR, CorrectionKind.NONE
         )
         assert rv.us_term == pytest.approx(-7.6, abs=1e-12)
         assert rv.u_term == pytest.approx(-8.0, abs=1e-12)
@@ -110,68 +117,60 @@ class TestEmpiricalRisk:
         assert rv.corrected == pytest.approx(-15.6, abs=1e-12)
 
     def test_corrections_act_on_raw(self):
-        t = compute_thetas(ClassPrior(0.4))
         us, u = np.array([-1.0, -1.0, -1.0]), np.array([1.0])
-        assert empirical_risk(us, u, t, SPEC, CorrectionKind.MAX_ZERO).corrected == 0.0
-        assert empirical_risk(us, u, t, SPEC, CorrectionKind.ABS).corrected == pytest.approx(15.6)
+        assert empirical_risk(us, u, PRIOR, CorrectionKind.MAX_ZERO).corrected == 0.0
+        assert empirical_risk(us, u, PRIOR, CorrectionKind.ABS).corrected == pytest.approx(15.6)
 
     def test_empty_side_raises(self):
-        t = compute_thetas(ClassPrior(0.4))
         with pytest.raises(InsufficientDataError):
-            empirical_risk(np.array([]), np.array([1.0]), t, SPEC, CorrectionKind.NONE)
+            empirical_risk(np.array([]), np.array([1.0]), PRIOR, CorrectionKind.NONE)
         with pytest.raises(InsufficientDataError):
-            empirical_risk(np.array([1.0]), np.array([]), t, SPEC, CorrectionKind.NONE)
+            empirical_risk(np.array([1.0]), np.array([]), PRIOR, CorrectionKind.NONE)
 
     def test_non_finite_scores_raise(self):
-        t = compute_thetas(ClassPrior(0.4))
         with pytest.raises(InvalidInputError):
             empirical_risk(
-                np.array([np.nan]), np.array([1.0]), t, SPEC, CorrectionKind.NONE
+                np.array([np.nan]), np.array([1.0]), PRIOR, CorrectionKind.NONE
             )
 
     def test_weights_change_only_the_similarity_term(self):
-        t = compute_thetas(ClassPrior(0.4))
         us = np.array([0.5, -0.5, 1.0])
         u = np.array([0.1, -0.3])
-        plain = empirical_risk(us, u, t, SPEC, CorrectionKind.NONE)
+        plain = empirical_risk(us, u, PRIOR, CorrectionKind.NONE)
         unit = empirical_risk(
-            us, u, t, SPEC, CorrectionKind.NONE, us_weights=np.ones(3)
+            us, u, PRIOR, CorrectionKind.NONE, us_weights=np.ones(3)
         )
         assert unit.raw == pytest.approx(plain.raw)
         doubled = empirical_risk(
-            us, u, t, SPEC, CorrectionKind.NONE, us_weights=2.0 * np.ones(3)
+            us, u, PRIOR, CorrectionKind.NONE, us_weights=2.0 * np.ones(3)
         )
         assert doubled.us_term == pytest.approx(2.0 * plain.us_term)
         assert doubled.u_term == pytest.approx(plain.u_term)
 
     def test_u_plus_coef_adds_unlabeled_similarity_mean(self):
-        t = compute_thetas(ClassPrior(0.4))
         us = np.array([0.5, -0.5])
         u = np.array([0.1, -0.3, 0.7])
-        base = empirical_risk(us, u, t, SPEC, CorrectionKind.NONE)
+        base = empirical_risk(us, u, PRIOR, CorrectionKind.NONE)
         shifted = empirical_risk(
-            us, u, t, SPEC, CorrectionKind.NONE, u_plus_coef=1.5
+            us, u, PRIOR, CorrectionKind.NONE, u_plus_coef=1.5
         )
-        extra = 1.5 * float(np.mean(corrected_loss_us_vec(u, t, SPEC)))
+        extra = 1.5 * float(np.mean(corrected_losses(u, PRIOR)[0]))
         assert shifted.us_term == pytest.approx(base.us_term + extra)
         assert shifted.u_term == pytest.approx(base.u_term)
 
     def test_wrong_weight_shape_raises(self):
-        t = compute_thetas(ClassPrior(0.4))
         with pytest.raises(InvalidInputError):
             empirical_risk(
                 np.array([1.0, 2.0]),
                 np.array([0.0]),
-                t,
-                SPEC,
+                PRIOR,
                 CorrectionKind.NONE,
                 us_weights=np.ones(3),
             )
 
     def test_grad_sizes_match_inputs(self):
-        t = compute_thetas(ClassPrior(0.4))
         g_us, g_u = empirical_risk_grad(
-            np.array([0.5, -0.2, 0.1]), np.array([0.3, 0.4]), t, SPEC, CorrectionKind.ABS
+            np.array([0.5, -0.2, 0.1]), np.array([0.3, 0.4]), PRIOR, CorrectionKind.ABS
         )
         assert g_us.shape == (3,)
         assert g_u.shape == (2,)
@@ -229,8 +228,8 @@ class TestDiscreteDomain:
             prior=ClassPrior(0.4),
             scores=np.array([0.5, -0.5]),
         )
-        assert reconstructed_risk_discrete(domain, SPEC) == pytest.approx(
-            supervised_risk_discrete(domain, SPEC), abs=1e-12
+        assert reconstructed_risk_discrete(domain) == pytest.approx(
+            supervised_risk_discrete(domain), abs=1e-12
         )
 
     def test_supervised_risk_hand_computed(self):
@@ -241,7 +240,7 @@ class TestDiscreteDomain:
             prior=ClassPrior(0.4),
             scores=np.array([0.0]),
         )
-        assert supervised_risk_discrete(domain, SPEC) == pytest.approx(1.0)
+        assert supervised_risk_discrete(domain) == pytest.approx(1.0)
 
     def test_rejects_invalid_pmf(self):
         with pytest.raises(InvalidInputError):

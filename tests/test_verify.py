@@ -3,11 +3,11 @@ container, the enumeration machinery, and the individual suites."""
 import numpy as np
 import pytest
 
-from trisim.core import ClassPrior, EnumerationSizeError, LossSpec
+from trisim.core import ClassPrior, EnumerationSizeError
 from trisim.risk import (
     DiscreteDomainSpec,
     compute_thetas,
-    corrected_loss_us_vec,
+    corrected_losses,
     supervised_risk_discrete,
 )
 from trisim.verify import (
@@ -22,14 +22,12 @@ from trisim.verify import (
     default_gaussian_spec,
     default_prior_grid,
     enumerate_estimator_expectation,
-    enumerate_position_expectations,
     measure_estimator_bias,
+    position_expectations,
     random_domain,
     run_bias_suite,
     theta_system_residuals,
 )
-
-SPEC = LossSpec()
 
 
 def _domain(pi=0.4):
@@ -106,7 +104,7 @@ class TestIdentityAndAcceptance:
 class TestEnumeration:
     def test_total_probability_is_one(self):
         for kind in ("rejection", "paper_case"):
-            _, total = enumerate_estimator_expectation(_domain(), kind, SPEC)
+            _, total = enumerate_estimator_expectation(_domain(), kind)
             assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_cap_enforced(self):
@@ -117,27 +115,27 @@ class TestEnumeration:
             scores=np.zeros(9),
         )
         with pytest.raises(EnumerationSizeError):
-            enumerate_estimator_expectation(big, "rejection", SPEC)
+            enumerate_estimator_expectation(big, "rejection")
 
     def test_position_expectations_sum_to_constant(self):
         # with values identically 1 every position expectation is 1
         d = _domain()
         ones = np.ones(d.support_size)
         for kind in ("rejection", "paper_case"):
-            e = enumerate_position_expectations(d, kind, ones)
+            e, total = position_expectations(d, kind, ones)
             np.testing.assert_allclose(e, (1.0, 1.0, 1.0), atol=1e-12)
+            assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_companion_slots_symmetric(self):
         d = _domain()
-        t = compute_thetas(d.prior)
-        lus = corrected_loss_us_vec(d.scores, t, SPEC)
+        lus, _ = corrected_losses(d.scores, d.prior)
         for kind in ("rejection", "paper_case"):
-            _, e1, e2 = enumerate_position_expectations(d, kind, lus)
+            (_, e1, e2), _ = position_expectations(d, kind, lus)
             assert e1 == pytest.approx(e2, abs=1e-14)
 
     def test_unknown_kind_raises(self):
         with pytest.raises(ValueError):
-            enumerate_estimator_expectation(_domain(), "other", SPEC)
+            enumerate_estimator_expectation(_domain(), "other")
 
 
 class TestBiasSuite:
@@ -145,14 +143,14 @@ class TestBiasSuite:
         # Delta = -2.8c at pi = 0.4 under the square loss
         prior = ClassPrior(0.4)
         for c in (-1.0, 0.0, 0.5, 2.0):
-            assert constant_scorer_bias_closed_form(prior, c, SPEC) == pytest.approx(
+            assert constant_scorer_bias_closed_form(prior, c) == pytest.approx(
                 -2.8 * c, abs=1e-12
             )
 
     def test_plain_estimator_bias_is_nonzero(self):
         # the headline fact: the pooled sample mean is NOT unbiased
-        expectation, _ = enumerate_estimator_expectation(_domain(), "rejection", SPEC)
-        bias = expectation - supervised_risk_discrete(_domain(), SPEC)
+        expectation, _ = enumerate_estimator_expectation(_domain(), "rejection")
+        bias = expectation - supervised_risk_discrete(_domain())
         assert abs(bias) > 1e-3
 
     def test_measure_estimator_bias_reports(self):
