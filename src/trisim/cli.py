@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import ClassPrior, CorrectionKind, TrisimError
+from .core import ClassPrior, ConfigurationError, CorrectionKind, TrisimError
 from .dataio import (
     read_labeled_csv,
     read_weak_dataset,
@@ -82,25 +82,27 @@ def _write_manifest(subcommand, args, inputs, outputs, started) -> dict:
     return manifest
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
+def _list_of(kind):
+    """argparse type for a comma-separated list of kind values."""
 
+    def parse(text: str) -> list:
+        return [kind(v) for v in text.split(",") if v.strip()]
 
-def _int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip()]
+    parse.__name__ = f"comma-separated {kind.__name__}"
+    return parse
 
 
 def _gaussian_spec(args) -> GaussianSourceSpec:
-    dim = args.dim
-    if getattr(args, "mu_plus", None) is not None:
-        mu_plus = np.array(_float_list(args.mu_plus))
-        mu_minus = np.array(_float_list(args.mu_minus))
+    if (args.mu_plus is None) != (args.mu_minus is None):
+        raise ConfigurationError("--mu-plus and --mu-minus must be given together")
+    if args.mu_plus is not None:
+        mu_plus, mu_minus = np.array(args.mu_plus), np.array(args.mu_minus)
     else:
-        mu_plus = np.zeros(dim)
+        mu_plus = np.zeros(args.dim)
         mu_plus[0] = args.sep / 2.0
         mu_minus = -mu_plus
     return GaussianSourceSpec(
-        dim=dim,
+        dim=args.dim,
         mu_plus=mu_plus,
         mu_minus=mu_minus,
         sigma=args.sigma,
@@ -134,10 +136,8 @@ def cmd_make_weak(args) -> int:
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
-    started = time.monotonic()
-    prior = ClassPrior(args.pi)
-    config = TrainConfig(
+def _train_config(args, prior: ClassPrior) -> TrainConfig:
+    return TrainConfig(
         prior=prior,
         correction=CorrectionKind(args.correction),
         estimator=args.estimator,
@@ -149,6 +149,12 @@ def cmd_train(args) -> int:
         hidden=args.hidden,
         seed=args.seed,
     )
+
+
+def cmd_train(args) -> int:
+    started = time.monotonic()
+    prior = ClassPrior(args.pi)
+    config = _train_config(args, prior)
     data = read_weak_dataset(args.us, args.u, prior, sampler_kind=args.sampler)
     eval_set = read_labeled_csv(args.test) if args.test else None
     model, log = train(config, data, eval_set)
@@ -213,53 +219,15 @@ def cmd_verify(args) -> int:
 def cmd_sweep(args) -> int:
     started = time.monotonic()
     spec = _gaussian_spec(args)
-    config = TrainConfig(
-        prior=spec.prior,
-        correction=CorrectionKind(args.correction),
-        estimator=args.estimator,
-        epochs=args.epochs,
-        batch_size=args.batch,
-        lr=args.lr,
-        weight_decay=args.weight_decay,
-        model_kind=args.model,
-        hidden=args.hidden,
-        seed=args.seed,
-    )
-    seeds = _int_list(args.seeds)
+    config = _train_config(args, spec.prior)
+    # every sweep takes these arguments after its own axis, in this order
+    common = (args.seeds, spec, config, args.n_us, args.n_u, args.n_test, args.sampler)
     if args.kind == "prior":
-        result = prior_sweep(
-            spec.prior,
-            _float_list(args.given),
-            seeds,
-            spec,
-            config,
-            args.n_us,
-            args.n_u,
-            args.n_test,
-            args.sampler,
-        )
+        result = prior_sweep(spec.prior, args.given, *common)
     elif args.kind == "fraction":
-        result = fraction_sweep(
-            _float_list(args.fractions),
-            seeds,
-            spec,
-            config,
-            args.n_us,
-            args.n_u,
-            args.n_test,
-            args.sampler,
-        )
+        result = fraction_sweep(args.fractions, *common)
     else:
-        result = correction_sweep(
-            args.corrections.split(","),
-            seeds,
-            spec,
-            config,
-            args.n_us,
-            args.n_u,
-            args.n_test,
-            args.sampler,
-        )
+        result = correction_sweep(args.corrections.split(","), *common)
     write_sweep_csv(args.out, result)
     outputs = [args.out]
     if args.json_out:
@@ -272,8 +240,8 @@ def cmd_sweep(args) -> int:
 def _add_source_flags(p, require_pi=True):
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--sep", type=float, default=4.0, help="mean separation in sigmas")
-    p.add_argument("--mu-plus", help="comma-separated positive-class mean")
-    p.add_argument("--mu-minus", help="comma-separated negative-class mean")
+    p.add_argument("--mu-plus", type=_list_of(float), help="comma-separated positive-class mean")
+    p.add_argument("--mu-minus", type=_list_of(float), help="comma-separated negative-class mean")
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--pi", type=float, required=require_pi, help="positive-class prior")
 
@@ -358,10 +326,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("prior", "fraction", "correction"), required=True)
     _add_source_flags(p)
     _add_train_flags(p)
-    p.add_argument("--given", default="", help="comma list of given priors (kind=prior)")
-    p.add_argument("--fractions", default="0.1,0.25,0.5,1.0")
+    p.add_argument(
+        "--given", type=_list_of(float), default="", help="comma list of given priors (kind=prior)"
+    )
+    p.add_argument("--fractions", type=_list_of(float), default="0.1,0.25,0.5,1.0")
     p.add_argument("--corrections", default="none,max_zero,abs")
-    p.add_argument("--seeds", default="0,1,2,3,4")
+    p.add_argument("--seeds", type=_list_of(int), default="0,1,2,3,4")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n-us", type=int, default=2000)
     p.add_argument("--n-u", type=int, default=2000)

@@ -7,7 +7,10 @@ byte-identical files.
 from __future__ import annotations
 
 import csv
+import functools
 import json
+import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +18,7 @@ import numpy as np
 from .core import ClassPrior, InvalidInputError, LabeledPool, WeakDataset
 from .evaluation import SweepResult
 from .model import Model, deserialize_model, serialize_model
-from .trainer import TrainLog
+from .trainer import EpochRecord, TrainLog
 
 
 def write_labeled_csv(path, pool: LabeledPool) -> None:
@@ -27,10 +30,25 @@ def write_labeled_csv(path, pool: LabeledPool) -> None:
             writer.writerow([f"{yi:+d}"] + [repr(float(v)) for v in xi])
 
 
+def _utf8_only(read):
+    """A reader whose UnicodeDecodeError becomes an InvalidInputError
+    naming the file."""
+
+    @functools.wraps(read)
+    def wrapper(path, *args):
+        try:
+            return read(path, *args)
+        except UnicodeDecodeError:
+            raise InvalidInputError(f"{path}: not UTF-8 text") from None
+
+    return wrapper
+
+
+@_utf8_only
 def read_labeled_csv(path) -> LabeledPool:
-    """Labeled pool from a CSV with a 'y' column first; a malformed row
-    raises InvalidInputError naming its line."""
-    with open(path, newline="") as fh:
+    """Labeled pool from a CSV with a 'y' column first; a malformed row or
+    a non-finite feature raises InvalidInputError naming its line."""
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if not header or header[0] != "y":
@@ -48,6 +66,8 @@ def read_labeled_csv(path) -> LabeledPool:
                 xs.append([float(v) for v in row[1:]])
             except ValueError as exc:
                 raise InvalidInputError(f"{path}:{reader.line_num}: {exc}") from None
+            if not all(map(math.isfinite, xs[-1])):
+                raise InvalidInputError(f"{path}:{reader.line_num}: non-finite value")
     if not ys:
         raise InvalidInputError(f"{path}: no data rows")
     return LabeledPool(x=np.array(xs), y=np.array(ys))
@@ -68,13 +88,14 @@ def write_triplets_jsonl(path, triplets: np.ndarray) -> None:
             )
 
 
+@_utf8_only
 def _read_jsonl(path, keys: tuple[str, ...], what: str) -> np.ndarray:
     """The named fields of every non-blank line as one float array of shape
     (lines, len(keys), d). A line that is not a JSON object with those keys,
-    or whose values are not numeric vectors of the first line's shape,
-    raises InvalidInputError naming the line."""
+    or whose values are not finite numeric vectors of the first line's
+    shape, raises InvalidInputError naming the line."""
     rows, linenos = [], []
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
@@ -91,9 +112,14 @@ def _read_jsonl(path, keys: tuple[str, ...], what: str) -> np.ndarray:
     if not rows:
         raise InvalidInputError(f"{path}: no {what}")
     try:
-        return np.array(rows, dtype=float)
+        arr = np.array(rows, dtype=float)
     except (TypeError, ValueError) as exc:
         error = exc
+    else:
+        finite = np.isfinite(arr.reshape(len(rows), -1)).all(axis=1)
+        if not finite.all():
+            raise InvalidInputError(f"{path}:{linenos[np.argmin(finite)]}: non-finite value")
+        return arr
     # name the first line that is not numeric or not shaped like line one
     first_shape = None
     for lineno, row in zip(linenos, rows):
@@ -141,27 +167,28 @@ def write_model(path, model: Model, config_echo: dict | None = None) -> None:
     )
 
 
+@_utf8_only
 def read_model(path) -> Model:
-    return deserialize_model(json.loads(Path(path).read_text()))
+    """Model from a JSON model file; undecodable, invalid or incomplete
+    documents raise InvalidInputError naming the path."""
+    try:
+        return deserialize_model(json.loads(Path(path).read_text(encoding="utf-8")))
+    except json.JSONDecodeError as exc:
+        raise InvalidInputError(f"{path}: invalid JSON: {exc}") from None
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from None
 
 
 def write_train_log_csv(path, log: TrainLog) -> None:
+    """One row per EpochRecord, its fields in order, floats in repr form
+    and a missing test accuracy as an empty cell."""
+    names = [f.name for f in fields(EpochRecord)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["epoch", "raw_risk", "corrected_risk", "us_term", "u_term", "test_accuracy"]
-        )
-        for row in log.to_rows():
-            writer.writerow(
-                [
-                    row["epoch"],
-                    repr(row["raw_risk"]),
-                    repr(row["corrected_risk"]),
-                    repr(row["us_term"]),
-                    repr(row["u_term"]),
-                    "" if row["test_accuracy"] is None else repr(row["test_accuracy"]),
-                ]
-            )
+        writer.writerow(names)
+        for record in log.records:
+            values = (getattr(record, name) for name in names)
+            writer.writerow(["" if v is None else repr(v) for v in values])
 
 
 def write_sweep_csv(path, result: SweepResult) -> None:

@@ -15,7 +15,6 @@ from .model import accuracy
 from .sampler import (
     GaussianSource,
     GaussianSourceSpec,
-    ShuffledLabelSource,
     make_weak_dataset,
     synth_gaussian_labeled,
 )
@@ -39,31 +38,13 @@ class SweepResult:
     config: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "axis": self.axis,
-            "rows": [
-                {
-                    "setting": r.setting,
-                    "mean": r.mean,
-                    "std": r.std,
-                    "n_seeds": r.n_seeds,
-                    "per_seed": list(r.per_seed),
-                    "error": r.error,
-                }
-                for r in self.rows
-            ],
-            "config": self.config,
-        }
+        rows = [{**vars(r), "per_seed": list(r.per_seed)} for r in self.rows]
+        return {"axis": self.axis, "rows": rows, "config": self.config}
 
 
 def derive_seeds(seed: int, n: int) -> list[int]:
     """Expand one seed into n independent sub-seeds."""
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(n, dtype=np.uint64)]
-
-
-def _source(spec: GaussianSourceSpec, shuffled_labels: bool):
-    src = GaussianSource(spec)
-    return ShuffledLabelSource(src) if shuffled_labels else src
 
 
 def weak_run(
@@ -74,7 +55,6 @@ def weak_run(
     seed: int,
     n_test: int = 2000,
     sampler_kind: str = "paper_case",
-    shuffled_labels: bool = False,
 ) -> float:
     """One full generate-train-evaluate cycle; returns test accuracy.
 
@@ -82,8 +62,7 @@ def weak_run(
     swept across data budgets smaller than its nominal batch.
     """
     data_seed, test_seed = derive_seeds(seed, 2)
-    source = _source(source_spec, shuffled_labels)
-    data = make_weak_dataset(source, n_us, n_u, sampler_kind, data_seed)
+    data = make_weak_dataset(GaussianSource(source_spec), n_us, n_u, sampler_kind, data_seed)
     test = synth_gaussian_labeled(source_spec, n_test, test_seed)
     batch = min(config.batch_size, 3 * n_us, n_u)
     model, _ = train(replace(config, seed=seed, batch_size=batch), data)
@@ -168,13 +147,9 @@ def fraction_sweep(
     n_u: int,
     n_test: int = 2000,
     sampler_kind: str = "paper_case",
-    shuffled_labels: bool = False,
 ) -> SweepResult:
     """Accuracy at increasing fractions of the full training budget."""
-    result = SweepResult(
-        axis="fraction",
-        config={"n_us": n_us, "n_u": n_u, "shuffled_labels": shuffled_labels},
-    )
+    result = SweepResult(axis="fraction", config={"n_us": n_us, "n_u": n_u})
     for frac in fractions:
         if not 0 < frac <= 1:
             raise ConfigurationError(f"fraction must lie in (0, 1], got {frac}")
@@ -187,7 +162,6 @@ def fraction_sweep(
                 seed,
                 n_test,
                 sampler_kind,
-                shuffled_labels,
             )
             for seed in seeds
         ]

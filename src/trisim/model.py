@@ -35,7 +35,6 @@ class MlpModel:
     b1: np.ndarray  # (h,)
     w2: np.ndarray  # (h,)
     b2: np.ndarray  # (1,)
-    activation: str = "relu"
 
     kind = "mlp"
 
@@ -79,27 +78,22 @@ def init_model(kind: str, dim: int, hidden: int = 64, seed: int = 0) -> Model:
     raise InvalidInputError(f"unknown model kind {kind!r}")
 
 
-def _as_batch(model: Model, x) -> tuple[np.ndarray, bool]:
+def _as_batch(model: Model, x) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
-    single = arr.ndim == 1
-    if single:
-        arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != model.dim:
         raise ShapeError(
-            f"input shape {np.asarray(x).shape} incompatible with model dim {model.dim}"
+            f"input shape {arr.shape} is not an (n, {model.dim}) batch"
         )
-    return arr, single
+    return arr
 
 
-def forward(model: Model, x) -> float | np.ndarray:
-    """Score one vector (returns float) or a batch (returns (n,) array)."""
-    arr, single = _as_batch(model, x)
+def forward(model: Model, x) -> np.ndarray:
+    """Scores of an (n, d) batch, as an (n,) array."""
+    arr = _as_batch(model, x)
     if isinstance(model, LinearModel):
-        out = arr @ model.weights + model.bias[0]
-    else:
-        h = np.maximum(arr @ model.w1.T + model.b1, 0.0)
-        out = h @ model.w2 + model.b2[0]
-    return float(out[0]) if single else out
+        return arr @ model.weights + model.bias[0]
+    h = np.maximum(arr @ model.w1.T + model.b1, 0.0)
+    return h @ model.w2 + model.b2[0]
 
 
 def accuracy(model: Model, pool: LabeledPool) -> float:
@@ -107,16 +101,16 @@ def accuracy(model: Model, pool: LabeledPool) -> float:
     counts as +1."""
     if len(pool) == 0:
         raise InvalidInputError("test set is empty")
-    scores = np.atleast_1d(forward(model, pool.x))
+    scores = forward(model, pool.x)
     return float(np.mean(np.where(scores >= 0, 1, -1) == pool.y))
 
 
 def backward(model: Model, x, upstream) -> dict[str, np.ndarray]:
     """Exact gradients of sum_i upstream_i * f(x_i) with respect to every
-    parameter. Accepts a single vector with scalar upstream or a batch with
-    per-row upstream. The relu subgradient at 0 is 0."""
-    arr, single = _as_batch(model, x)
-    up = np.atleast_1d(np.asarray(upstream, dtype=float))
+    parameter, for an (n, d) batch and an (n,) upstream. The relu
+    subgradient at 0 is 0."""
+    arr = _as_batch(model, x)
+    up = np.asarray(upstream, dtype=float)
     if up.shape != (arr.shape[0],):
         raise ShapeError(f"upstream shape {up.shape} does not match batch {arr.shape[0]}")
     if not np.all(np.isfinite(up)):
@@ -189,7 +183,7 @@ def serialize_model(model: Model, config_echo: dict | None = None) -> dict:
     doc: dict = {"kind": model.kind, "dim": model.dim}
     if isinstance(model, MlpModel):
         doc["hidden"] = model.hidden
-        doc["activation"] = model.activation
+        doc["activation"] = "relu"
     doc["params"] = {k: p.ravel().tolist() for k, p in model.params().items()}
     if config_echo is not None:
         doc["config"] = config_echo
@@ -197,16 +191,21 @@ def serialize_model(model: Model, config_echo: dict | None = None) -> dict:
 
 
 def deserialize_model(doc: dict) -> Model:
-    params = {k: np.asarray(v, dtype=float) for k, v in doc["params"].items()}
-    if doc["kind"] == "linear":
-        return LinearModel(weights=params["weights"], bias=params["bias"])
-    if doc["kind"] == "mlp":
-        h, d = doc["hidden"], doc["dim"]
+    """Model from a serialize_model document. A missing key, an unknown kind
+    or an activation other than relu raises InvalidInputError."""
+    try:
+        params = {k: np.asarray(v, dtype=float) for k, v in doc["params"].items()}
+        if doc["kind"] == "linear":
+            return LinearModel(weights=params["weights"], bias=params["bias"])
+        if doc["kind"] != "mlp":
+            raise InvalidInputError(f"unknown model kind {doc['kind']!r}")
+        if doc.get("activation", "relu") != "relu":
+            raise InvalidInputError(f"unsupported activation {doc['activation']!r}")
         return MlpModel(
-            w1=params["w1"].reshape(h, d),
+            w1=params["w1"].reshape(doc["hidden"], doc["dim"]),
             b1=params["b1"],
             w2=params["w2"],
             b2=params["b2"],
-            activation=doc.get("activation", "relu"),
         )
-    raise InvalidInputError(f"unknown model kind {doc['kind']!r}")
+    except KeyError as exc:
+        raise InvalidInputError(f"missing key {exc}") from None

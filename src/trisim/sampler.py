@@ -47,6 +47,21 @@ class GaussianSourceSpec:
         object.__setattr__(self, "mu_minus", mm)
 
 
+def _draw_labeled_by_class(
+    source, rng: np.random.Generator, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """n labeled draws from a source that samples each class directly:
+    first the labels from the prior, then the positives, then the
+    negatives."""
+    y = np.where(rng.random(n) < source.prior.pi_plus, 1, -1)
+    pos = y == 1
+    x_pos = source.draw_class(rng, 1, int(pos.sum()))
+    x = np.empty((n, x_pos.shape[1]))
+    x[pos] = x_pos
+    x[~pos] = source.draw_class(rng, -1, int((~pos).sum()))
+    return x, y
+
+
 class GaussianSource:
     """Draws from the Gaussian mixture described by a GaussianSourceSpec."""
 
@@ -61,34 +76,7 @@ class GaussianSource:
         mu = self.spec.mu_plus if label == 1 else self.spec.mu_minus
         return mu + self.spec.sigma * rng.standard_normal((n, self.spec.dim))
 
-    def draw_labeled(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-        y = np.where(rng.random(n) < self.prior.pi_plus, 1, -1)
-        x = np.empty((n, self.spec.dim))
-        pos = y == 1
-        x[pos] = self.draw_class(rng, 1, int(pos.sum()))
-        x[~pos] = self.draw_class(rng, -1, int((~pos).sum()))
-        return x, y
-
-
-class ShuffledLabelSource:
-    """Control source: labels are drawn independently of the features, so a
-    classifier can do no better than chance."""
-
-    def __init__(self, base):
-        self.base = base
-
-    @property
-    def prior(self) -> ClassPrior:
-        return self.base.prior
-
-    def draw_class(self, rng: np.random.Generator, label: int, n: int) -> np.ndarray:
-        x, _ = self.base.draw_labeled(rng, n)
-        return x
-
-    def draw_labeled(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-        x, _ = self.base.draw_labeled(rng, n)
-        y = np.where(rng.random(n) < self.prior.pi_plus, 1, -1)
-        return x, y
+    draw_labeled = _draw_labeled_by_class
 
 
 class PoolSource:
@@ -141,13 +129,7 @@ class DiscreteSource:
         p = self.p_plus if label == 1 else self.p_minus
         return rng.choice(p.size, size=n, p=p).astype(float)[:, None]
 
-    def draw_labeled(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-        y = np.where(rng.random(n) < self._prior.pi_plus, 1, -1)
-        x = np.empty((n, 1))
-        pos = y == 1
-        x[pos] = self.draw_class(rng, 1, int(pos.sum()))
-        x[~pos] = self.draw_class(rng, -1, int((~pos).sum()))
-        return x, y
+    draw_labeled = _draw_labeled_by_class
 
 
 @dataclass(frozen=True)
@@ -160,7 +142,7 @@ class RejectionStats:
 
     @property
     def acceptance_rate(self) -> float:
-        return self.n_accepted / self.n_raw if self.n_raw else float("nan")
+        return self.n_accepted / self.n_raw
 
 
 def sample_triplets_rejection(
@@ -276,8 +258,6 @@ def disassemble(triplets: np.ndarray) -> np.ndarray:
     """Flatten (n, 3, d) triplets to the 3n pointwise instances, in order
     (anchor, first companion, second companion) per triplet."""
     t = np.asarray(triplets, dtype=float)
-    if t.size == 0:
-        return t.reshape(0, t.shape[-1] if t.ndim == 3 else 0)
     if t.ndim != 3 or t.shape[1] != 3:
         raise ShapeError(f"expected shape (n, 3, d), got {t.shape}")
     return t.reshape(-1, t.shape[2])

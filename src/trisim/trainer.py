@@ -79,19 +79,6 @@ class EpochRecord:
 class TrainLog:
     records: list[EpochRecord] = field(default_factory=list)
 
-    def to_rows(self) -> list[dict]:
-        return [
-            {
-                "epoch": r.epoch,
-                "raw_risk": r.raw_risk,
-                "corrected_risk": r.corrected_risk,
-                "us_term": r.us_term,
-                "u_term": r.u_term,
-                "test_accuracy": r.test_accuracy,
-            }
-            for r in self.records
-        ]
-
 
 def _batch_plan(n_us: int, n_u: int, batch_size: int) -> int:
     """Number of joint batches; errors out when the sizes cannot give every
@@ -180,8 +167,8 @@ def train(
     def batch_upstream(model, us_idx, u_idx):
         us_batch, u_batch = us_pool[us_idx], u_pool[u_idx]
         g_us, g_u = empirical_risk_grad(
-            np.atleast_1d(forward(model, us_batch)),
-            np.atleast_1d(forward(model, u_batch)),
+            forward(model, us_batch),
+            forward(model, u_batch),
             config.prior,
             config.correction,
             us_weights=None if us_weights is None else us_weights[us_idx],
@@ -191,8 +178,8 @@ def train(
 
     def epoch_risk(model):
         return empirical_risk(
-            np.atleast_1d(forward(model, us_pool)),
-            np.atleast_1d(forward(model, u_pool)),
+            forward(model, us_pool),
+            forward(model, u_pool),
             config.prior,
             config.correction,
             us_weights=us_weights,
@@ -227,11 +214,11 @@ def train_supervised_oracle(
 
     def batch_upstream(model, idx):
         x = labeled.x[idx]
-        _, dloss = square_loss(np.atleast_1d(forward(model, x)), labeled.y[idx])
+        _, dloss = square_loss(forward(model, x), labeled.y[idx])
         return x, dloss / idx.size
 
     def epoch_risk(model):
-        loss, _ = square_loss(np.atleast_1d(forward(model, labeled.x)), labeled.y)
+        loss, _ = square_loss(forward(model, labeled.x), labeled.y)
         risk = float(np.mean(loss))
         return RiskValue(us_term=risk, u_term=0.0, raw=risk, corrected=risk)
 

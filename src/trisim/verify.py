@@ -387,24 +387,17 @@ def check_gradients(n_trials: int = 50, seed: int = 0) -> VerifyReport:
         else:
             us_weights, u_plus_coef = None, 0.0
 
-        def risk_value() -> float:
-            return empirical_risk(
-                np.atleast_1d(forward(model, x_us)),
-                np.atleast_1d(forward(model, x_u)),
+        def risk(fn, corr):
+            return fn(
+                forward(model, x_us),
+                forward(model, x_u),
                 prior,
-                correction,
+                corr,
                 us_weights=us_weights,
                 u_plus_coef=u_plus_coef,
-            ).corrected
+            )
 
-        raw = empirical_risk(
-            np.atleast_1d(forward(model, x_us)),
-            np.atleast_1d(forward(model, x_u)),
-            prior,
-            CorrectionKind.NONE,
-            us_weights=us_weights,
-            u_plus_coef=u_plus_coef,
-        ).raw
+        raw = risk(empirical_risk, CorrectionKind.NONE).raw
         if correction is not CorrectionKind.NONE and abs(raw) < 1e-3:
             continue  # too close to the correction kink for finite differences
         if kind == "mlp":
@@ -412,14 +405,7 @@ def check_gradients(n_trials: int = 50, seed: int = 0) -> VerifyReport:
             if np.min(np.abs(pre)) < 1e-4:
                 continue  # relu kink
 
-        g_us, g_u = empirical_risk_grad(
-            np.atleast_1d(forward(model, x_us)),
-            np.atleast_1d(forward(model, x_u)),
-            prior,
-            correction,
-            us_weights=us_weights,
-            u_plus_coef=u_plus_coef,
-        )
+        g_us, g_u = risk(empirical_risk_grad, correction)
         grads = backward(
             model, np.concatenate([x_us, x_u]), np.concatenate([g_us, g_u])
         )
@@ -431,9 +417,9 @@ def check_gradients(n_trials: int = 50, seed: int = 0) -> VerifyReport:
             for j in range(flat.size):
                 orig = flat[j]
                 flat[j] = orig + eps
-                up = risk_value()
+                up = risk(empirical_risk, correction).corrected
                 flat[j] = orig - eps
-                down = risk_value()
+                down = risk(empirical_risk, correction).corrected
                 flat[j] = orig
                 fd = (up - down) / (2 * eps)
                 an = grads[key].ravel()[j]
@@ -446,37 +432,34 @@ def check_gradients(n_trials: int = 50, seed: int = 0) -> VerifyReport:
     return report
 
 
+def _spearman(a, b) -> float:
+    """Spearman rank correlation: the Pearson correlation of the average
+    ranks, where tied values share the mean of the ranks they span."""
+
+    def ranks(v):
+        v = np.asarray(v, dtype=float)
+        return (v[:, None] > v).sum(axis=1) + ((v[:, None] == v).sum(axis=1) + 1) / 2
+
+    return float(np.corrcoef(ranks(a), ranks(b))[1, 0])
+
+
 def check_error_trend(
     fractions: list[float] | None = None,
     seeds: list[int] | None = None,
-    source_spec: GaussianSourceSpec | None = None,
-    config: TrainConfig | None = None,
     n_us: int = 2000,
     n_u: int = 2000,
-    shuffled_labels: bool = False,
 ) -> VerifyReport:
-    """More data should not hurt: the mean accuracy at the full budget must
-    reach the smallest-fraction mean, with a positive rank correlation
-    between fraction and accuracy. With label-shuffled sources the trend is
-    reported as non-informative instead."""
+    """More data should not hurt: on the default Gaussian source, the mean
+    accuracy at the full budget must reach the smallest-fraction mean, with
+    a positive rank correlation between fraction and accuracy."""
     fractions = sorted(fractions or [0.1, 0.25, 0.5, 1.0])
     seeds = seeds or [0, 1, 2, 3, 4]
-    source_spec = source_spec or default_gaussian_spec()
-    config = config or TrainConfig(prior=source_spec.prior)
+    source_spec = default_gaussian_spec()
     report = VerifyReport(suite="trend")
     sweep = fraction_sweep(
-        fractions, seeds, source_spec, config, n_us, n_u, shuffled_labels=shuffled_labels
+        fractions, seeds, source_spec, TrainConfig(prior=source_spec.prior), n_us, n_u
     )
     means = [row.mean for row in sweep.rows]
-    if shuffled_labels:
-        worst = max(abs(m - 0.5) for m in means)
-        report.add("chance_level_control", 0.0, worst, 0.1)
-        return report
-    if len(fractions) == 1:
-        report.add(
-            "single_fraction_trivial", None, means[0], None, passed=True
-        )
-        return report
     report.add(
         "full_vs_smallest_fraction",
         means[0],
@@ -484,9 +467,7 @@ def check_error_trend(
         None,
         passed=means[-1] >= means[0],
     )
-    from scipy import stats  # imported here: scipy.stats costs about a second at CLI start
-
-    rho = float(stats.spearmanr(fractions, means).statistic)
+    rho = _spearman(fractions, means)
     report.add("spearman_rank_correlation", None, rho, None, passed=rho > 0)
     return report
 

@@ -2,6 +2,7 @@
 manifests, and config-file injection."""
 import json
 
+import numpy as np
 import pytest
 
 from trisim.cli import (
@@ -57,6 +58,46 @@ class TestSynth:
         with pytest.raises(SystemExit) as exc:
             main(["synth", "--pi", "0.4", "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == EXIT_USAGE
+
+    def test_one_mean_without_the_other_exits_config(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = main(["synth", "--pi", "0.4", "--n", "10", "--mu-plus", "1,0", "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: --mu-plus and --mu-minus must be given together"]
+
+    def test_explicit_means(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = main(
+            [
+                "synth", "--pi", "0.4", "--n", "10", "--dim", "3", "--mu-plus", "1,0,2",
+                "--mu-minus=-1,0,0", "--out", str(out),
+            ]
+        )
+        assert rc == EXIT_OK
+        manifest = json.loads((tmp_path / "x.csv.manifest.json").read_text())
+        assert manifest["flags"]["mu_plus"] == [1.0, 0.0, 2.0]
+        assert manifest["flags"]["mu_minus"] == [-1.0, 0.0, 0.0]
+        capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "--pi", "0.4", "--n", "10", "--mu-plus", "1,a", "--mu-minus", "0,0"],
+        ["sweep", "--kind", "prior", "--pi", "0.4", "--seeds", "a"],
+        ["sweep", "--kind", "prior", "--pi", "0.4", "--given", "x"],
+        ["sweep", "--kind", "fraction", "--pi", "0.4", "--fractions", "0.5,y"],
+    ],
+    ids=["mu-plus", "seeds", "given", "fractions"],
+)
+def test_bad_list_flag_exits_usage(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert "invalid comma-separated" in err[-1]
+    assert not (tmp_path / "x.csv").exists()
 
 
 class TestMakeWeak:
@@ -119,6 +160,8 @@ class TestMalformedInput:
             ("test", "+1,0.5,abc"),
             ("unlabeled", '{"x": [1.0]}'),
             ("triplets", '{"anchor": [1.0], "c1": [2.0]}'),
+            ("test", "+1,nan,0.5"),
+            ("unlabeled", '{"x": [NaN, 1.0]}'),
         ],
     )
     def test_exits_config_with_one_line(self, tmp_path, capsys, target, bad_line):
@@ -140,6 +183,42 @@ class TestMalformedInput:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1, err
         assert err[0].startswith(f"error: {bad}:6: ")
+
+    def test_eval_on_random_bytes(self, tmp_path, capsys):
+        data = _synth(tmp_path)
+        triplets, unlabeled = _weak(tmp_path, data)
+        model = tmp_path / "m.json"
+        train = ["train", "--us", str(triplets), "--u", str(unlabeled), "--pi", "0.4"]
+        assert main(train + ["--epochs", "1", "--batch", "30", "--out", str(model)]) == EXIT_OK
+        noise = tmp_path / "noise.csv"
+        # a leading 0xff byte is never valid UTF-8
+        noise.write_bytes(b"\xff" + np.random.default_rng(0).bytes(199))
+        capsys.readouterr()
+        assert main(["eval", "--model", str(model), "--test", str(noise)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"error: {noise}: not UTF-8 text"
+        ]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "{not json",
+            '{"kind": "linear", "dim": 2}',
+            '{"kind": "mlp", "dim": 2, "hidden": 1, "activation": "tanh", "params": '
+            '{"w1": [1.0, 0.0], "b1": [0.0], "w2": [1.0], "b2": [0.0]}}',
+        ],
+        ids=["empty", "invalid-json", "missing-params", "tanh"],
+    )
+    def test_eval_on_bad_model_file(self, tmp_path, capsys, text):
+        data = _synth(tmp_path)
+        model = tmp_path / "m.json"
+        model.write_text(text)
+        capsys.readouterr()
+        assert main(["eval", "--model", str(model), "--test", str(data)]) == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith(f"error: {model}: ")
 
 
 class TestVerify:

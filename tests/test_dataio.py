@@ -119,16 +119,30 @@ class TestMalformedInput:
                 '{"anchor": [1.0], "c1": [2.0], "c2": [1.0, 2.0]}\n',
                 ":2: ",
             ),
+            (read_labeled_csv, "y,f1,f2\n+1,0.5,1.0\n-1,nan,1.0\n", ":3: non-finite value"),
+            (read_labeled_csv, "y,f1\n+1,-inf\n", ":2: non-finite value"),
+            (read_unlabeled_jsonl, '{"x": [1.0, 2.0]}\n\n{"x": [NaN, 2.0]}\n', ":3: non-finite"),
+            (
+                read_triplets_jsonl,
+                '{"anchor": [1.0], "c1": [2.0], "c2": [Infinity]}\n',
+                ":1: non-finite value",
+            ),
+            (read_labeled_csv, b"y,f1\n+1,0.5\n-1,\xff\xfe\n", ": not UTF-8"),
+            (read_unlabeled_jsonl, b'{"x": [1.0]}\n\x80\x81\n', ": not UTF-8"),
         ],
         ids=[
             "csv-bad-number", "csv-bad-label", "csv-ragged", "jsonl-ragged",
             "jsonl-bad-number", "jsonl-invalid-json", "jsonl-not-object",
-            "triplet-missing-key", "triplet-ragged",
+            "triplet-missing-key", "triplet-ragged", "csv-nan", "csv-inf",
+            "jsonl-nan", "triplet-inf", "csv-not-utf8", "jsonl-not-utf8",
         ],
     )
     def test_names_path_and_line(self, tmp_path, reader, text, message):
         path = tmp_path / "bad.txt"
-        path.write_text(text)
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
         with pytest.raises(InvalidInputError) as exc:
             reader(path)
         assert str(exc.value).startswith(f"{path}:")
@@ -144,6 +158,28 @@ class TestModelFile:
         back = read_model(path)
         for k in model.params():
             np.testing.assert_array_equal(model.params()[k], back.params()[k])
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("", "invalid JSON"),
+            ('{"kind": "linear",', "invalid JSON"),
+            ('{"kind": "linear", "dim": 2}', "missing key 'params'"),
+            (
+                '{"kind": "mlp", "dim": 1, "hidden": 1, "activation": "tanh", '
+                '"params": {"w1": [1.0], "b1": [0.0], "w2": [1.0], "b2": [0.0]}}',
+                "unsupported activation 'tanh'",
+            ),
+        ],
+        ids=["empty", "invalid-json", "missing-params", "tanh"],
+    )
+    def test_bad_file_names_path(self, tmp_path, text, message):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        with pytest.raises(InvalidInputError) as exc:
+            read_model(path)
+        assert str(exc.value).startswith(f"{path}: ")
+        assert message in str(exc.value)
 
 
 class TestLogsAndSweeps:

@@ -52,7 +52,7 @@ class TestInit:
 class TestForward:
     def test_linear_hand_computed(self):
         m = LinearModel(weights=np.array([1.0, -2.0]), bias=np.array([0.5]))
-        assert forward(m, np.array([3.0, 1.0])) == pytest.approx(1.5)
+        np.testing.assert_allclose(forward(m, np.array([[3.0, 1.0]])), [1.5])
 
     def test_mlp_hand_computed(self):
         m = MlpModel(
@@ -62,8 +62,9 @@ class TestForward:
             b2=np.array([0.25]),
         )
         # relu kills the second unit for positive second input
-        assert forward(m, np.array([2.0, 3.0])) == pytest.approx(2.25)
-        assert forward(m, np.array([2.0, -3.0])) == pytest.approx(5.25)
+        np.testing.assert_allclose(
+            forward(m, np.array([[2.0, 3.0], [2.0, -3.0]])), [2.25, 5.25]
+        )
 
     def test_batch_matches_single(self):
         m = init_model("mlp", 3, hidden=4, seed=0)
@@ -71,12 +72,20 @@ class TestForward:
         batch = forward(m, x)
         assert batch.shape == (6,)
         for i in range(6):
-            assert batch[i] == pytest.approx(forward(m, x[i]))
+            assert batch[i] == pytest.approx(forward(m, x[i : i + 1])[0])
 
     def test_dimension_mismatch(self):
         m = init_model("linear", 3)
         with pytest.raises(ShapeError):
-            forward(m, np.zeros(4))
+            forward(m, np.zeros((2, 4)))
+
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    def test_single_vector_rejected(self, kind):
+        m = init_model(kind, 3, hidden=4)
+        with pytest.raises(ShapeError):
+            forward(m, np.zeros(3))
+        with pytest.raises(ShapeError):
+            backward(m, np.zeros(3), 1.0)
 
 
 class TestBackward:
@@ -95,9 +104,9 @@ class TestBackward:
             for j in range(flat.size):
                 orig = flat[j]
                 flat[j] = orig + eps
-                hi = float(np.sum(up * np.atleast_1d(forward(m, x))))
+                hi = float(np.sum(up * forward(m, x)))
                 flat[j] = orig - eps
-                lo = float(np.sum(up * np.atleast_1d(forward(m, x))))
+                lo = float(np.sum(up * forward(m, x)))
                 flat[j] = orig
                 assert grads[key].ravel()[j] == pytest.approx(
                     (hi - lo) / (2 * eps), abs=1e-5
@@ -157,6 +166,18 @@ class TestSerialization:
         reparsed = json.loads(json.dumps(doc))
         m = deserialize_model(reparsed)
         assert m.hidden == 3
+
+    def test_mlp_doc_names_relu(self):
+        doc = serialize_model(init_model("mlp", 2, hidden=3, seed=0))
+        assert doc["activation"] == "relu"
+        del doc["activation"]  # files without the key load as relu
+        assert deserialize_model(doc).hidden == 3
+
+    def test_rejects_other_activation(self):
+        doc = serialize_model(init_model("mlp", 2, hidden=3, seed=0))
+        doc["activation"] = "tanh"
+        with pytest.raises(InvalidInputError, match="tanh"):
+            deserialize_model(doc)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidInputError):

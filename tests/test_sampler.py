@@ -9,7 +9,6 @@ from trisim.sampler import (
     GaussianSource,
     GaussianSourceSpec,
     PoolSource,
-    ShuffledLabelSource,
     disassemble,
     make_weak_dataset,
     paper_case_weights,
@@ -68,13 +67,6 @@ class TestSources:
         pool = LabeledPool(x=np.zeros((2, 1)), y=np.array([1, 1]))
         with pytest.raises(InsufficientDataError):
             PoolSource(pool).draw_class(np.random.default_rng(0), -1, 3)
-
-    def test_shuffled_source_breaks_feature_label_link(self):
-        src = ShuffledLabelSource(GaussianSource(_spec()))
-        x, y = src.draw_labeled(np.random.default_rng(2), 10_000)
-        # under shuffling the classes have identical feature means
-        gap = x[y == 1, 0].mean() - x[y == -1, 0].mean()
-        assert abs(gap) < 0.2
 
     def test_discrete_source_frequencies(self):
         src = DiscreteSource(np.array([0.9, 0.1]), np.array([0.1, 0.9]), ClassPrior(0.4))

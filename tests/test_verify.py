@@ -1,8 +1,14 @@
 """Unit tests for the verification oracles themselves: the report
 container, the enumeration machinery, and the individual suites."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import trisim
 from trisim.core import ClassPrior, EnumerationSizeError
 from trisim.risk import (
     DiscreteDomainSpec,
@@ -12,6 +18,7 @@ from trisim.risk import (
 )
 from trisim.verify import (
     CheckRecord,
+    _spearman,
     VerifyReport,
     check_acceptance_rate,
     check_gradients,
@@ -187,3 +194,44 @@ class TestDefaults:
         gap = np.linalg.norm(spec.mu_plus - spec.mu_minus)
         assert gap == pytest.approx(4.0 * spec.sigma)
         assert spec.dim == 2
+
+
+class TestTrend:
+    def test_spearman_matches_scipy_with_ties(self):
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(0)
+        checked = 0
+        for _ in range(300):
+            n = int(rng.integers(3, 30))
+            a, b = rng.integers(0, 5, size=n), rng.integers(0, 5, size=n)
+            if np.all(a == a[0]) or np.all(b == b[0]):
+                continue  # undefined for a constant input
+            expected = stats.spearmanr(a, b).statistic
+            assert _spearman(a, b) == pytest.approx(expected, abs=1e-12)
+            checked += 1
+        assert checked > 250
+
+    def test_spearman_pinned(self):
+        assert _spearman([0.1, 0.25, 0.5, 1.0], [0.8, 0.9, 0.85, 0.95]) == pytest.approx(0.8)
+        assert _spearman([1, 2, 3], [3, 3, 1]) == pytest.approx(-np.sqrt(3) / 2)
+
+    def test_trend_runs_without_scipy(self):
+        # any import of scipy fails in the child, so this passes only if the
+        # trend oracle (and everything it imports) is numpy-only
+        code = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from trisim.verify import check_error_trend\n"
+            "r = check_error_trend(fractions=[0.5, 1.0], seeds=[0], n_us=40, n_u=60)\n"
+            "print(len(r.checks))\n"
+        )
+        package_dir = str(Path(trisim.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (package_dir, env.get("PYTHONPATH")) if p
+        )
+        res = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.split() == ["2"]
