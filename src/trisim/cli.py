@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import ClassPrior, ConfigurationError, CorrectionKind, TrisimError
+from .core import SAMPLERS, ClassPrior, ConfigurationError, CorrectionKind, TrisimError
 from .dataio import (
     read_labeled_csv,
     read_weak_dataset,
@@ -32,11 +32,14 @@ from .dataio import (
     write_train_log_csv,
     write_triplets_jsonl,
     write_unlabeled_jsonl,
+    write_weak_meta,
 )
 from .evaluation import accuracy, correction_sweep, fraction_sweep, prior_sweep
+from .risk import ESTIMATORS
 from .sampler import (
     GaussianSourceSpec,
     PoolSource,
+    default_gaussian_spec,
     make_weak_dataset,
     synth_gaussian_labeled,
 )
@@ -49,7 +52,6 @@ from .verify import (
     check_matched_calibration,
     check_risk_identity,
     check_theta_system,
-    default_gaussian_spec,
     run_bias_suite,
 )
 
@@ -64,10 +66,15 @@ def _digest(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def _flags(args) -> dict:
+    """The resolved flags, sorted by name, for manifests and model files."""
+    return {k: v for k, v in sorted(vars(args).items()) if k != "func"}
+
+
 def _write_manifest(subcommand, args, inputs, outputs, started) -> dict:
     manifest = {
         "subcommand": subcommand,
-        "flags": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
+        "flags": _flags(args),
         "seed": getattr(args, "seed", None),
         "version": __version__,
         "inputs": {str(p): _digest(p) for p in inputs},
@@ -95,16 +102,12 @@ def _list_of(kind):
 def _gaussian_spec(args) -> GaussianSourceSpec:
     if (args.mu_plus is None) != (args.mu_minus is None):
         raise ConfigurationError("--mu-plus and --mu-minus must be given together")
-    if args.mu_plus is not None:
-        mu_plus, mu_minus = np.array(args.mu_plus), np.array(args.mu_minus)
-    else:
-        mu_plus = np.zeros(args.dim)
-        mu_plus[0] = args.sep / 2.0
-        mu_minus = -mu_plus
+    if args.mu_plus is None:
+        return default_gaussian_spec(args.pi, args.sep, args.dim, args.sigma)
     return GaussianSourceSpec(
         dim=args.dim,
-        mu_plus=mu_plus,
-        mu_minus=mu_minus,
+        mu_plus=np.array(args.mu_plus),
+        mu_minus=np.array(args.mu_minus),
         sigma=args.sigma,
         prior=ClassPrior(args.pi),
     )
@@ -130,8 +133,9 @@ def cmd_make_weak(args) -> int:
     unlabeled_path = out_dir / "unlabeled.jsonl"
     write_triplets_jsonl(triplets_path, data.triplets)
     write_unlabeled_jsonl(unlabeled_path, data.unlabeled)
+    meta_path = write_weak_meta(out_dir, data)
     _write_manifest(
-        "make-weak", args, [args.input], [triplets_path, unlabeled_path], started
+        "make-weak", args, [args.input], [triplets_path, unlabeled_path, meta_path], started
     )
     return EXIT_OK
 
@@ -158,8 +162,7 @@ def cmd_train(args) -> int:
     data = read_weak_dataset(args.us, args.u, prior, sampler_kind=args.sampler)
     eval_set = read_labeled_csv(args.test) if args.test else None
     model, log = train(config, data, eval_set)
-    echo = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-    write_model(args.out, model, config_echo=echo)
+    write_model(args.out, model, config_echo=_flags(args))
     log_path = args.log or (args.out + ".log.csv")
     write_train_log_csv(log_path, log)
     inputs = [args.us, args.u] + ([args.test] if args.test else [])
@@ -239,7 +242,7 @@ def cmd_sweep(args) -> int:
 
 def _add_source_flags(p, require_pi=True):
     p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--sep", type=float, default=4.0, help="mean separation in sigmas")
+    p.add_argument("--sep", type=float, default=4.0, help="class means at +-sep/2 on axis 1")
     p.add_argument("--mu-plus", type=_list_of(float), help="comma-separated positive-class mean")
     p.add_argument("--mu-minus", type=_list_of(float), help="comma-separated negative-class mean")
     p.add_argument("--sigma", type=float, default=1.0)
@@ -252,7 +255,7 @@ def _add_train_flags(p):
     p.add_argument("--correction", choices=[c.value for c in CorrectionKind], default="abs")
     p.add_argument(
         "--estimator",
-        choices=("matched", "plain"),
+        choices=ESTIMATORS,
         default="matched",
         help="similarity-term weighting: measure-matched or plain sample mean",
     )
@@ -276,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--config", help="key=value config file; flags win")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("make-weak", help="build triplets + unlabeled pool from a labeled CSV")
@@ -284,10 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pi", type=float, help="declared prior (default: label counts)")
     p.add_argument("--n-us", type=int, required=True)
     p.add_argument("--n-u", type=int, required=True)
-    p.add_argument("--sampler", choices=("rejection", "paper_case"), default="rejection")
+    p.add_argument("--sampler", choices=SAMPLERS, default="rejection")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--config")
     p.set_defaults(func=cmd_make_weak)
 
     p = sub.add_parser("train", help="train on weak data")
@@ -296,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pi", type=float, required=True)
     p.add_argument(
         "--sampler",
-        choices=("rejection", "paper_case"),
+        choices=SAMPLERS,
         default="rejection",
         help="sampler that produced the triplets (sets the matched weights)",
     )
@@ -305,21 +306,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", help="labeled CSV for held-out accuracy")
     p.add_argument("--out", required=True, help="model file path")
     p.add_argument("--log", help="train log CSV path (default: <out>.log.csv)")
-    p.add_argument("--config")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a model file on a labeled CSV")
     p.add_argument("--model", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--out")
-    p.add_argument("--config")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("verify", help="run verification oracles")
     p.add_argument("--suite", choices=SUITES, default="all")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
-    p.add_argument("--config")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="run an ablation sweep on synthetic data")
@@ -336,12 +334,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-us", type=int, default=2000)
     p.add_argument("--n-u", type=int, default=2000)
     p.add_argument("--n-test", type=int, default=2000)
-    p.add_argument("--sampler", choices=("rejection", "paper_case"), default="paper_case")
+    p.add_argument("--sampler", choices=SAMPLERS, default="paper_case")
     p.add_argument("--out", required=True)
     p.add_argument("--json-out")
-    p.add_argument("--config")
     p.set_defaults(func=cmd_sweep)
 
+    for p in sub.choices.values():
+        p.add_argument("--config", help="key=value config file; flags win")
     return parser
 
 

@@ -40,6 +40,15 @@ class EnumerationSizeError(TrisimError):
     """A brute-force enumeration would exceed its configured cap."""
 
 
+class TrainingDivergedError(TrisimError):
+    """Training overflowed, or its risk or parameters left the bound the
+    trainer states."""
+
+
+# The triplet samplers, default first (see trisim.sampler).
+SAMPLERS = ("rejection", "paper_case")
+
+
 @dataclass(frozen=True)
 class ClassPrior:
     """Positive-class prior pi_plus; pi_minus is derived so the pair sums
@@ -105,7 +114,7 @@ class WeakDataset:
     sampler_kind: str = "rejection"
 
     def __post_init__(self):
-        if self.sampler_kind not in ("rejection", "paper_case"):
+        if self.sampler_kind not in SAMPLERS:
             raise InvalidInputError(f"unknown sampler kind {self.sampler_kind!r}")
         t = np.asarray(self.triplets, dtype=float)
         u = np.asarray(self.unlabeled, dtype=float)

@@ -20,6 +20,9 @@ from .evaluation import SweepResult
 from .model import Model, deserialize_model, serialize_model
 from .trainer import EpochRecord, TrainLog
 
+TRIPLET_KEYS = ("anchor", "c1", "c2")
+WEAK_META = "weak.json"  # beside the two JSONL files: how the weak data was made
+
 
 def write_labeled_csv(path, pool: LabeledPool) -> None:
     d = pool.x.shape[1]
@@ -54,38 +57,38 @@ def read_labeled_csv(path) -> LabeledPool:
         if not header or header[0] != "y":
             raise InvalidInputError(f"{path}: expected header starting with 'y'")
         ys, xs = [], []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise InvalidInputError(
-                    f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}"
-                )
-            try:
-                ys.append(int(row[0]))
-                xs.append([float(v) for v in row[1:]])
-            except ValueError as exc:
-                raise InvalidInputError(f"{path}:{reader.line_num}: {exc}") from None
-            if not all(map(math.isfinite, xs[-1])):
-                raise InvalidInputError(f"{path}:{reader.line_num}: non-finite value")
+        try:
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise InvalidInputError(
+                        f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}"
+                    )
+                try:
+                    ys.append(int(row[0]))
+                    xs.append([float(v) for v in row[1:]])
+                except ValueError as exc:
+                    raise InvalidInputError(f"{path}:{reader.line_num}: {exc}") from None
+                if not all(map(math.isfinite, xs[-1])):
+                    raise InvalidInputError(f"{path}:{reader.line_num}: non-finite value")
+        except csv.Error as exc:  # e.g. a field over csv's size limit
+            raise InvalidInputError(f"{path}:{reader.line_num}: {exc}") from None
     if not ys:
         raise InvalidInputError(f"{path}: no data rows")
     return LabeledPool(x=np.array(xs), y=np.array(ys))
 
 
-def write_triplets_jsonl(path, triplets: np.ndarray) -> None:
+def _write_jsonl(path, keys: tuple[str, ...], arr: np.ndarray) -> None:
+    """One JSON object per row of an (n, len(keys), d) array, each key
+    holding its member's float vector; the mirror of _read_jsonl."""
     with open(path, "w") as fh:
-        for t in triplets:
-            fh.write(
-                json.dumps(
-                    {
-                        "anchor": [float(v) for v in t[0]],
-                        "c1": [float(v) for v in t[1]],
-                        "c2": [float(v) for v in t[2]],
-                    }
-                )
-                + "\n"
-            )
+        for row in np.asarray(arr, dtype=float):
+            fh.write(json.dumps(dict(zip(keys, row.tolist()))) + "\n")
+
+
+def write_triplets_jsonl(path, triplets: np.ndarray) -> None:
+    _write_jsonl(path, TRIPLET_KEYS, triplets)
 
 
 @_utf8_only
@@ -101,8 +104,10 @@ def _read_jsonl(path, keys: tuple[str, ...], what: str) -> np.ndarray:
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InvalidInputError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from None
+            except ValueError as exc:  # a JSONDecodeError, or an integer too long to parse
+                raise InvalidInputError(
+                    f"{path}:{lineno}: invalid JSON: {getattr(exc, 'msg', exc)}"
+                ) from None
             if not isinstance(rec, dict) or not all(k in rec for k in keys):
                 raise InvalidInputError(
                     f"{path}:{lineno}: expected a JSON object with keys {', '.join(keys)}"
@@ -113,7 +118,7 @@ def _read_jsonl(path, keys: tuple[str, ...], what: str) -> np.ndarray:
         raise InvalidInputError(f"{path}: no {what}")
     try:
         arr = np.array(rows, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         error = exc
     else:
         finite = np.isfinite(arr.reshape(len(rows), -1)).all(axis=1)
@@ -125,7 +130,7 @@ def _read_jsonl(path, keys: tuple[str, ...], what: str) -> np.ndarray:
     for lineno, row in zip(linenos, rows):
         try:
             shape = np.array(row, dtype=float).shape
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidInputError(f"{path}:{lineno}: {exc}") from None
         first_shape = first_shape or shape
         if shape != first_shape:
@@ -137,28 +142,69 @@ def _read_jsonl(path, keys: tuple[str, ...], what: str) -> np.ndarray:
 
 
 def read_triplets_jsonl(path) -> np.ndarray:
-    return _read_jsonl(path, ("anchor", "c1", "c2"), "triplets")
+    return _read_jsonl(path, TRIPLET_KEYS, "triplets")
 
 
 def write_unlabeled_jsonl(path, x: np.ndarray) -> None:
-    with open(path, "w") as fh:
-        for row in x:
-            fh.write(json.dumps({"x": [float(v) for v in row]}) + "\n")
+    _write_jsonl(path, ("x",), np.asarray(x)[:, None])
 
 
 def read_unlabeled_jsonl(path) -> np.ndarray:
     return _read_jsonl(path, ("x",), "unlabeled points")[:, 0]
 
 
+def write_weak_meta(out_dir, data: WeakDataset) -> Path:
+    """Write WEAK_META into out_dir: the sampler, the prior used, d and the
+    two counts. Returns its path."""
+    meta = {
+        "sampler": data.sampler_kind,
+        "pi_plus": data.prior.pi_plus,
+        "d": data.triplets.shape[2],
+        "n_us": data.n_triplets,
+        "n_u": data.n_unlabeled,
+    }
+    path = Path(out_dir) / WEAK_META
+    path.write_text(json.dumps(meta, indent=2) + "\n")
+    return path
+
+
+@_utf8_only
+def _check_weak_meta(path, data: WeakDataset, triplets_path, unlabeled_path) -> None:
+    try:
+        meta = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise InvalidInputError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise InvalidInputError(f"{path}: expected a JSON object")
+    for key, value, where in (
+        ("sampler", data.sampler_kind, "training uses"),
+        ("d", data.triplets.shape[2], "the files have"),
+        ("n_us", data.n_triplets, f"{triplets_path} holds"),
+        ("n_u", data.n_unlabeled, f"{unlabeled_path} holds"),
+    ):
+        if key not in meta:
+            raise InvalidInputError(f"{path}: missing key {key!r}")
+        if meta[key] != value:
+            raise InvalidInputError(f"{path}: {key} is {meta[key]!r}, but {where} {value!r}")
+
+
 def read_weak_dataset(
     triplets_path, unlabeled_path, prior: ClassPrior, sampler_kind: str = "rejection"
 ) -> WeakDataset:
-    return WeakDataset(
+    """The two JSONL files as a WeakDataset. When WEAK_META sits beside the
+    triplets file, its sampler, d and counts must match sampler_kind and
+    the files; its prior is not compared, because training under a
+    misspecified prior is studied on purpose."""
+    data = WeakDataset(
         triplets=read_triplets_jsonl(triplets_path),
         unlabeled=read_unlabeled_jsonl(unlabeled_path),
         prior=prior,
         sampler_kind=sampler_kind,
     )
+    meta_path = Path(triplets_path).with_name(WEAK_META)
+    if meta_path.exists():
+        _check_weak_meta(meta_path, data, triplets_path, unlabeled_path)
+    return data
 
 
 def write_model(path, model: Model, config_echo: dict | None = None) -> None:
@@ -172,9 +218,11 @@ def read_model(path) -> Model:
     """Model from a JSON model file; undecodable, invalid or incomplete
     documents raise InvalidInputError naming the path."""
     try:
-        return deserialize_model(json.loads(Path(path).read_text(encoding="utf-8")))
-    except json.JSONDecodeError as exc:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to parse
         raise InvalidInputError(f"{path}: invalid JSON: {exc}") from None
+    try:
+        return deserialize_model(doc)
     except InvalidInputError as exc:
         raise InvalidInputError(f"{path}: {exc}") from None
 

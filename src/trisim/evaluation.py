@@ -12,12 +12,7 @@ import numpy as np
 
 from .core import ClassPrior, ConfigurationError, CorrectionKind
 from .model import accuracy
-from .sampler import (
-    GaussianSource,
-    GaussianSourceSpec,
-    make_weak_dataset,
-    synth_gaussian_labeled,
-)
+from .sampler import GaussianSourceSpec, make_weak_dataset, synth_gaussian_labeled
 from .trainer import TrainConfig, train, train_supervised_oracle
 
 
@@ -62,7 +57,7 @@ def weak_run(
     swept across data budgets smaller than its nominal batch.
     """
     data_seed, test_seed = derive_seeds(seed, 2)
-    data = make_weak_dataset(GaussianSource(source_spec), n_us, n_u, sampler_kind, data_seed)
+    data = make_weak_dataset(source_spec, n_us, n_u, sampler_kind, data_seed)
     test = synth_gaussian_labeled(source_spec, n_test, test_seed)
     batch = min(config.batch_size, 3 * n_us, n_u)
     model, _ = train(replace(config, seed=seed, batch_size=batch), data)
@@ -83,6 +78,13 @@ def supervised_run(
     batch = min(config.batch_size, n_labeled)
     model, _ = train_supervised_oracle(replace(config, seed=seed, batch_size=batch), pool)
     return accuracy(model, test)
+
+
+def _require_values(axis: str, settings, seeds) -> None:
+    """Every sweep needs at least one setting on its axis and one seed."""
+    for name, values in ((axis, settings), ("seeds", seeds)):
+        if len(values) == 0:
+            raise ConfigurationError(f"no {name} to sweep: the list is empty")
 
 
 def _row(setting: str, accs: list[float]) -> SweepRow:
@@ -112,6 +114,7 @@ def prior_sweep(
     Data generation depends only on (true prior, seed), so every given
     prior sees identical datasets per seed.
     """
+    _require_values("given priors", given_priors, seeds)
     result = SweepResult(
         axis="given_prior",
         config={"true_prior": true_prior.pi_plus, "n_us": n_us, "n_u": n_u},
@@ -149,6 +152,7 @@ def fraction_sweep(
     sampler_kind: str = "paper_case",
 ) -> SweepResult:
     """Accuracy at increasing fractions of the full training budget."""
+    _require_values("fractions", fractions, seeds)
     result = SweepResult(axis="fraction", config={"n_us": n_us, "n_u": n_u})
     for frac in fractions:
         if not 0 < frac <= 1:
@@ -180,6 +184,7 @@ def correction_sweep(
     sampler_kind: str = "paper_case",
 ) -> SweepResult:
     """One training run per (correction, seed), identical data per seed."""
+    _require_values("corrections", corrections, seeds)
     kinds = []
     for name in corrections:
         try:

@@ -190,22 +190,35 @@ def serialize_model(model: Model, config_echo: dict | None = None) -> dict:
     return doc
 
 
-def deserialize_model(doc: dict) -> Model:
-    """Model from a serialize_model document. A missing key, an unknown kind
-    or an activation other than relu raises InvalidInputError."""
+def deserialize_model(doc) -> Model:
+    """Model from a serialize_model document. Anything but a JSON object
+    whose kind, dim and hidden give a model, with every parameter present,
+    finite and of the size that model needs, raises InvalidInputError."""
+    if not isinstance(doc, dict):
+        raise InvalidInputError("model document must be a JSON object")
     try:
-        params = {k: np.asarray(v, dtype=float) for k, v in doc["params"].items()}
-        if doc["kind"] == "linear":
-            return LinearModel(weights=params["weights"], bias=params["bias"])
-        if doc["kind"] != "mlp":
-            raise InvalidInputError(f"unknown model kind {doc['kind']!r}")
-        if doc.get("activation", "relu") != "relu":
-            raise InvalidInputError(f"unsupported activation {doc['activation']!r}")
-        return MlpModel(
-            w1=params["w1"].reshape(doc["hidden"], doc["dim"]),
-            b1=params["b1"],
-            w2=params["w2"],
-            b2=params["b2"],
-        )
+        kind, dim, values = doc["kind"], doc["dim"], doc["params"]
+        hidden = doc["hidden"] if kind == "mlp" else 1
     except KeyError as exc:
         raise InvalidInputError(f"missing key {exc}") from None
+    if kind == "mlp" and doc.get("activation", "relu") != "relu":
+        raise InvalidInputError(f"unsupported activation {doc['activation']!r}")
+    if not isinstance(values, dict):
+        raise InvalidInputError("'params' must be a JSON object")
+    # the document cannot describe more weights than it holds, which also
+    # bounds what init_model allocates
+    n_values = sum(len(v) for v in values.values() if isinstance(v, list))
+    if not (type(dim) is int and type(hidden) is int and dim * hidden <= n_values):
+        raise InvalidInputError("'dim' and 'hidden' must be integers that fit the parameters")
+    model = init_model(kind, dim, hidden)
+    for key, p in model.params().items():
+        if key not in values:
+            raise InvalidInputError(f"missing parameter {key!r}")
+        try:
+            v = np.asarray(values[key], dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidInputError(f"parameter {key!r} is not a list of numbers") from None
+        if v.size != p.size or not np.all(np.isfinite(v)):
+            raise InvalidInputError(f"parameter {key!r} needs {p.size} finite numbers")
+        p[...] = v.reshape(p.shape)
+    return model

@@ -101,17 +101,25 @@ def matched_us_coefficients(prior: ClassPrior, sampler_kind: str) -> tuple[float
     raise InvalidInputError(f"unknown sampler kind {sampler_kind!r}")
 
 
-def matched_point_weights(prior: ClassPrior, sampler_kind: str, n_triplets: int) -> tuple[np.ndarray, float]:
-    """Per-point weights for the disassembled (3n,) similarity pool, in
-    (anchor, companion, companion) order per triplet, plus the coefficient
-    applied to the unlabeled pool's mean similarity loss.
+# The similarity-side estimators, default first (see slot_weights).
+ESTIMATORS = ("matched", "plain")
 
-    The weights are scaled so that mean(weights * l_us) over the pooled
-    points equals c_anchor*mean_anchors + c_companion*mean_companions.
+
+def slot_weights(prior: ClassPrior, sampler_kind: str, estimator: str) -> tuple[np.ndarray, float]:
+    """The estimator as a table of weights: per-slot similarity weights in
+    (anchor, companion, companion) order, plus the coefficient on the
+    unlabeled pool's mean similarity loss.
+
+    "plain" is the uniform pooled mean, (1, 1, 1) and 0. "matched" scales
+    the matched_us_coefficients so that mean(weights * l_us) over the pooled
+    (3n,) points equals c_anchor*mean_anchors + c_companion*mean_companions.
     """
+    if estimator == "plain":
+        return np.ones(3), 0.0
+    if estimator != "matched":
+        raise InvalidInputError(f"unknown estimator {estimator!r}")
     c_a, c_c, c_u = matched_us_coefficients(prior, sampler_kind)
-    per_triplet = np.array([3.0 * c_a, 1.5 * c_c, 1.5 * c_c])
-    return np.tile(per_triplet, n_triplets), c_u
+    return np.array([3.0 * c_a, 1.5 * c_c, 1.5 * c_c]), c_u
 
 
 def square_loss(scores, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -160,9 +168,9 @@ def _check_scores(scores, side: str) -> np.ndarray:
     return arr
 
 
-def _check_weights(us_weights, n: int) -> np.ndarray | None:
+def _check_weights(us_weights, n: int) -> np.ndarray:
     if us_weights is None:
-        return None
+        return np.ones(n)
     w = np.asarray(us_weights, dtype=float)
     if w.shape != (n,):
         raise InvalidInputError(
@@ -180,7 +188,7 @@ def _side_terms(us_scores, u_scores, prior, us_weights, u_plus_coef):
     w = _check_weights(us_weights, us.size)
     l_us, _ = corrected_losses(us, prior)
     l_us_at_u, l_u = corrected_losses(u, prior)
-    us_term = float(np.mean(l_us if w is None else w * l_us))
+    us_term = float(np.mean(w * l_us))
     if u_plus_coef:
         us_term += u_plus_coef * float(np.mean(l_us_at_u))
     return us, u, w, us_term, float(np.mean(l_u))
@@ -199,8 +207,7 @@ def empirical_risk(
     With the default arguments both sides are plain sample means. Optional
     per-point similarity weights and a coefficient on the unlabeled pool's
     mean similarity loss support the measure-matched estimate the trainer
-    uses (see matched_point_weights); those extra pieces are folded into
-    us_term.
+    uses (see slot_weights); those extra pieces are folded into us_term.
     """
     _, _, _, us_term, u_term = _side_terms(us_scores, u_scores, prior, us_weights, u_plus_coef)
     raw = us_term + u_term
@@ -225,8 +232,7 @@ def empirical_risk_grad(
     us, u, w, us_term, u_term = _side_terms(us_scores, u_scores, prior, us_weights, u_plus_coef)
     factor = correction.grad_factor(us_term + u_term)
     a, b = _polynomial(prior)
-    scale = factor / us.size * a
-    g_us = np.full(us.size, scale) if w is None else scale * w
+    g_us = factor / us.size * a * w
     g_u = factor / u.size * (2.0 * u + (b + u_plus_coef * a))
     return g_us, g_u
 

@@ -18,15 +18,32 @@ from .core import (
     ClassPrior,
     InsufficientDataError,
     InvalidInputError,
+    SAMPLERS,
     LabeledPool,
     ShapeError,
     WeakDataset,
 )
 
 
+def _draw_labeled_by_class(
+    source, rng: np.random.Generator, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """n labeled draws from a source that samples each class directly:
+    first the labels from the prior, then the positives, then the
+    negatives."""
+    y = np.where(rng.random(n) < source.prior.pi_plus, 1, -1)
+    pos = y == 1
+    x_pos = source.draw_class(rng, 1, int(pos.sum()))
+    x = np.empty((n, x_pos.shape[1]))
+    x[pos] = x_pos
+    x[~pos] = source.draw_class(rng, -1, int((~pos).sum()))
+    return x, y
+
+
 @dataclass(frozen=True)
 class GaussianSourceSpec:
-    """Two isotropic Gaussian class-conditionals in R^d."""
+    """Two isotropic Gaussian class-conditionals in R^d, and the source that
+    draws from them."""
 
     dim: int
     mu_plus: np.ndarray
@@ -46,37 +63,22 @@ class GaussianSourceSpec:
         object.__setattr__(self, "mu_plus", mp)
         object.__setattr__(self, "mu_minus", mm)
 
-
-def _draw_labeled_by_class(
-    source, rng: np.random.Generator, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """n labeled draws from a source that samples each class directly:
-    first the labels from the prior, then the positives, then the
-    negatives."""
-    y = np.where(rng.random(n) < source.prior.pi_plus, 1, -1)
-    pos = y == 1
-    x_pos = source.draw_class(rng, 1, int(pos.sum()))
-    x = np.empty((n, x_pos.shape[1]))
-    x[pos] = x_pos
-    x[~pos] = source.draw_class(rng, -1, int((~pos).sum()))
-    return x, y
-
-
-class GaussianSource:
-    """Draws from the Gaussian mixture described by a GaussianSourceSpec."""
-
-    def __init__(self, spec: GaussianSourceSpec):
-        self.spec = spec
-
-    @property
-    def prior(self) -> ClassPrior:
-        return self.spec.prior
-
     def draw_class(self, rng: np.random.Generator, label: int, n: int) -> np.ndarray:
-        mu = self.spec.mu_plus if label == 1 else self.spec.mu_minus
-        return mu + self.spec.sigma * rng.standard_normal((n, self.spec.dim))
+        mu = self.mu_plus if label == 1 else self.mu_minus
+        return mu + self.sigma * rng.standard_normal((n, self.dim))
 
     draw_labeled = _draw_labeled_by_class
+
+
+def default_gaussian_spec(
+    pi_plus: float = 0.4, separation: float = 4.0, dim: int = 2, sigma: float = 1.0
+) -> GaussianSourceSpec:
+    """Isotropic Gaussians whose means sit at +separation/2 and
+    -separation/2 on the first axis, whatever sigma is."""
+    mu_plus = np.where(np.arange(dim) == 0, separation / 2.0, 0.0)
+    return GaussianSourceSpec(
+        dim=dim, mu_plus=mu_plus, mu_minus=-mu_plus, sigma=sigma, prior=ClassPrior(pi_plus)
+    )
 
 
 class PoolSource:
@@ -208,19 +210,15 @@ def sample_triplets_paper_case(
 
     third, _ = source.draw_labeled(rng, n)
     d = third.shape[1]
-    tied = np.empty((n, 2, d))
-    pos = tied_label == 1
-    tied[pos] = source.draw_class(rng, 1, 2 * int(pos.sum())).reshape(-1, 2, d)
-    tied[~pos] = source.draw_class(rng, -1, 2 * int((~pos).sum())).reshape(-1, 2, d)
-
     triplets = np.empty((n, 3, d))
-    triplets[:, 0] = tied[:, 0]
-    triplets[tied_with_first, 1] = tied[tied_with_first, 1]
-    triplets[tied_with_first, 2] = third[tied_with_first]
-    triplets[~tied_with_first, 2] = tied[~tied_with_first, 1]
-    triplets[~tied_with_first, 1] = third[~tied_with_first]
-    swap = rng.random(n) < 0.5
-    triplets[swap] = triplets[swap][:, [0, 2, 1]]
+    pos = tied_label == 1
+    triplets[pos, :2] = source.draw_class(rng, 1, 2 * int(pos.sum())).reshape(-1, 2, d)
+    triplets[~pos, :2] = source.draw_class(rng, -1, 2 * int((~pos).sum())).reshape(-1, 2, d)
+    triplets[:, 2] = third
+    # the slots now hold (tied, tied, third); cases 2 and 3 tie the anchor to
+    # the second companion, and the closing 1/2 swap flips the companions again
+    flip = tied_with_first == (rng.random(n) < 0.5)
+    triplets[flip] = triplets[flip][:, [0, 2, 1]]
     return triplets
 
 
@@ -237,7 +235,7 @@ def make_weak_dataset(
 ) -> WeakDataset:
     """Full weak-supervision dataset, generated with independent seed
     streams for the triplet and unlabeled parts."""
-    if sampler_kind not in ("rejection", "paper_case"):
+    if sampler_kind not in SAMPLERS:
         raise InvalidInputError(f"unknown sampler kind {sampler_kind!r}")
     ss_us, ss_u = np.random.SeedSequence(seed).spawn(2)
     rng_us = np.random.default_rng(ss_us)
@@ -269,5 +267,5 @@ def synth_gaussian_labeled(spec: GaussianSourceSpec, n: int, seed: int) -> Label
     if n < 2:
         raise InvalidInputError(f"need n >= 2 labeled examples, got {n}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    x, y = GaussianSource(spec).draw_labeled(rng, n)
+    x, y = spec.draw_labeled(rng, n)
     return LabeledPool(x=x, y=y)

@@ -22,18 +22,25 @@ from .core import (
     CorrectionKind,
     InsufficientDataError,
     LabeledPool,
+    TrainingDivergedError,
     WeakDataset,
 )
 from .model import AdamState, Model, adam_step, backward, forward, init_model
 from .model import accuracy as _accuracy
 from .risk import (
+    ESTIMATORS,
     RiskValue,
     empirical_risk,
     empirical_risk_grad,
-    matched_point_weights,
+    slot_weights,
     square_loss,
 )
 from .sampler import disassemble
+
+# A run whose risk or any parameter exceeds this magnitude after an epoch has
+# diverged. Converging runs stay many orders of magnitude below it, and a
+# score this large can still be squared without overflowing a float.
+DIVERGENCE_LIMIT = 1e100
 
 
 @dataclass(frozen=True)
@@ -54,9 +61,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.estimator not in ("matched", "plain"):
+        if self.estimator not in ESTIMATORS:
             raise ConfigurationError(
-                f"estimator must be 'matched' or 'plain', got {self.estimator!r}"
+                f"estimator must be one of {', '.join(ESTIMATORS)}, got {self.estimator!r}"
             )
         if self.epochs < 0:
             raise ConfigurationError(f"epochs must be >= 0, got {self.epochs}")
@@ -80,23 +87,31 @@ class TrainLog:
     records: list[EpochRecord] = field(default_factory=list)
 
 
-def _batch_plan(n_us: int, n_u: int, batch_size: int) -> int:
+def _batch_plan(pool_sizes: tuple[int, ...], batch_size: int) -> int:
     """Number of joint batches; errors out when the sizes cannot give every
     batch at least one point from each pool."""
-    total = n_us + n_u
-    n_batches = -(-total // batch_size)
-    if batch_size > n_us or batch_size > n_u:
+    n_batches = -(-sum(pool_sizes) // batch_size)
+    if batch_size > min(pool_sizes):
         raise ConfigurationError(
             f"batch_size {batch_size} exceeds a pool size "
-            f"(pointwise similarity pool {n_us}, unlabeled pool {n_u}); "
-            "reduce --batch or supply more data"
+            f"(pool sizes {', '.join(map(str, pool_sizes))}); reduce --batch or supply more data"
         )
-    if n_batches > min(n_us, n_u):
+    if n_batches > min(pool_sizes):
         raise ConfigurationError(
-            f"{n_batches} batches cannot each contain a point from both pools "
-            f"(sizes {n_us} and {n_u}); increase --batch"
+            f"{n_batches} batches cannot each contain a point from every pool "
+            f"(pool sizes {', '.join(map(str, pool_sizes))}); increase --batch"
         )
     return n_batches
+
+
+def _divergence(rv: RiskValue, model: Model) -> str | None:
+    """Why the epoch's end state counts as diverged, or None."""
+    if not abs(rv.raw) <= DIVERGENCE_LIMIT:
+        return f"risk {rv.raw!r} exceeds {DIVERGENCE_LIMIT:g} in magnitude"
+    for key, p in model.params().items():
+        if not np.max(np.abs(p)) <= DIVERGENCE_LIMIT:
+            return f"parameter {key!r} exceeds {DIVERGENCE_LIMIT:g} in magnitude"
+    return None
 
 
 def _fit(config, model, pool_sizes, n_batches, batch_upstream, epoch_risk, eval_set):
@@ -105,30 +120,41 @@ def _fit(config, model, pool_sizes, n_batches, batch_upstream, epoch_risk, eval_
     batch_upstream(model, *indices) returns the batch's rows and the
     gradient of the batch objective with respect to their scores; one
     backward pass and one Adam step follow. After the epoch's last step,
-    epoch_risk(model) gives the full-pool risk for the log."""
+    epoch_risk(model) gives the full-pool risk for the log.
+
+    A floating-point overflow or invalid operation, or an epoch that ends
+    past DIVERGENCE_LIMIT, stops the run with TrainingDivergedError naming
+    the epoch."""
     _, ss_shuffle = np.random.SeedSequence(config.seed).spawn(2)
     rng = np.random.default_rng(ss_shuffle)
     state = AdamState.for_params(
         model.params(), lr=config.lr, weight_decay=config.weight_decay
     )
     log = TrainLog()
-    for epoch in range(1, config.epochs + 1):
-        splits = [np.array_split(rng.permutation(n), n_batches) for n in pool_sizes]
-        for indices in zip(*splits):
-            x, upstream = batch_upstream(model, *indices)
-            adam_step(model.params(), backward(model, x, upstream), state)
-        rv = epoch_risk(model)
-        acc = _accuracy(model, eval_set) if eval_set is not None else None
-        log.records.append(
-            EpochRecord(
-                epoch=epoch,
-                raw_risk=rv.raw,
-                corrected_risk=rv.corrected,
-                us_term=rv.us_term,
-                u_term=rv.u_term,
-                test_accuracy=acc,
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        for epoch in range(1, config.epochs + 1):
+            try:
+                splits = [np.array_split(rng.permutation(n), n_batches) for n in pool_sizes]
+                for indices in zip(*splits):
+                    x, upstream = batch_upstream(model, *indices)
+                    adam_step(model.params(), backward(model, x, upstream), state)
+                rv = epoch_risk(model)
+                reason = _divergence(rv, model)
+                acc = _accuracy(model, eval_set) if eval_set is not None and not reason else None
+            except FloatingPointError as exc:
+                reason = str(exc)
+            if reason:
+                raise TrainingDivergedError(f"training diverged at epoch {epoch}: {reason}")
+            log.records.append(
+                EpochRecord(
+                    epoch=epoch,
+                    raw_risk=rv.raw,
+                    corrected_risk=rv.corrected,
+                    us_term=rv.us_term,
+                    u_term=rv.u_term,
+                    test_accuracy=acc,
+                )
             )
-        )
     return model, log
 
 
@@ -141,11 +167,11 @@ def train(
     and one log record per epoch. epochs = 0 returns the initialized model
     untouched.
 
-    With estimator = "matched" (default) the similarity term uses the
-    position-dependent weights of matched_point_weights, whose expectation
-    equals the unnormalized similarity integral of the risk reconstruction;
-    "plain" uses the uniform sample mean, whose calibration deficit makes
-    the minimizer degenerate (see trisim.verify's bias suite).
+    The estimator's slot_weights are tiled over the triplets. "matched"
+    (default) gives position-dependent weights whose expectation equals the
+    unnormalized similarity integral of the risk reconstruction; "plain"
+    gives the uniform sample mean, whose calibration deficit makes the
+    minimizer degenerate (see trisim.verify's bias suite).
     """
     if data.n_triplets < 1 or data.n_unlabeled < 1:
         raise InsufficientDataError(
@@ -153,16 +179,13 @@ def train(
         )
     us_pool = disassemble(data.triplets)
     u_pool = data.unlabeled
-    if config.estimator == "matched":
-        us_weights, u_plus_coef = matched_point_weights(
-            config.prior, data.sampler_kind, data.n_triplets
-        )
-    else:
-        us_weights, u_plus_coef = None, 0.0
+    weights, u_plus_coef = slot_weights(config.prior, data.sampler_kind, config.estimator)
+    us_weights = np.tile(weights, data.n_triplets)
     model = init_model(config.model_kind, us_pool.shape[1], config.hidden, seed=config.seed)
     if config.epochs == 0:
         return model, TrainLog()
-    n_batches = _batch_plan(us_pool.shape[0], u_pool.shape[0], config.batch_size)
+    pool_sizes = (us_pool.shape[0], u_pool.shape[0])
+    n_batches = _batch_plan(pool_sizes, config.batch_size)
 
     def batch_upstream(model, us_idx, u_idx):
         us_batch, u_batch = us_pool[us_idx], u_pool[u_idx]
@@ -171,7 +194,7 @@ def train(
             forward(model, u_batch),
             config.prior,
             config.correction,
-            us_weights=None if us_weights is None else us_weights[us_idx],
+            us_weights=us_weights[us_idx],
             u_plus_coef=u_plus_coef,
         )
         return np.concatenate([us_batch, u_batch]), np.concatenate([g_us, g_u])
@@ -186,10 +209,7 @@ def train(
             u_plus_coef=u_plus_coef,
         )
 
-    return _fit(
-        config, model, (us_pool.shape[0], u_pool.shape[0]), n_batches,
-        batch_upstream, epoch_risk, eval_set,
-    )
+    return _fit(config, model, pool_sizes, n_batches, batch_upstream, epoch_risk, eval_set)
 
 
 def train_supervised_oracle(
@@ -206,11 +226,8 @@ def train_supervised_oracle(
     )
     if config.epochs == 0:
         return model, TrainLog()
-    n = len(labeled)
-    if config.batch_size > n:
-        raise ConfigurationError(
-            f"batch_size {config.batch_size} exceeds pool size {n}"
-        )
+    pool_sizes = (len(labeled),)
+    n_batches = _batch_plan(pool_sizes, config.batch_size)
 
     def batch_upstream(model, idx):
         x = labeled.x[idx]
@@ -222,6 +239,4 @@ def train_supervised_oracle(
         risk = float(np.mean(loss))
         return RiskValue(us_term=risk, u_term=0.0, raw=risk, corrected=risk)
 
-    return _fit(
-        config, model, (n,), -(-n // config.batch_size), batch_upstream, epoch_risk, eval_set
-    )
+    return _fit(config, model, pool_sizes, n_batches, batch_upstream, epoch_risk, eval_set)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import ClassPrior, CorrectionKind, EnumerationSizeError, InvalidInputError
+from .core import SAMPLERS, ClassPrior, CorrectionKind, EnumerationSizeError, InvalidInputError
 from .evaluation import fraction_sweep
 from .model import backward, forward, init_model
 from .risk import (
@@ -25,13 +25,13 @@ from .risk import (
     corrected_losses,
     empirical_risk,
     empirical_risk_grad,
-    matched_us_coefficients,
     reconstructed_risk_discrete,
+    slot_weights,
     supervised_risk_discrete,
 )
 from .sampler import (
     DiscreteSource,
-    GaussianSourceSpec,
+    default_gaussian_spec,
     paper_case_weights,
     sample_triplets_paper_case,
     sample_triplets_rejection,
@@ -225,18 +225,21 @@ def position_expectations(
 
 
 def enumerate_estimator_expectation(
-    domain: DiscreteDomainSpec, sampler_kind: str
+    domain: DiscreteDomainSpec, sampler_kind: str, estimator: str = "plain"
 ) -> tuple[float, float]:
     """Exact E[estimator] under the chosen sampler by full enumeration: the
-    mean of the three position expectations of l_us plus the marginal
-    expectation of l_u.
+    mean of the three slot-weighted position expectations of l_us, plus the
+    estimator's unlabeled-pool coefficient times the marginal expectation of
+    l_us, plus the marginal expectation of l_u.
 
     Returns (expectation, total probability mass of the enumerated triplet
     configurations); the latter must be 1 up to rounding.
     """
     lus, lu = corrected_losses(domain.scores, domain.prior)
+    weights, c_u = slot_weights(domain.prior, sampler_kind, estimator)
     e_pos, total_prob = position_expectations(domain, sampler_kind, lus)
-    return float(e_pos.mean()) + float(np.sum(domain.p_marginal * lu)), total_prob
+    e_us = float(np.mean(weights * e_pos)) + c_u * float(np.sum(domain.p_marginal * lus))
+    return e_us + float(np.sum(domain.p_marginal * lu)), total_prob
 
 
 def check_matched_calibration(n_trials: int = 50, seed: int = 0) -> VerifyReport:
@@ -246,22 +249,12 @@ def check_matched_calibration(n_trials: int = 50, seed: int = 0) -> VerifyReport
     suite: the plain pooled mean is biased, the matched combination is not."""
     report = VerifyReport(suite="matched")
     rng = np.random.default_rng(seed)
-    worst = {"rejection": 0.0, "paper_case": 0.0}
+    worst = dict.fromkeys(SAMPLERS, 0.0)
     for _ in range(n_trials):
         domain = random_domain(rng)
-        lus, lu = corrected_losses(domain.scores, domain.prior)
-        e_u = float(np.sum(domain.p_marginal * lu))
-        e_us_marginal = float(np.sum(domain.p_marginal * lus))
         supervised = supervised_risk_discrete(domain)
         for kind in worst:
-            c_a, c_c, c_u = matched_us_coefficients(domain.prior, kind)
-            (e_a, e_c1, e_c2), _ = position_expectations(domain, kind, lus)
-            expected_raw = (
-                c_a * e_a
-                + 0.5 * c_c * (e_c1 + e_c2)
-                + c_u * e_us_marginal
-                + e_u
-            )
+            expected_raw, _ = enumerate_estimator_expectation(domain, kind, "matched")
             worst[kind] = max(worst[kind], abs(expected_raw - supervised))
     for kind, gap in worst.items():
         report.add(f"matched_raw_equals_supervised_{kind}", 0.0, gap, 1e-10)
@@ -340,7 +333,7 @@ def run_bias_suite(seed: int = 0, n_mc: int = 50_000) -> VerifyReport:
             scores=np.array([c, c]),
         )
         closed = constant_scorer_bias_closed_form(prior, c)
-        for kind in ("rejection", "paper_case"):
+        for kind in SAMPLERS:
             expectation, _ = enumerate_estimator_expectation(domain, kind)
             delta = expectation - supervised_risk_discrete(domain)
             report.add(f"constant_scorer_c={c}_{kind}", closed, delta, 1e-10)
@@ -352,7 +345,7 @@ def run_bias_suite(seed: int = 0, n_mc: int = 50_000) -> VerifyReport:
         prior=prior,
         scores=rng.uniform(-2, 2, size=4),
     )
-    for kind in ("rejection", "paper_case"):
+    for kind in SAMPLERS:
         sub = measure_estimator_bias(domain, kind, n_mc=n_mc, seed=seed)
         for check in sub.checks:
             report.checks.append(replace(check, name=f"{kind}_{check.name}"))
@@ -470,15 +463,3 @@ def check_error_trend(
     rho = _spearman(fractions, means)
     report.add("spearman_rank_correlation", None, rho, None, passed=rho > 0)
     return report
-
-
-def default_gaussian_spec(pi_plus: float = 0.4, separation: float = 4.0) -> GaussianSourceSpec:
-    """2-D isotropic Gaussians with the requested mean separation in units
-    of sigma."""
-    return GaussianSourceSpec(
-        dim=2,
-        mu_plus=np.array([separation / 2.0, 0.0]),
-        mu_minus=np.array([-separation / 2.0, 0.0]),
-        sigma=1.0,
-        prior=ClassPrior(pi_plus),
-    )

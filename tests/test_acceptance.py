@@ -10,12 +10,9 @@ import subprocess
 import sys
 import time
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-import pytest
-from scipy import stats as scipy_stats
 
 import trisim
 from trisim.core import ClassPrior, CorrectionKind

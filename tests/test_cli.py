@@ -1,6 +1,8 @@
 """Unit tests for the CLI: end-to-end subcommand flows, exit codes,
 manifests, and config-file injection."""
 import json
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,6 @@ from trisim.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
-    EXIT_VERIFY,
     _inject_config,
     main,
 )
@@ -106,8 +107,10 @@ class TestMakeWeak:
         triplets, unlabeled = _weak(tmp_path, data)
         assert triplets.exists() and unlabeled.exists()
         # the manifest sits next to the first output and lists both files
+        # and the weak.json sidecar
         manifest = json.loads((triplets.parent / "triplets.jsonl.manifest.json").read_text())
-        assert len(manifest["outputs"]) == 2
+        names = [Path(p).name for p in manifest["outputs"]]
+        assert names == ["triplets.jsonl", "unlabeled.jsonl", "weak.json"]
 
     def test_missing_input_exits_io(self, tmp_path):
         rc = main(
@@ -207,8 +210,12 @@ class TestMalformedInput:
             '{"kind": "linear", "dim": 2}',
             '{"kind": "mlp", "dim": 2, "hidden": 1, "activation": "tanh", "params": '
             '{"w1": [1.0, 0.0], "b1": [0.0], "w2": [1.0], "b2": [0.0]}}',
+            "[]",
+            '{"kind": "linear", "dim": 2, "params": {"weights": [1.0, "a"], "bias": [0.0]}}',
+            '{"kind": "mlp", "dim": 2, "hidden": 3, "params": '
+            '{"w1": [1.0, 0.0], "b1": [0.0], "w2": [1.0], "b2": [0.0]}}',
         ],
-        ids=["empty", "invalid-json", "missing-params", "tanh"],
+        ids=["empty", "invalid-json", "missing-params", "tanh", "list", "mistyped", "mis-sized"],
     )
     def test_eval_on_bad_model_file(self, tmp_path, capsys, text):
         data = _synth(tmp_path)
@@ -219,6 +226,79 @@ class TestMalformedInput:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1, err
         assert err[0].startswith(f"error: {model}: ")
+
+
+class TestWeakMeta:
+    def _paper_case_weak(self, tmp_path):
+        data = _synth(tmp_path)
+        out_dir = tmp_path / "weak"
+        rc = main(
+            [
+                "make-weak", "--in", str(data), "--n-us", "40", "--n-u", "60",
+                "--sampler", "paper_case", "--seed", "1", "--out-dir", str(out_dir),
+            ]
+        )
+        assert rc == EXIT_OK
+        return out_dir
+
+    def _train(self, out_dir, *flags):
+        return main(
+            [
+                "train", "--us", str(out_dir / "triplets.jsonl"),
+                "--u", str(out_dir / "unlabeled.jsonl"), "--pi", "0.4",
+                "--epochs", "2", "--batch", "30", "--out", str(out_dir / "m.json"), *flags,
+            ]
+        )
+
+    def test_other_sampler_exits_config(self, tmp_path, capsys):
+        out_dir = self._paper_case_weak(tmp_path)
+        capsys.readouterr()
+        assert self._train(out_dir) == EXIT_CONFIG
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"error: {out_dir / 'weak.json'}: sampler is 'paper_case', but training uses 'rejection'"
+        ]
+
+    def test_same_sampler_and_other_prior_train(self, tmp_path, capsys):
+        out_dir = self._paper_case_weak(tmp_path)
+        assert self._train(out_dir, "--sampler", "paper_case", "--pi", "0.35") == EXIT_OK
+        capsys.readouterr()
+
+    def test_count_mismatch_exits_config(self, tmp_path, capsys):
+        out_dir = self._paper_case_weak(tmp_path)
+        triplets = out_dir / "triplets.jsonl"
+        triplets.write_text("".join(triplets.read_text().splitlines(True)[:39]))
+        capsys.readouterr()
+        assert self._train(out_dir, "--sampler", "paper_case") == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {out_dir / 'weak.json'}: n_us is 40, but {triplets} holds 39"]
+
+    def test_no_sidecar_trains_as_asked(self, tmp_path, capsys):
+        out_dir = self._paper_case_weak(tmp_path)
+        (out_dir / "weak.json").unlink()
+        assert self._train(out_dir) == EXIT_OK
+        capsys.readouterr()
+
+
+class TestDivergence:
+    @pytest.mark.parametrize("epochs", ["5", "50"])
+    def test_exits_config_naming_the_epoch(self, tmp_path, capsys, epochs):
+        data = _synth(tmp_path)
+        triplets, unlabeled = _weak(tmp_path, data)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning may leak
+            rc = main(
+                [
+                    "train", "--us", str(triplets), "--u", str(unlabeled), "--pi", "0.4",
+                    "--lr", "1e9", "--epochs", epochs, "--batch", "30",
+                    "--out", str(tmp_path / "m.json"),
+                ]
+            )
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith("error: training diverged at epoch ")
+        assert not (tmp_path / "m.json").exists()
 
 
 class TestVerify:
@@ -265,6 +345,27 @@ class TestSweep:
         assert rc == EXIT_OK
         assert "degenerate" in out.read_text()
         capsys.readouterr()
+
+
+class TestSweepEmptyLists:
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--kind", "prior", "--given", "0.35", "--seeds", ","], "no seeds to sweep"),
+            (["--kind", "prior"], "no given priors to sweep"),
+            (["--kind", "fraction", "--fractions", ","], "no fractions to sweep"),
+            (["--kind", "correction", "--seeds", ","], "no seeds to sweep"),
+        ],
+        ids=["seeds", "given", "fractions", "correction-seeds"],
+    )
+    def test_exits_config(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "s.csv"
+        capsys.readouterr()
+        assert main(["sweep", "--pi", "0.4", *flags, "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"error: {message}: the list is empty"
+        ]
+        assert not out.exists()
 
 
 class TestConfigInjection:

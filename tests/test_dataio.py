@@ -1,10 +1,13 @@
 """Unit tests for file formats: round trips, byte-stability, and error
 reporting on malformed inputs."""
+import json
+
 import numpy as np
 import pytest
 
-from trisim.core import ClassPrior, InvalidInputError, LabeledPool
+from trisim.core import ClassPrior, InvalidInputError, LabeledPool, WeakDataset
 from trisim.dataio import (
+    WEAK_META,
     read_labeled_csv,
     read_model,
     read_triplets_jsonl,
@@ -17,6 +20,7 @@ from trisim.dataio import (
     write_train_log_csv,
     write_triplets_jsonl,
     write_unlabeled_jsonl,
+    write_weak_meta,
 )
 from trisim.evaluation import SweepResult, SweepRow
 from trisim.model import init_model
@@ -101,6 +105,61 @@ class TestJsonl:
         assert data.sampler_kind == "paper_case"
 
 
+class TestWeakMeta:
+    def _write(self, tmp_path, sampler="paper_case"):
+        rng = np.random.default_rng(3)
+        data = WeakDataset(
+            rng.normal(size=(4, 3, 2)), rng.normal(size=(6, 2)), ClassPrior(0.3), sampler
+        )
+        tp, up = tmp_path / "triplets.jsonl", tmp_path / "unlabeled.jsonl"
+        write_triplets_jsonl(tp, data.triplets)
+        write_unlabeled_jsonl(up, data.unlabeled)
+        return tp, up, write_weak_meta(tmp_path, data)
+
+    def test_records_how_the_data_was_made(self, tmp_path):
+        _, _, meta = self._write(tmp_path)
+        assert meta == tmp_path / WEAK_META
+        assert json.loads(meta.read_text()) == {
+            "sampler": "paper_case", "pi_plus": 0.3, "d": 2, "n_us": 4, "n_u": 6,
+        }
+
+    def test_matching_request_reads(self, tmp_path):
+        tp, up, _ = self._write(tmp_path)
+        # a different prior is allowed: misspecification is studied on purpose
+        data = read_weak_dataset(tp, up, ClassPrior(0.45), sampler_kind="paper_case")
+        assert data.n_triplets == 4
+
+    def test_other_sampler_raises(self, tmp_path):
+        tp, up, meta = self._write(tmp_path)
+        with pytest.raises(InvalidInputError) as exc:
+            read_weak_dataset(tp, up, ClassPrior(0.3), sampler_kind="rejection")
+        assert str(exc.value) == f"{meta}: sampler is 'paper_case', but training uses 'rejection'"
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            ({"n_us": 5}, "n_us is 5, but "),
+            ({"n_u": 7}, "n_u is 7, but "),
+            ({"d": 3}, "d is 3, but the files have 2"),
+            ({"sampler": None}, "sampler is None"),
+        ],
+    )
+    def test_mismatch_raises(self, tmp_path, edit, message):
+        tp, up, meta = self._write(tmp_path)
+        meta.write_text(json.dumps({**json.loads(meta.read_text()), **edit}))
+        with pytest.raises(InvalidInputError) as exc:
+            read_weak_dataset(tp, up, ClassPrior(0.3), sampler_kind="paper_case")
+        assert str(exc.value).startswith(f"{meta}: {message}")
+
+    @pytest.mark.parametrize("text", ["", "[]", '{"sampler": "paper_case"}', b"\xff"])
+    def test_malformed_sidecar_raises(self, tmp_path, text):
+        tp, up, meta = self._write(tmp_path)
+        meta.write_bytes(text if isinstance(text, bytes) else text.encode())
+        with pytest.raises(InvalidInputError) as exc:
+            read_weak_dataset(tp, up, ClassPrior(0.3), sampler_kind="paper_case")
+        assert str(exc.value).startswith(f"{meta}: ")
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize(
         "reader,text,message",
@@ -129,12 +188,16 @@ class TestMalformedInput:
             ),
             (read_labeled_csv, b"y,f1\n+1,0.5\n-1,\xff\xfe\n", ": not UTF-8"),
             (read_unlabeled_jsonl, b'{"x": [1.0]}\n\x80\x81\n', ": not UTF-8"),
+            (read_labeled_csv, "y,f1\n+1,0.5\n-1," + "1" * 200_000 + "\n", ":3: field larger"),
+            (read_unlabeled_jsonl, '{"x": [1.0]}\n{"x": [1' + "0" * 400 + "]}\n", ":2: int too large"),
+            (read_unlabeled_jsonl, '{"x": [' + "9" * 5000 + "]}\n", ":1: invalid JSON: Exceeds"),
         ],
         ids=[
             "csv-bad-number", "csv-bad-label", "csv-ragged", "jsonl-ragged",
             "jsonl-bad-number", "jsonl-invalid-json", "jsonl-not-object",
             "triplet-missing-key", "triplet-ragged", "csv-nan", "csv-inf",
             "jsonl-nan", "triplet-inf", "csv-not-utf8", "jsonl-not-utf8",
+            "csv-field-limit", "jsonl-int-overflow", "jsonl-int-too-long",
         ],
     )
     def test_names_path_and_line(self, tmp_path, reader, text, message):
@@ -170,8 +233,37 @@ class TestModelFile:
                 '"params": {"w1": [1.0], "b1": [0.0], "w2": [1.0], "b2": [0.0]}}',
                 "unsupported activation 'tanh'",
             ),
+            ("[]", "must be a JSON object"),
+            (
+                '{"kind": "linear", "dim": 2, "params": {"weights": [1.0, "a"], "bias": [0.0]}}',
+                "'weights' is not a list of numbers",
+            ),
+            (
+                '{"kind": "linear", "dim": 2, "params": {"weights": [1.0], "bias": [0.0]}}',
+                "'weights' needs 2 finite numbers",
+            ),
+            (
+                '{"kind": "mlp", "dim": 2, "hidden": 2, '
+                '"params": {"w1": [1.0, 0.0, 1.0], "b1": [0.0, 0.0], "w2": [1.0, 1.0], "b2": [0.0]}}',
+                "'w1' needs 4 finite numbers",
+            ),
+            (
+                '{"kind": "linear", "dim": 1, "params": {"weights": [Infinity], "bias": [0.0]}}',
+                "'weights' needs 1 finite numbers",
+            ),
+            (
+                '{"kind": "mlp", "dim": 100000, "hidden": 100000, "params": {"w1": [1.0]}}',
+                "must be integers that fit the parameters",
+            ),
+            ('{"kind": "linear", "dim": "2", "params": {}}', "must be integers"),
+            ('{"kind": "linear", "dim": 1, "params": []}', "'params' must be a JSON object"),
+            ('{"kind": "linear", "dim": 1, "params": {"bias": [0.0]}}', "missing parameter 'weights'"),
         ],
-        ids=["empty", "invalid-json", "missing-params", "tanh"],
+        ids=[
+            "empty", "invalid-json", "missing-params", "tanh", "not-object", "mistyped-param",
+            "short-param", "mlp-size", "non-finite", "oversized-dims", "string-dim",
+            "params-not-object", "missing-weights",
+        ],
     )
     def test_bad_file_names_path(self, tmp_path, text, message):
         path = tmp_path / "model.json"
@@ -211,8 +303,6 @@ class TestLogsAndSweeps:
         write_sweep_json(json_path, result)
         text = csv_path.read_text()
         assert "0.89" in text and "skipped" in text
-        import json
-
         doc = json.loads(json_path.read_text())
         assert doc["config"]["n_us"] == 10
         assert doc["rows"][1]["error"] == "skipped"

@@ -6,7 +6,6 @@ from dataclasses import replace
 
 from trisim.core import ClassPrior, ConfigurationError, InvalidInputError, LabeledPool
 from trisim.evaluation import (
-    SweepRow,
     accuracy,
     correction_sweep,
     derive_seeds,

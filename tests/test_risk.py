@@ -17,10 +17,10 @@ from trisim.risk import (
     corrected_losses,
     empirical_risk,
     empirical_risk_grad,
-    matched_point_weights,
     matched_us_coefficients,
     reconstructed_risk_discrete,
     similarity_mass,
+    slot_weights,
     supervised_risk_discrete,
 )
 from trisim.verify import default_prior_grid
@@ -208,7 +208,8 @@ class TestMatchedCoefficients:
         for kind in ("rejection", "paper_case"):
             c_a, c_c, c_u = matched_us_coefficients(prior, kind)
             n = 4
-            w, u_coef = matched_point_weights(prior, kind, n)
+            weights, u_coef = slot_weights(prior, kind, "matched")
+            w = np.tile(weights, n)
             assert w.shape == (3 * n,)
             assert u_coef == pytest.approx(c_u)
             rng = np.random.default_rng(0)

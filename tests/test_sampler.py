@@ -6,7 +6,6 @@ import pytest
 from trisim.core import ClassPrior, InsufficientDataError, InvalidInputError, LabeledPool, ShapeError
 from trisim.sampler import (
     DiscreteSource,
-    GaussianSource,
     GaussianSourceSpec,
     PoolSource,
     disassemble,
@@ -49,12 +48,12 @@ class TestSources:
             )
 
     def test_gaussian_label_frequencies(self):
-        src = GaussianSource(_spec(0.3))
+        src = _spec(0.3)
         _, y = src.draw_labeled(np.random.default_rng(0), 20_000)
         assert np.mean(y == 1) == pytest.approx(0.3, abs=0.02)
 
     def test_gaussian_class_means(self):
-        src = GaussianSource(_spec())
+        src = _spec()
         x = src.draw_class(np.random.default_rng(1), 1, 5000)
         np.testing.assert_allclose(x.mean(axis=0), [2.0, 0.0], atol=0.1)
 
@@ -76,7 +75,7 @@ class TestSources:
 
 class TestRejectionSampler:
     def test_shapes_and_determinism(self):
-        src = GaussianSource(_spec())
+        src = _spec()
         t1, _ = sample_triplets_rejection(src, 50, np.random.default_rng(7))
         t2, _ = sample_triplets_rejection(src, 50, np.random.default_rng(7))
         assert t1.shape == (50, 3, 2)
@@ -93,7 +92,7 @@ class TestRejectionSampler:
 
     def test_rejects_nonpositive_count(self):
         with pytest.raises(InvalidInputError):
-            sample_triplets_rejection(GaussianSource(_spec()), 0, np.random.default_rng(0))
+            sample_triplets_rejection(_spec(), 0, np.random.default_rng(0))
 
 
 class TestPaperCaseSampler:
@@ -104,7 +103,7 @@ class TestPaperCaseSampler:
         assert w.sum() == pytest.approx(1.0)
 
     def test_shapes_and_determinism(self):
-        src = GaussianSource(_spec())
+        src = _spec()
         t1 = sample_triplets_paper_case(src, 40, np.random.default_rng(9))
         t2 = sample_triplets_paper_case(src, 40, np.random.default_rng(9))
         assert t1.shape == (40, 3, 2)
@@ -113,7 +112,7 @@ class TestPaperCaseSampler:
     def test_companion_symmetry(self):
         # after the swap randomization the two companion slots have the same
         # marginal, so their mean features agree
-        src = GaussianSource(_spec())
+        src = _spec()
         t = sample_triplets_paper_case(src, 20_000, np.random.default_rng(4))
         gap = t[:, 1, 0].mean() - t[:, 2, 0].mean()
         assert abs(gap) < 0.1
@@ -121,12 +120,12 @@ class TestPaperCaseSampler:
 
 class TestDatasetAssembly:
     def test_sample_unlabeled_shape(self):
-        x = sample_unlabeled(GaussianSource(_spec()), 30, np.random.default_rng(0))
+        x = sample_unlabeled(_spec(), 30, np.random.default_rng(0))
         assert x.shape == (30, 2)
 
     @pytest.mark.parametrize("kind", ["rejection", "paper_case"])
     def test_make_weak_dataset_stamps_sampler(self, kind):
-        data = make_weak_dataset(GaussianSource(_spec()), 20, 30, kind, seed=5)
+        data = make_weak_dataset(_spec(), 20, 30, kind, seed=5)
         assert data.sampler_kind == kind
         assert data.n_triplets == 20
         assert data.n_unlabeled == 30
@@ -134,11 +133,11 @@ class TestDatasetAssembly:
 
     def test_make_weak_dataset_unknown_kind(self):
         with pytest.raises(InvalidInputError):
-            make_weak_dataset(GaussianSource(_spec()), 5, 5, "bogus", seed=0)
+            make_weak_dataset(_spec(), 5, 5, "bogus", seed=0)
 
     def test_make_weak_dataset_deterministic(self):
-        a = make_weak_dataset(GaussianSource(_spec()), 10, 10, seed=3)
-        b = make_weak_dataset(GaussianSource(_spec()), 10, 10, seed=3)
+        a = make_weak_dataset(_spec(), 10, 10, seed=3)
+        b = make_weak_dataset(_spec(), 10, 10, seed=3)
         np.testing.assert_array_equal(a.triplets, b.triplets)
         np.testing.assert_array_equal(a.unlabeled, b.unlabeled)
 

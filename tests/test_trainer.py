@@ -8,11 +8,17 @@ from trisim.core import (
     ConfigurationError,
     CorrectionKind,
     InsufficientDataError,
+    TrainingDivergedError,
     WeakDataset,
 )
-from trisim.model import forward
-from trisim.sampler import GaussianSource, GaussianSourceSpec, make_weak_dataset, synth_gaussian_labeled
-from trisim.trainer import TrainConfig, _batch_plan, train, train_supervised_oracle
+from trisim.sampler import GaussianSourceSpec, make_weak_dataset, synth_gaussian_labeled
+from trisim.trainer import (
+    DIVERGENCE_LIMIT,
+    TrainConfig,
+    _batch_plan,
+    train,
+    train_supervised_oracle,
+)
 
 
 def _spec(pi=0.4):
@@ -26,7 +32,7 @@ def _spec(pi=0.4):
 
 
 def _data(n_us=60, n_u=90, seed=0, sampler_kind="paper_case"):
-    return make_weak_dataset(GaussianSource(_spec()), n_us, n_u, sampler_kind, seed)
+    return make_weak_dataset(_spec(), n_us, n_u, sampler_kind, seed)
 
 
 def _config(**kw):
@@ -61,15 +67,15 @@ class TestTrainConfig:
 
 class TestBatchPlan:
     def test_counts(self):
-        assert _batch_plan(60, 90, 50) == 3
+        assert _batch_plan((60, 90), 50) == 3
 
     def test_batch_larger_than_pool_errors(self):
         with pytest.raises(ConfigurationError):
-            _batch_plan(60, 40, 50)
+            _batch_plan((60, 40), 50)
 
     def test_too_many_batches_errors(self):
         with pytest.raises(ConfigurationError):
-            _batch_plan(4, 1000, 5)
+            _batch_plan((4, 1000), 5)
 
 
 class TestTrain:
@@ -151,6 +157,20 @@ class TestTrain:
         with pytest.raises(ConfigurationError, match="reduce --batch"):
             train(_config(batch_size=1000), _data(n_us=10, n_u=10))
 
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    def test_divergence_names_the_epoch(self, kind):
+        cfg = _config(lr=1e9, epochs=50, batch_size=30, model_kind=kind, hidden=4)
+        with pytest.raises(TrainingDivergedError, match=r"^training diverged at epoch \d+: "):
+            train(cfg, _data())
+
+    def test_bound_check_stops_before_overflow(self):
+        # one epoch of a huge learning rate leaves a finite model past the bound
+        cfg = _config(lr=1e120, epochs=1, batch_size=30, weight_decay=0.0)
+        with pytest.raises(TrainingDivergedError) as exc:
+            train(cfg, _data())
+        assert str(exc.value).startswith("training diverged at epoch 1: ")
+        assert f"exceeds {DIVERGENCE_LIMIT:g} in magnitude" in str(exc.value)
+
 
 class TestSupervisedOracle:
     def test_learns_separated_gaussians(self):
@@ -177,3 +197,12 @@ class TestSupervisedOracle:
         pool = synth_gaussian_labeled(_spec(), 20, seed=0)
         with pytest.raises(ConfigurationError):
             train_supervised_oracle(_config(batch_size=50), pool)
+
+    def test_batch_error_shares_the_weak_plan_text(self):
+        pool = synth_gaussian_labeled(_spec(), 20, seed=0)
+        with pytest.raises(ConfigurationError) as exc:
+            train_supervised_oracle(_config(batch_size=50), pool)
+        assert str(exc.value) == (
+            "batch_size 50 exceeds a pool size (pool sizes 20); "
+            "reduce --batch or supply more data"
+        )

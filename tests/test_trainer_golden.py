@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from trisim.core import ClassPrior, CorrectionKind
-from trisim.sampler import GaussianSource, GaussianSourceSpec, make_weak_dataset, synth_gaussian_labeled
+from trisim.sampler import GaussianSourceSpec, make_weak_dataset, synth_gaussian_labeled
 from trisim.trainer import TrainConfig, train, train_supervised_oracle
 
 RTOL = 1e-9
@@ -143,7 +143,7 @@ def _check(model, log, expected):
 
 @pytest.mark.parametrize("sampler,model_kind,correction", sorted(WEAK))
 def test_weak_train_golden(sampler, model_kind, correction):
-    data = make_weak_dataset(GaussianSource(SPEC), 20, 30, sampler, 3)
+    data = make_weak_dataset(SPEC, 20, 30, sampler, 3)
     test = synth_gaussian_labeled(SPEC, 40, seed=5)
     model, log = train(_config(model_kind, correction), data, test)
     _check(model, log, WEAK[sampler, model_kind, correction])

@@ -17,7 +17,6 @@ from trisim.risk import (
     supervised_risk_discrete,
 )
 from trisim.verify import (
-    CheckRecord,
     _spearman,
     VerifyReport,
     check_acceptance_rate,
