@@ -20,7 +20,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import SAMPLERS, ClassPrior, ConfigurationError, CorrectionKind, TrisimError
+from .core import (
+    SAMPLERS,
+    ClassPrior,
+    ConfigurationError,
+    CorrectionKind,
+    InvalidInputError,
+    TrisimError,
+)
 from .dataio import (
     read_labeled_csv,
     read_weak_dataset,
@@ -344,18 +351,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_path(argv: list[str]) -> str | None:
+    """The path given by the first --config flag, as `--config path` or
+    `--config=path`, or None."""
+    for idx, token in enumerate(argv):
+        if token == "--config":
+            return argv[idx + 1] if idx + 1 < len(argv) else None
+        if token.startswith("--config="):
+            return token.removeprefix("--config=")
+    return None
+
+
 def _inject_config(argv: list[str]) -> list[str]:
     """Expand --config key=value files into flags placed before the
-    explicit flags, so command-line values take precedence."""
-    if "--config" not in argv:
+    explicit flags, so command-line values take precedence. A file that is
+    not UTF-8 text raises InvalidInputError."""
+    path = _config_path(argv)
+    if path is None:
         return argv
-    idx = argv.index("--config")
     try:
-        path = argv[idx + 1]
-    except IndexError:
-        return argv
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise InvalidInputError(f"{path}: not UTF-8 text") from None
     extra: list[str] = []
-    for line in Path(path).read_text().splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue

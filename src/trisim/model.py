@@ -3,7 +3,8 @@ with exact analytic gradients, sign accuracy, a decoupled-weight-decay Adam
 optimizer, and JSON-friendly serialization.
 
 Parameters live in plain dicts of numpy arrays so the optimizer is shared
-between architectures.
+between architectures. pack_params can re-home them as views of one flat
+vector, which Adam then updates as a single array.
 """
 from __future__ import annotations
 
@@ -78,6 +79,19 @@ def init_model(kind: str, dim: int, hidden: int = 64, seed: int = 0) -> Model:
     raise InvalidInputError(f"unknown model kind {kind!r}")
 
 
+def pack_params(model: Model) -> np.ndarray:
+    """Move the model's parameters into one flat vector, in params() order,
+    leave each parameter attribute a view of it, and return the vector.
+    Updating the vector in place updates the model."""
+    params = model.params()
+    flat = np.concatenate(tuple(params.values()), axis=None)
+    offset = 0
+    for key, p in params.items():
+        setattr(model, key, flat[offset : offset + p.size].reshape(p.shape))
+        offset += p.size
+    return flat
+
+
 def _as_batch(model: Model, x) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != model.dim:
@@ -113,7 +127,7 @@ def backward(model: Model, x, upstream) -> dict[str, np.ndarray]:
     up = np.asarray(upstream, dtype=float)
     if up.shape != (arr.shape[0],):
         raise ShapeError(f"upstream shape {up.shape} does not match batch {arr.shape[0]}")
-    if not np.all(np.isfinite(up)):
+    if not np.isfinite(up).all():
         raise InvalidInputError("upstream must be finite")
     if isinstance(model, LinearModel):
         return {"weights": up @ arr, "bias": np.array([up.sum()])}

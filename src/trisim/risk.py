@@ -163,7 +163,7 @@ def _check_scores(scores, side: str) -> np.ndarray:
         raise InvalidInputError(f"{side} scores must be a 1-D array")
     if arr.size == 0:
         raise InsufficientDataError(f"{side} score list is empty")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidInputError(f"{side} scores contain non-finite values")
     return arr
 
@@ -176,22 +176,29 @@ def _check_weights(us_weights, n: int) -> np.ndarray:
         raise InvalidInputError(
             f"us_weights must match the similarity score count {n}, got shape {w.shape}"
         )
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise InvalidInputError("us_weights contain non-finite values")
     return w
 
 
+def _mean(v: np.ndarray) -> float:
+    """np.mean of a 1-D float array, bit for bit (the same pairwise sum
+    and one division), without np.mean's Python-level dispatch."""
+    return float(np.add.reduce(v) / v.size)
+
+
 def _side_terms(us_scores, u_scores, prior, us_weights, u_plus_coef):
-    """Validated score and weight arrays, then the two side means."""
+    """Validated score and weight arrays, the polynomial's (a, b), then the
+    two side means: l_us = a*z and l_u = 1 + z^2 + b*z, as in
+    corrected_losses."""
     us = _check_scores(us_scores, "similarity")
     u = _check_scores(u_scores, "unlabeled")
     w = _check_weights(us_weights, us.size)
-    l_us, _ = corrected_losses(us, prior)
-    l_us_at_u, l_u = corrected_losses(u, prior)
-    us_term = float(np.mean(w * l_us))
+    a, b = _polynomial(prior)
+    us_term = _mean(w * (a * us))
     if u_plus_coef:
-        us_term += u_plus_coef * float(np.mean(l_us_at_u))
-    return us, u, w, us_term, float(np.mean(l_u))
+        us_term += u_plus_coef * _mean(a * u)
+    return us, u, w, a, b, us_term, _mean(1.0 + u * u + b * u)
 
 
 def empirical_risk(
@@ -209,7 +216,7 @@ def empirical_risk(
     mean similarity loss support the measure-matched estimate the trainer
     uses (see slot_weights); those extra pieces are folded into us_term.
     """
-    _, _, _, us_term, u_term = _side_terms(us_scores, u_scores, prior, us_weights, u_plus_coef)
+    *_, us_term, u_term = _side_terms(us_scores, u_scores, prior, us_weights, u_plus_coef)
     raw = us_term + u_term
     return RiskValue(us_term=us_term, u_term=u_term, raw=raw, corrected=correction.apply(raw))
 
@@ -229,9 +236,10 @@ def empirical_risk_grad(
     dl_us/dz = -2q/w or dl_u/dz = 2z + 2/w, divided by its side's count and
     scaled by dg/d raw (0 at the raw = 0 kink).
     """
-    us, u, w, us_term, u_term = _side_terms(us_scores, u_scores, prior, us_weights, u_plus_coef)
+    us, u, w, a, b, us_term, u_term = _side_terms(
+        us_scores, u_scores, prior, us_weights, u_plus_coef
+    )
     factor = correction.grad_factor(us_term + u_term)
-    a, b = _polynomial(prior)
     g_us = factor / us.size * a * w
     g_u = factor / u.size * (2.0 * u + (b + u_plus_coef * a))
     return g_us, g_u

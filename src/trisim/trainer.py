@@ -1,11 +1,18 @@
-"""Training loop: per epoch, shuffle each pool, split the shuffled indices
-into ratio-preserving joint mini-batches, and take one optimizer step per
-batch; after the epoch, evaluate the full-pool risk once.
+"""Training loop: per epoch, shuffle each pool, gather the shuffled rows
+once into an epoch buffer laid out batch by batch, and take one optimizer
+step per batch; after the epoch, evaluate the full-pool risk once.
 
 Ratio-preserving batching (every batch gets a near-proportional share of
 both pools) keeps the two per-batch means well defined; a plain merged
 shuffle could produce batches with an empty side, where a term of the
-estimator has no value.
+estimator has no value. Batch b holds chunk b of every pool's permutation
+under np.array_split, pools in order, so each batch is one contiguous slice
+of the buffer: its similarity rows, then its unlabeled rows.
+
+The pools are stacked in one array, and the rows' side values (the slot
+weights, or the supervised labels) in one vector, so each epoch is one
+gather of each. The model's parameters are views of one flat vector, which
+Adam updates as a single array.
 
 The weak trainer and the supervised oracle share the loop and differ only
 in the per-batch upstream gradient and the per-epoch risk they plug in.
@@ -25,7 +32,7 @@ from .core import (
     TrainingDivergedError,
     WeakDataset,
 )
-from .model import AdamState, Model, adam_step, backward, forward, init_model
+from .model import AdamState, Model, adam_step, backward, forward, init_model, pack_params
 from .model import accuracy as _accuracy
 from .risk import (
     ESTIMATORS,
@@ -114,30 +121,60 @@ def _divergence(rv: RiskValue, model: Model) -> str | None:
     return None
 
 
-def _fit(config, model, pool_sizes, n_batches, batch_upstream, epoch_risk, eval_set):
-    """Shared loop. Each epoch draws one permutation per pool, in pool
-    order, and splits each into n_batches index arrays. Per batch,
-    batch_upstream(model, *indices) returns the batch's rows and the
+def _epoch_layout(pool_sizes, n_batches):
+    """Where each row of the epoch buffer comes from, and where each batch
+    sits in it. gather[i] is the position, in the concatenation of the
+    pools' permutations, of the row that lands at buffer row i; each batch
+    is (start, split, stop), with rows [start, split) from the first pool."""
+    offsets = np.cumsum((0, *pool_sizes[:-1]))
+    chunks = zip(
+        *(np.array_split(np.arange(o, o + n), n_batches) for o, n in zip(offsets, pool_sizes))
+    )
+    gather, bounds, start = [], [], 0
+    for batch in chunks:
+        gather.extend(batch)
+        stop = start + sum(c.size for c in batch)
+        bounds.append((start, start + batch[0].size, stop))
+        start = stop
+    return offsets, np.concatenate(gather), bounds
+
+
+def _fit(config, model, rows, row_values, pool_sizes, batch_upstream, epoch_risk, eval_set):
+    """Shared loop over the pools stacked in rows, in pool order, with one
+    side value per row in row_values. Each epoch draws one permutation per
+    pool, in pool order, and gathers rows and values once into the epoch
+    buffers, batch by batch (see _epoch_layout). Per batch,
+    batch_upstream(model, x, split, values) gets the batch's rows, the
+    count of them from the first pool and their values, and returns the
     gradient of the batch objective with respect to their scores; one
-    backward pass and one Adam step follow. After the epoch's last step,
-    epoch_risk(model) gives the full-pool risk for the log.
+    backward pass and one Adam step on the flat parameter vector follow.
+    After the epoch's last step, epoch_risk(model) gives the full-pool risk
+    for the log.
 
     A floating-point overflow or invalid operation, or an epoch that ends
     past DIVERGENCE_LIMIT, stops the run with TrainingDivergedError naming
     the epoch."""
+    n_batches = _batch_plan(pool_sizes, config.batch_size)
+    offsets, gather, bounds = _epoch_layout(pool_sizes, n_batches)
+    x_buf, v_buf = np.empty_like(rows, order="C"), np.empty_like(row_values)
+    batches = [(x_buf[i:k], j - i, v_buf[i:k]) for i, j, k in bounds]
     _, ss_shuffle = np.random.SeedSequence(config.seed).spawn(2)
     rng = np.random.default_rng(ss_shuffle)
-    state = AdamState.for_params(
-        model.params(), lr=config.lr, weight_decay=config.weight_decay
-    )
+    theta = {"theta": pack_params(model)}
+    state = AdamState.for_params(theta, lr=config.lr, weight_decay=config.weight_decay)
     log = TrainLog()
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         for epoch in range(1, config.epochs + 1):
             try:
-                splits = [np.array_split(rng.permutation(n), n_batches) for n in pool_sizes]
-                for indices in zip(*splits):
-                    x, upstream = batch_upstream(model, *indices)
-                    adam_step(model.params(), backward(model, x, upstream), state)
+                perms = [rng.permutation(n) + o for n, o in zip(pool_sizes, offsets)]
+                order = np.concatenate(perms)[gather]
+                # mode="clip" writes straight into out; the default "raise" buffers
+                np.take(rows, order, axis=0, out=x_buf, mode="clip")
+                np.take(row_values, order, out=v_buf, mode="clip")
+                for x, split, values in batches:
+                    grads = backward(model, x, batch_upstream(model, x, split, values))
+                    flat = np.concatenate(tuple(grads.values()), axis=None)
+                    adam_step(theta, {"theta": flat}, state)
                 rv = epoch_risk(model)
                 reason = _divergence(rv, model)
                 acc = _accuracy(model, eval_set) if eval_set is not None and not reason else None
@@ -177,27 +214,28 @@ def train(
         raise InsufficientDataError(
             "training needs at least one triplet and one unlabeled point"
         )
-    us_pool = disassemble(data.triplets)
-    u_pool = data.unlabeled
-    weights, u_plus_coef = slot_weights(config.prior, data.sampler_kind, config.estimator)
-    us_weights = np.tile(weights, data.n_triplets)
-    model = init_model(config.model_kind, us_pool.shape[1], config.hidden, seed=config.seed)
+    us_rows = disassemble(data.triplets)
+    model = init_model(config.model_kind, us_rows.shape[1], config.hidden, seed=config.seed)
     if config.epochs == 0:
         return model, TrainLog()
-    pool_sizes = (us_pool.shape[0], u_pool.shape[0])
-    n_batches = _batch_plan(pool_sizes, config.batch_size)
+    pool_sizes = (us_rows.shape[0], data.n_unlabeled)
+    rows = np.concatenate((us_rows, data.unlabeled))
+    us_pool, u_pool = rows[: pool_sizes[0]], rows[pool_sizes[0] :]
+    weights, u_plus_coef = slot_weights(config.prior, data.sampler_kind, config.estimator)
+    # an unlabeled row's value is never read
+    row_weights = np.concatenate((np.tile(weights, data.n_triplets), np.zeros(pool_sizes[1])))
+    us_weights = row_weights[: pool_sizes[0]]
 
-    def batch_upstream(model, us_idx, u_idx):
-        us_batch, u_batch = us_pool[us_idx], u_pool[u_idx]
+    def batch_upstream(model, x, split, w):
         g_us, g_u = empirical_risk_grad(
-            forward(model, us_batch),
-            forward(model, u_batch),
+            forward(model, x[:split]),
+            forward(model, x[split:]),
             config.prior,
             config.correction,
-            us_weights=us_weights[us_idx],
+            us_weights=w[:split],
             u_plus_coef=u_plus_coef,
         )
-        return np.concatenate([us_batch, u_batch]), np.concatenate([g_us, g_u])
+        return np.concatenate((g_us, g_u))
 
     def epoch_risk(model):
         return empirical_risk(
@@ -209,7 +247,7 @@ def train(
             u_plus_coef=u_plus_coef,
         )
 
-    return _fit(config, model, pool_sizes, n_batches, batch_upstream, epoch_risk, eval_set)
+    return _fit(config, model, rows, row_weights, pool_sizes, batch_upstream, epoch_risk, eval_set)
 
 
 def train_supervised_oracle(
@@ -226,17 +264,16 @@ def train_supervised_oracle(
     )
     if config.epochs == 0:
         return model, TrainLog()
-    pool_sizes = (len(labeled),)
-    n_batches = _batch_plan(pool_sizes, config.batch_size)
 
-    def batch_upstream(model, idx):
-        x = labeled.x[idx]
-        _, dloss = square_loss(forward(model, x), labeled.y[idx])
-        return x, dloss / idx.size
+    def batch_upstream(model, x, split, y):
+        _, dloss = square_loss(forward(model, x), y)
+        return dloss / x.shape[0]
 
     def epoch_risk(model):
         loss, _ = square_loss(forward(model, labeled.x), labeled.y)
         risk = float(np.mean(loss))
         return RiskValue(us_term=risk, u_term=0.0, raw=risk, corrected=risk)
 
-    return _fit(config, model, pool_sizes, n_batches, batch_upstream, epoch_risk, eval_set)
+    return _fit(
+        config, model, labeled.x, labeled.y, (len(labeled),), batch_upstream, epoch_risk, eval_set
+    )

@@ -419,3 +419,31 @@ class TestDeterminism:
         # output path flag
         assert models[0]["params"] == models[1]["params"]
         capsys.readouterr()
+
+
+class TestConfigFile:
+    def test_not_utf8_exits_config_with_one_line(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.bin"
+        cfg.write_bytes(b"\xff\xfe" + bytes(range(256)))
+        rc = main(
+            ["synth", "--config", str(cfg), "--pi", "0.4", "--n", "10",
+             "--out", str(tmp_path / "x.csv")]
+        )
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {cfg}: not UTF-8 text\n"
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_equals_form_is_expanded(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg2.txt"
+        cfg.write_text("seed=5\n")
+        out = tmp_path / "z.csv"
+        rc = main(["synth", f"--config={cfg}", "--pi", "0.4", "--n", "5", "--out", str(out)])
+        assert rc == EXIT_OK
+        manifest = json.loads((tmp_path / "z.csv.manifest.json").read_text())
+        assert manifest["seed"] == 5
+        assert manifest["flags"]["config"] == str(cfg)
+        direct = tmp_path / "direct.csv"
+        rc = main(["synth", "--seed", "5", "--pi", "0.4", "--n", "5", "--out", str(direct)])
+        assert rc == EXIT_OK
+        assert out.read_bytes() == direct.read_bytes()
+        capsys.readouterr()

@@ -13,6 +13,7 @@ from trisim.model import (
     deserialize_model,
     forward,
     init_model,
+    pack_params,
     serialize_model,
 )
 
@@ -145,6 +146,42 @@ class TestAdam:
         state = AdamState.for_params(params)
         with pytest.raises(ShapeError):
             adam_step(params, {"w": np.zeros(3)}, state)
+
+    def test_flat_vector_matches_per_key_dict_bitwise(self):
+        # Adam is elementwise, so one flat array gives the per-key bits
+        rng = np.random.default_rng(3)
+        shapes = {"w1": (4, 3), "b1": (4,), "w2": (4,), "b2": (1,)}
+        params = {k: rng.normal(size=s) for k, s in shapes.items()}
+        flat = {"theta": np.concatenate(tuple(params.values()), axis=None)}
+        hyper = dict(lr=0.05, weight_decay=0.01)
+        state = AdamState.for_params(params, **hyper)
+        flat_state = AdamState.for_params(flat, **hyper)
+        def flatten(arrays):
+            return np.concatenate(tuple(arrays.values()), axis=None)
+
+        for _ in range(50):
+            grads = {k: rng.normal(size=s) for k, s in shapes.items()}
+            adam_step(params, grads, state)
+            adam_step(flat, {"theta": flatten(grads)}, flat_state)
+        assert np.array_equal(flat["theta"], flatten(params))
+        assert np.array_equal(flat_state.m["theta"], flatten(state.m))
+        assert np.array_equal(flat_state.v["theta"], flatten(state.v))
+
+
+class TestPackParams:
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    def test_parameters_become_views_of_one_vector(self, kind):
+        m = init_model(kind, 3, hidden=4, seed=2)
+        before = {k: p.copy() for k, p in m.params().items()}
+        x = np.random.default_rng(0).normal(size=(5, 3))
+        scores = forward(m, x)
+        flat = pack_params(m)
+        assert flat.size == sum(p.size for p in before.values())
+        for key, p in m.params().items():
+            assert np.array_equal(p, before[key]) and np.shares_memory(p, flat)
+        assert np.array_equal(forward(m, x), scores)
+        flat *= 0.0
+        assert all(not p.any() for p in m.params().values())
 
 
 class TestSerialization:
