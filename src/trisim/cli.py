@@ -290,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("make-weak", help="build triplets + unlabeled pool from a labeled CSV")
     p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--pi", type=float, help="declared prior (default: label counts)")
+    p.add_argument("--pi", type=float, help="prior to resample the pool to (default: label counts)")
     p.add_argument("--n-us", type=int, required=True)
     p.add_argument("--n-u", type=int, required=True)
     p.add_argument("--sampler", choices=SAMPLERS, default="rejection")
@@ -337,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fractions", type=_list_of(float), default="0.1,0.25,0.5,1.0")
     p.add_argument("--corrections", default="none,max_zero,abs")
     p.add_argument("--seeds", type=_list_of(int), default="0,1,2,3,4")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="recorded only; runs are seeded by --seeds")
     p.add_argument("--n-us", type=int, default=2000)
     p.add_argument("--n-u", type=int, default=2000)
     p.add_argument("--n-test", type=int, default=2000)
@@ -347,19 +347,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     for p in sub.choices.values():
-        p.add_argument("--config", help="key=value config file; flags win")
+        p.add_argument("--config", help="key=value config file, given at most once; flags win")
     return parser
 
 
 def _config_path(argv: list[str]) -> str | None:
-    """The path given by the first --config flag, as `--config path` or
-    `--config=path`, or None."""
+    """The path given by --config, as `--config path` or `--config=path`,
+    or None. A second --config raises ConfigurationError."""
+    paths = []
     for idx, token in enumerate(argv):
         if token == "--config":
-            return argv[idx + 1] if idx + 1 < len(argv) else None
-        if token.startswith("--config="):
-            return token.removeprefix("--config=")
-    return None
+            paths.append(argv[idx + 1] if idx + 1 < len(argv) else None)
+        elif token.startswith("--config="):
+            paths.append(token.removeprefix("--config="))
+    if len(paths) > 1:
+        raise ConfigurationError("--config given more than once")
+    return paths[0] if paths else None
 
 
 def _inject_config(argv: list[str]) -> list[str]:

@@ -120,8 +120,10 @@ def prior_sweep(
         config={"true_prior": true_prior.pi_plus, "n_us": n_us, "n_u": n_u},
     )
     spec = replace(source_spec, prior=true_prior)
-    for given in given_priors:
-        if given == 0.5:
+    # every prior is checked before the first run; 0.5 gets a skipped row
+    configs = [None if g == 0.5 else replace(config, prior=ClassPrior(g)) for g in given_priors]
+    for given, cfg in zip(given_priors, configs):
+        if cfg is None:
             result.rows.append(
                 SweepRow(
                     setting=f"{given}",
@@ -132,7 +134,6 @@ def prior_sweep(
                 )
             )
             continue
-        cfg = replace(config, prior=ClassPrior(given))
         accs = [
             weak_run(spec, cfg, n_us, n_u, seed, n_test, sampler_kind)
             for seed in seeds
@@ -154,9 +155,11 @@ def fraction_sweep(
     """Accuracy at increasing fractions of the full training budget."""
     _require_values("fractions", fractions, seeds)
     result = SweepResult(axis="fraction", config={"n_us": n_us, "n_u": n_u})
+    # every fraction is checked before the first run
     for frac in fractions:
         if not 0 < frac <= 1:
             raise ConfigurationError(f"fraction must lie in (0, 1], got {frac}")
+    for frac in fractions:
         accs = [
             weak_run(
                 source_spec,

@@ -280,6 +280,11 @@ class DiscreteDomainSpec:
     def p_marginal(self) -> np.ndarray:
         return self.prior.pi_plus * self.p_plus + self.prior.pi_minus * self.p_minus
 
+    def draw_class(self, rng: np.random.Generator, label: int, n: int) -> np.ndarray:
+        """n support-point indices of one class, as 1-D sampler features."""
+        p = self.p_plus if label == 1 else self.p_minus
+        return rng.choice(p.size, size=n, p=p).astype(float)[:, None]
+
 
 def supervised_risk_discrete(domain: DiscreteDomainSpec) -> float:
     """Prior-weighted class-conditional expectation of the per-label losses,

@@ -1,6 +1,11 @@
 """Weak-supervision generation: labeled sources, the two triplet samplers,
 unlabeled pools, and triplet disassembly.
 
+A source is anything with a ``prior`` (a ClassPrior) and a
+``draw_class(rng, label, n)`` that returns n feature rows of one class.
+Every labeled draw goes through ``draw_labeled``, so the labels of triplet
+members and unlabeled points alike follow the source's prior.
+
 Two triplet samplers ship because the generative definition (draw three
 i.i.d. labeled points, reject when the two companions share a class the
 anchor does not) and its four-case additive expansion imply distinct
@@ -25,12 +30,9 @@ from .core import (
 )
 
 
-def _draw_labeled_by_class(
-    source, rng: np.random.Generator, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """n labeled draws from a source that samples each class directly:
-    first the labels from the prior, then the positives, then the
-    negatives."""
+def draw_labeled(source, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n labeled draws from a source: first the labels from its prior, then
+    the positives, then the negatives."""
     y = np.where(rng.random(n) < source.prior.pi_plus, 1, -1)
     pos = y == 1
     x_pos = source.draw_class(rng, 1, int(pos.sum()))
@@ -67,8 +69,6 @@ class GaussianSourceSpec:
         mu = self.mu_plus if label == 1 else self.mu_minus
         return mu + self.sigma * rng.standard_normal((n, self.dim))
 
-    draw_labeled = _draw_labeled_by_class
-
 
 def default_gaussian_spec(
     pi_plus: float = 0.4, separation: float = 4.0, dim: int = 2, sigma: float = 1.0
@@ -82,7 +82,9 @@ def default_gaussian_spec(
 
 
 class PoolSource:
-    """Draws uniformly with replacement from a finite labeled pool.
+    """Draws with replacement from a finite labeled pool: the label from the
+    prior (declared, or else the pool's label counts), the row uniformly
+    within that class.
 
     With-replacement draws keep triplet members i.i.d., matching the
     independence assumption the estimator is derived under.
@@ -108,30 +110,6 @@ class PoolSource:
                 f"pool contains no examples with label {label:+d}"
             )
         return self.pool.x[rng.choice(idx, size=n, replace=True)]
-
-    def draw_labeled(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-        rows = rng.integers(0, len(self.pool), size=n)
-        return self.pool.x[rows], self.pool.y[rows]
-
-
-class DiscreteSource:
-    """Draws support-point indices (as 1-D features) from a pair of discrete
-    class-conditional pmfs; used by the enumeration-vs-Monte-Carlo oracles."""
-
-    def __init__(self, p_plus: np.ndarray, p_minus: np.ndarray, prior: ClassPrior):
-        self.p_plus = np.asarray(p_plus, dtype=float)
-        self.p_minus = np.asarray(p_minus, dtype=float)
-        self._prior = prior
-
-    @property
-    def prior(self) -> ClassPrior:
-        return self._prior
-
-    def draw_class(self, rng: np.random.Generator, label: int, n: int) -> np.ndarray:
-        p = self.p_plus if label == 1 else self.p_minus
-        return rng.choice(p.size, size=n, p=p).astype(float)[:, None]
-
-    draw_labeled = _draw_labeled_by_class
 
 
 @dataclass(frozen=True)
@@ -165,7 +143,7 @@ def sample_triplets_rejection(
     while remaining > 0:
         # oversample to amortize the redraw loop
         chunk = max(remaining * 2, 16)
-        x, y = source.draw_labeled(rng, 3 * chunk)
+        x, y = draw_labeled(source, rng, 3 * chunk)
         x = x.reshape(chunk, 3, -1)
         y = y.reshape(chunk, 3)
         accept = ~((y[:, 1] == y[:, 2]) & (y[:, 1] != y[:, 0]))
@@ -208,7 +186,7 @@ def sample_triplets_paper_case(
     tied_label = np.where(cases % 2 == 0, 1, -1)
     tied_with_first = cases < 2
 
-    third, _ = source.draw_labeled(rng, n)
+    third, _ = draw_labeled(source, rng, n)
     d = third.shape[1]
     triplets = np.empty((n, 3, d))
     pos = tied_label == 1
@@ -226,8 +204,7 @@ def sample_unlabeled(source, n: int, rng: np.random.Generator) -> np.ndarray:
     """n i.i.d. draws from the marginal mixture, labels discarded."""
     if n < 1:
         raise InvalidInputError(f"unlabeled count must be >= 1, got {n}")
-    x, _ = source.draw_labeled(rng, n)
-    return x
+    return draw_labeled(source, rng, n)[0]
 
 
 def make_weak_dataset(
@@ -267,5 +244,5 @@ def synth_gaussian_labeled(spec: GaussianSourceSpec, n: int, seed: int) -> Label
     if n < 2:
         raise InvalidInputError(f"need n >= 2 labeled examples, got {n}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    x, y = spec.draw_labeled(rng, n)
+    x, y = draw_labeled(spec, rng, n)
     return LabeledPool(x=x, y=y)

@@ -30,7 +30,6 @@ from .risk import (
     supervised_risk_discrete,
 )
 from .sampler import (
-    DiscreteSource,
     default_gaussian_spec,
     paper_case_weights,
     sample_triplets_paper_case,
@@ -170,9 +169,9 @@ def check_acceptance_rate(
     for i, pi in enumerate(priors or [0.2, 0.4, 0.6]):
         prior = ClassPrior(pi)
         # featureless discrete domain: only the labels matter here
-        source = DiscreteSource(np.array([1.0]), np.array([1.0]), prior)
+        domain = DiscreteDomainSpec(np.ones(1), np.ones(1), prior, np.zeros(1))
         rng = np.random.default_rng([seed, i])
-        _, stats = sample_triplets_rejection(source, n_draws, rng)
+        _, stats = sample_triplets_rejection(domain, n_draws, rng)
         p = 1.0 - prior.pi_plus * prior.pi_minus
         se = np.sqrt(p * (1.0 - p) / stats.n_raw)
         report.add(f"acceptance_rate_pi={pi}", p, stats.acceptance_rate, 3.0 * se)
@@ -289,15 +288,14 @@ def measure_estimator_bias(
         assertable=False,
     )
 
-    source = DiscreteSource(domain.p_plus, domain.p_minus, domain.prior)
     rng = np.random.default_rng(seed)
     if sampler_kind == "rejection":
-        triplets, _ = sample_triplets_rejection(source, n_mc, rng)
+        triplets, _ = sample_triplets_rejection(domain, n_mc, rng)
     else:
-        triplets = sample_triplets_paper_case(source, n_mc, rng)
+        triplets = sample_triplets_paper_case(domain, n_mc, rng)
     lus, lu = corrected_losses(domain.scores, domain.prior)
     per_triplet = lus[triplets[:, :, 0].astype(int)].mean(axis=1)
-    per_u = lu[sample_unlabeled(source, n_mc, rng)[:, 0].astype(int)]
+    per_u = lu[sample_unlabeled(domain, n_mc, rng)[:, 0].astype(int)]
     mc = float(per_triplet.mean() + per_u.mean())
     se = float(
         np.sqrt(

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from trisim import evaluation
 from trisim.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -15,6 +16,7 @@ from trisim.cli import (
     _inject_config,
     main,
 )
+from trisim.dataio import read_triplets_jsonl, read_unlabeled_jsonl
 
 
 def _synth(tmp_path, name="data.csv", n=200, seed=1):
@@ -111,6 +113,33 @@ class TestMakeWeak:
         manifest = json.loads((triplets.parent / "triplets.jsonl.manifest.json").read_text())
         names = [Path(p).name for p in manifest["outputs"]]
         assert names == ["triplets.jsonl", "unlabeled.jsonl", "weak.json"]
+
+    def test_declared_prior_changes_rejection_draws(self, tmp_path, capsys):
+        # the data are drawn at pi = 0.4 with class means at +-2 on axis 1
+        data = _synth(tmp_path, n=400)
+        runs = {}
+        for pi in (None, "0.2"):
+            out_dir = tmp_path / f"weak-{pi}"
+            rc = main(
+                [
+                    "make-weak", "--in", str(data), "--n-us", "500", "--n-u", "500",
+                    "--sampler", "rejection", "--out-dir", str(out_dir),
+                    *(["--pi", pi] if pi else []),
+                ]
+            )
+            assert rc == EXIT_OK
+            runs[pi] = out_dir / "triplets.jsonl", out_dir / "unlabeled.jsonl"
+        (t_counts, u_counts), (t_declared, u_declared) = runs[None], runs["0.2"]
+        assert t_counts.read_bytes() != t_declared.read_bytes()
+        assert u_counts.read_bytes() != u_declared.read_bytes()
+        # fewer positives pull both pools toward the negative mean at -2
+        shift = (read_triplets_jsonl(t_counts)[:, :, 0].mean()
+                 - read_triplets_jsonl(t_declared)[:, :, 0].mean())
+        assert shift > 0.3
+        assert read_unlabeled_jsonl(u_declared)[:, 0].mean() == pytest.approx(
+            0.2 * 2 - 0.8 * 2, abs=0.3
+        )
+        capsys.readouterr()
 
     def test_missing_input_exits_io(self, tmp_path):
         rc = main(
@@ -368,6 +397,29 @@ class TestSweepEmptyLists:
         assert not out.exists()
 
 
+class TestSweepValidatesFirst:
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--kind", "fraction", "--fractions", "0.5,1.0,2"],
+             "fraction must lie in (0, 1], got 2.0"),
+            (["--kind", "prior", "--given", "0.4,1.5"],
+             "pi_plus must lie strictly in (0, 1), got 1.5"),
+        ],
+        ids=["fraction", "prior"],
+    )
+    def test_bad_late_setting_exits_before_any_run(self, tmp_path, capsys, monkeypatch,
+                                                   flags, message):
+        calls = []
+        monkeypatch.setattr(evaluation, "weak_run", lambda *a, **k: calls.append(a) or 0.9)
+        out = tmp_path / "s.csv"
+        capsys.readouterr()
+        assert main(["sweep", "--pi", "0.4", *flags, "--out", str(out)]) == EXIT_CONFIG
+        assert calls == []
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
+
 class TestConfigInjection:
     def test_flags_win_over_config_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -447,3 +499,18 @@ class TestConfigFile:
         assert rc == EXIT_OK
         assert out.read_bytes() == direct.read_bytes()
         capsys.readouterr()
+
+    @pytest.mark.parametrize("second", ["--config", "--config="], ids=["spaced", "equals"])
+    def test_repeated_config_exits_config_with_one_line(self, tmp_path, capsys, second):
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        a.write_text("seed=5\n")
+        b.write_text("seed=7\n")
+        out = tmp_path / "z.csv"
+        tail = [second, str(b)] if second == "--config" else [f"--config={b}"]
+        capsys.readouterr()
+        rc = main(["synth", "--config", str(a), *tail, "--pi", "0.4", "--n", "5",
+                   "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: --config given more than once\n"
+        assert not out.exists()
+        assert not (tmp_path / "z.csv.manifest.json").exists()

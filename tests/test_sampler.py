@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from trisim.core import ClassPrior, InsufficientDataError, InvalidInputError, LabeledPool, ShapeError
+from trisim.risk import DiscreteDomainSpec
 from trisim.sampler import (
-    DiscreteSource,
     GaussianSourceSpec,
     PoolSource,
     disassemble,
+    draw_labeled,
     make_weak_dataset,
     paper_case_weights,
     sample_triplets_paper_case,
@@ -49,7 +50,7 @@ class TestSources:
 
     def test_gaussian_label_frequencies(self):
         src = _spec(0.3)
-        _, y = src.draw_labeled(np.random.default_rng(0), 20_000)
+        _, y = draw_labeled(src, np.random.default_rng(0), 20_000)
         assert np.mean(y == 1) == pytest.approx(0.3, abs=0.02)
 
     def test_gaussian_class_means(self):
@@ -67,8 +68,21 @@ class TestSources:
         with pytest.raises(InsufficientDataError):
             PoolSource(pool).draw_class(np.random.default_rng(0), -1, 3)
 
+    def test_pool_source_follows_declared_prior(self):
+        # a 75/25 pool resampled to a declared prior of 0.4
+        pool = LabeledPool(x=np.arange(4.0)[:, None], y=np.array([1, 1, 1, -1]))
+        src = PoolSource(pool, prior=ClassPrior(0.4))
+        x, y = draw_labeled(src, np.random.default_rng(0), 20_000)
+        assert np.mean(y == 1) == pytest.approx(0.4, abs=0.02)
+        # every row keeps its label, and the positive rows are drawn uniformly
+        np.testing.assert_array_equal(pool.y[x[:, 0].astype(int)], y)
+        counts = np.bincount(x[y == 1, 0].astype(int), minlength=3)
+        np.testing.assert_allclose(counts / counts.sum(), 1 / 3, atol=0.02)
+
     def test_discrete_source_frequencies(self):
-        src = DiscreteSource(np.array([0.9, 0.1]), np.array([0.1, 0.9]), ClassPrior(0.4))
+        src = DiscreteDomainSpec(
+            np.array([0.9, 0.1]), np.array([0.1, 0.9]), ClassPrior(0.4), np.zeros(2)
+        )
         x = src.draw_class(np.random.default_rng(3), 1, 10_000)
         assert np.mean(x[:, 0] == 0.0) == pytest.approx(0.9, abs=0.02)
 
@@ -83,7 +97,7 @@ class TestRejectionSampler:
 
     def test_acceptance_rate_tracks_closed_form(self):
         prior = ClassPrior(0.3)
-        src = DiscreteSource(np.array([1.0]), np.array([1.0]), prior)
+        src = DiscreteDomainSpec(np.array([1.0]), np.array([1.0]), prior, np.zeros(1))
         _, stats = sample_triplets_rejection(src, 50_000, np.random.default_rng(0))
         expected = 1.0 - prior.pi_plus * prior.pi_minus
         assert stats.acceptance_rate == pytest.approx(expected, abs=0.01)
@@ -130,6 +144,17 @@ class TestDatasetAssembly:
         assert data.n_triplets == 20
         assert data.n_unlabeled == 30
         assert data.prior.pi_plus == 0.4
+
+    @pytest.mark.parametrize("kind", ["rejection", "paper_case"])
+    def test_make_weak_dataset_follows_declared_pool_prior(self, kind):
+        # at pi = 0.4 the points at +1 and -1 average 0.4 - 0.6 = -0.2, while
+        # the pool's own label counts would give 0.75 - 0.25 = 0.5
+        pool = LabeledPool(
+            x=np.repeat([[1.0], [-1.0]], [750, 250], axis=0), y=np.repeat([1, -1], [750, 250])
+        )
+        source = PoolSource(pool, prior=ClassPrior(0.4))
+        data = make_weak_dataset(source, 5000, 5000, kind, seed=1)
+        assert data.unlabeled.mean() == pytest.approx(-0.2, abs=0.1)
 
     def test_make_weak_dataset_unknown_kind(self):
         with pytest.raises(InvalidInputError):
