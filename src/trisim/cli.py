@@ -15,6 +15,7 @@ import hashlib
 import json
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -97,10 +98,11 @@ def _write_manifest(subcommand, args, inputs, outputs, started) -> dict:
 
 
 def _list_of(kind):
-    """argparse type for a comma-separated list of kind values."""
+    """argparse type for a comma-separated list of kind values; each item is
+    stripped, and empty items are dropped."""
 
     def parse(text: str) -> list:
-        return [kind(v) for v in text.split(",") if v.strip()]
+        return [kind(v.strip()) for v in text.split(",") if v.strip()]
 
     parse.__name__ = f"comma-separated {kind.__name__}"
     return parse
@@ -237,7 +239,7 @@ def cmd_sweep(args) -> int:
     elif args.kind == "fraction":
         result = fraction_sweep(args.fractions, *common)
     else:
-        result = correction_sweep(args.corrections.split(","), *common)
+        result = correction_sweep(args.corrections, *common)
     write_sweep_csv(args.out, result)
     outputs = [args.out]
     if args.json_out:
@@ -273,13 +275,16 @@ def _add_train_flags(p):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # flags must be spelled in full: --config is expanded before parsing,
+    # and an abbreviation of it would slip past the expansion
+    strict = partial(argparse.ArgumentParser, allow_abbrev=False)
+    parser = strict(
         prog="trisim",
         description="Learn binary classifiers from uncertain-similarity "
         "triplets and unlabeled data.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=strict)
 
     p = sub.add_parser("synth", help="generate a labeled Gaussian-mixture CSV")
     _add_source_flags(p)
@@ -335,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--given", type=_list_of(float), default="", help="comma list of given priors (kind=prior)"
     )
     p.add_argument("--fractions", type=_list_of(float), default="0.1,0.25,0.5,1.0")
-    p.add_argument("--corrections", default="none,max_zero,abs")
+    p.add_argument("--corrections", type=_list_of(str), default="none,max_zero,abs")
     p.add_argument("--seeds", type=_list_of(int), default="0,1,2,3,4")
     p.add_argument("--seed", type=int, default=0, help="recorded only; runs are seeded by --seeds")
     p.add_argument("--n-us", type=int, default=2000)

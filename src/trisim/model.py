@@ -2,9 +2,12 @@
 with exact analytic gradients, sign accuracy, a decoupled-weight-decay Adam
 optimizer, and JSON-friendly serialization.
 
-Parameters live in plain dicts of numpy arrays so the optimizer is shared
-between architectures. pack_params can re-home them as views of one flat
-vector, which Adam then updates as a single array.
+A model is its parameter vector. Each model packs its parameters into one
+float vector, model.theta, in params() order when it is built, and every
+parameter attribute is a view of it. backward returns the gradient in that
+layout and Adam updates theta as a single array, so both architectures
+share one optimizer and nothing holds a second copy of the parameters.
+The models are frozen: write into theta or a parameter view, never rebind.
 """
 from __future__ import annotations
 
@@ -15,12 +18,26 @@ import numpy as np
 from .core import InvalidInputError, LabeledPool, ShapeError
 
 
-@dataclass
+def _pack(model) -> None:
+    """Copy the model's parameters, in params() order, into one float
+    vector, model.theta, and rebind each parameter to a view of it."""
+    params = {k: np.asarray(p, dtype=float) for k, p in model.params().items()}
+    theta = np.concatenate(tuple(params.values()), axis=None)
+    object.__setattr__(model, "theta", theta)
+    offset = 0
+    for key, p in params.items():
+        object.__setattr__(model, key, theta[offset : offset + p.size].reshape(p.shape))
+        offset += p.size
+
+
+@dataclass(frozen=True)
 class LinearModel:
     weights: np.ndarray  # (d,)
     bias: np.ndarray  # (1,)
+    theta: np.ndarray = field(init=False, repr=False, compare=False)
 
     kind = "linear"
+    __post_init__ = _pack
 
     @property
     def dim(self) -> int:
@@ -30,14 +47,16 @@ class LinearModel:
         return {"weights": self.weights, "bias": self.bias}
 
 
-@dataclass
+@dataclass(frozen=True)
 class MlpModel:
     w1: np.ndarray  # (h, d)
     b1: np.ndarray  # (h,)
     w2: np.ndarray  # (h,)
     b2: np.ndarray  # (1,)
+    theta: np.ndarray = field(init=False, repr=False, compare=False)
 
     kind = "mlp"
+    __post_init__ = _pack
 
     @property
     def dim(self) -> int:
@@ -79,19 +98,6 @@ def init_model(kind: str, dim: int, hidden: int = 64, seed: int = 0) -> Model:
     raise InvalidInputError(f"unknown model kind {kind!r}")
 
 
-def pack_params(model: Model) -> np.ndarray:
-    """Move the model's parameters into one flat vector, in params() order,
-    leave each parameter attribute a view of it, and return the vector.
-    Updating the vector in place updates the model."""
-    params = model.params()
-    flat = np.concatenate(tuple(params.values()), axis=None)
-    offset = 0
-    for key, p in params.items():
-        setattr(model, key, flat[offset : offset + p.size].reshape(p.shape))
-        offset += p.size
-    return flat
-
-
 def _as_batch(model: Model, x) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != model.dim:
@@ -119,10 +125,10 @@ def accuracy(model: Model, pool: LabeledPool) -> float:
     return float(np.mean(np.where(scores >= 0, 1, -1) == pool.y))
 
 
-def backward(model: Model, x, upstream) -> dict[str, np.ndarray]:
-    """Exact gradients of sum_i upstream_i * f(x_i) with respect to every
-    parameter, for an (n, d) batch and an (n,) upstream. The relu
-    subgradient at 0 is 0."""
+def backward(model: Model, x, upstream) -> np.ndarray:
+    """Exact gradient of sum_i upstream_i * f(x_i) with respect to
+    model.theta, in its layout, for an (n, d) batch and an (n,) upstream.
+    The relu subgradient at 0 is 0."""
     arr = _as_batch(model, x)
     up = np.asarray(upstream, dtype=float)
     if up.shape != (arr.shape[0],):
@@ -130,65 +136,51 @@ def backward(model: Model, x, upstream) -> dict[str, np.ndarray]:
     if not np.isfinite(up).all():
         raise InvalidInputError("upstream must be finite")
     if isinstance(model, LinearModel):
-        return {"weights": up @ arr, "bias": np.array([up.sum()])}
+        return np.concatenate((up @ arr, [up.sum()]))
     pre = arr @ model.w1.T + model.b1
     h = np.maximum(pre, 0.0)
     act_mask = (pre > 0).astype(float)
     dh = np.outer(up, model.w2) * act_mask  # (n, h)
-    return {
-        "w1": dh.T @ arr,
-        "b1": dh.sum(axis=0),
-        "w2": up @ h,
-        "b2": np.array([up.sum()]),
-    }
+    # w1, b1, w2, b2: params() order
+    return np.concatenate((dh.T @ arr, dh.sum(axis=0), up @ h, [up.sum()]), axis=None)
 
 
 @dataclass
 class AdamState:
     """Adam with bias correction; weight decay is decoupled (applied as a
-    multiplicative shrink before the Adam delta)."""
+    multiplicative shrink before the Adam delta). The moments m and v are
+    arrays in the layout of the theta they update."""
 
+    m: np.ndarray
+    v: np.ndarray
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
     weight_decay: float = 0.0
     step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
-    def for_params(cls, params: dict[str, np.ndarray], **hyper) -> "AdamState":
-        state = cls(**hyper)
-        state.m = {k: np.zeros_like(p) for k, p in params.items()}
-        state.v = {k: np.zeros_like(p) for k, p in params.items()}
-        return state
+    def for_theta(cls, theta: np.ndarray, **hyper) -> "AdamState":
+        return cls(np.zeros_like(theta), np.zeros_like(theta), **hyper)
 
 
-def adam_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    state: AdamState,
-) -> tuple[dict[str, np.ndarray], AdamState]:
-    """One in-place update of params; returns them with the advanced state."""
+def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
+    """One in-place update of theta and state."""
+    if grad.shape != theta.shape:
+        raise ShapeError(f"gradient shape {grad.shape} != theta shape {theta.shape}")
     state.step += 1
     t = state.step
-    for key, p in params.items():
-        g = grads[key]
-        if g.shape != p.shape:
-            raise ShapeError(f"gradient shape {g.shape} != param shape {p.shape} for {key!r}")
-        if state.weight_decay:
-            p *= 1.0 - state.lr * state.weight_decay
-        m = state.m[key]
-        v = state.v[key]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1**t)
-        v_hat = v / (1.0 - state.beta2**t)
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
-    return params, state
+    if state.weight_decay:
+        theta *= 1.0 - state.lr * state.weight_decay
+    m, v = state.m, state.v
+    m *= state.beta1
+    m += (1.0 - state.beta1) * grad
+    v *= state.beta2
+    v += (1.0 - state.beta2) * grad * grad
+    m_hat = m / (1.0 - state.beta1**t)
+    v_hat = v / (1.0 - state.beta2**t)
+    theta -= state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
 
 
 def serialize_model(model: Model, config_echo: dict | None = None) -> dict:

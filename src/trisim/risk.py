@@ -54,53 +54,6 @@ def compute_thetas(prior: ClassPrior) -> Thetas:
     )
 
 
-def similarity_mass(prior: ClassPrior) -> float:
-    """Total mass of the unnormalized similarity-side measure,
-    2*(pi_plus^2 + pi_minus^2) / (1 - pi_plus*pi_minus).
-
-    The measure the reconstruction identity integrates against does not
-    normalize (its mass exceeds 1 for every valid prior), so a plain sample
-    mean over pooled triplet points systematically underweights the
-    similarity term. This factor is the exact deficit.
-    """
-    prior.require_non_degenerate()
-    pp, pm = prior.pi_plus, prior.pi_minus
-    return 2.0 * (pp * pp + pm * pm) / (1.0 - pp * pm)
-
-
-def matched_us_coefficients(prior: ClassPrior, sampler_kind: str) -> tuple[float, float, float]:
-    """Coefficients (c_anchor, c_companion, c_unlabeled) that make the
-    similarity-side estimate
-
-        c_anchor * mean_anchors(l_us)
-        + c_companion * mean_companions(l_us)
-        + c_unlabeled * mean_unlabeled(l_us)
-
-    an exactly unbiased estimate of the unnormalized similarity integral
-    w_plus*E_{P+}[l_us] + w_minus*E_{P-}[l_us], for data drawn by the named
-    sampler.
-
-    The derivation uses only the known position marginals of each sampler:
-    under the rejection sampler the anchor marginal is
-    [pi+^2(1+pi-) P+ + pi-^2(1+pi+) P-] / (1 - pi+pi-) and both companions
-    are marginal-P draws; under the four-case sampler the anchor is always a
-    tied-pair member (marginal proportional to pi+^2 P+ + pi-^2 P-) and each
-    companion is an even mixture of that measure and P. Solving the
-    resulting linear systems gives closed forms; trisim.verify checks the
-    resulting expectation against the reconstruction integral by exact
-    enumeration.
-    """
-    prior.require_non_degenerate()
-    pp, pm = prior.pi_plus, prior.pi_minus
-    denom = 1.0 - pp * pm
-    if sampler_kind == "rejection":
-        return 2.0, 0.0, -2.0 * pp * pm / denom
-    if sampler_kind == "paper_case":
-        mu = similarity_mass(prior)
-        return mu / 2.0, mu, -mu / 2.0
-    raise InvalidInputError(f"unknown sampler kind {sampler_kind!r}")
-
-
 # The similarity-side estimators, default first (see slot_weights).
 ESTIMATORS = ("matched", "plain")
 
@@ -108,18 +61,47 @@ ESTIMATORS = ("matched", "plain")
 def slot_weights(prior: ClassPrior, sampler_kind: str, estimator: str) -> tuple[np.ndarray, float]:
     """The estimator as a table of weights: per-slot similarity weights in
     (anchor, companion, companion) order, plus the coefficient on the
-    unlabeled pool's mean similarity loss.
+    unlabeled pool's mean similarity loss. With q = 1 - pi+pi- and
+    mu = 2(pi+^2 + pi-^2) / q:
 
-    "plain" is the uniform pooled mean, (1, 1, 1) and 0. "matched" scales
-    the matched_us_coefficients so that mean(weights * l_us) over the pooled
-    (3n,) points equals c_anchor*mean_anchors + c_companion*mean_companions.
+        estimator  sampler     slot weights            unlabeled coefficient
+        plain      either      (1, 1, 1)               0
+        matched    rejection   (6, 0, 0)               -2 pi+ pi- / q
+        matched    paper_case  (1.5mu, 1.5mu, 1.5mu)   -mu / 2
+
+    The similarity-side estimate is mean(weights * l_us) over the pooled
+    (3n,) triplet points plus the coefficient times the unlabeled mean of
+    l_us. The matched rows make it an exactly unbiased estimate of the
+    unnormalized similarity integral w_plus*E_{P+}[l_us] +
+    w_minus*E_{P-}[l_us], whose total mass is mu. mu exceeds 1 for every
+    valid prior, so the plain pooled mean systematically underweights the
+    similarity term by exactly that factor.
+
+    The matched rows use only the known position marginals of each sampler.
+    Under the rejection sampler the anchor marginal is
+    [pi+^2(1+pi-) P+ + pi-^2(1+pi+) P-] / q and both companions are
+    marginal-P draws, like the unlabeled pool; unbiasedness fixes only the
+    sum of their coefficients, and this row puts all of it on the unlabeled
+    pool, so the companions get weight 0. Under the four-case sampler the
+    anchor is always a tied-pair member (marginal proportional to
+    pi+^2 P+ + pi-^2 P-) and each companion is an even mixture of that
+    measure and P. Solving the resulting linear systems gives the closed
+    forms above; trisim.verify checks the resulting expectation against the
+    reconstruction integral by exact enumeration.
     """
     if estimator == "plain":
         return np.ones(3), 0.0
     if estimator != "matched":
         raise InvalidInputError(f"unknown estimator {estimator!r}")
-    c_a, c_c, c_u = matched_us_coefficients(prior, sampler_kind)
-    return np.array([3.0 * c_a, 1.5 * c_c, 1.5 * c_c]), c_u
+    prior.require_non_degenerate()
+    pp, pm = prior.pi_plus, prior.pi_minus
+    q = 1.0 - pp * pm
+    if sampler_kind == "rejection":
+        return np.array([6.0, 0.0, 0.0]), -2.0 * pp * pm / q
+    if sampler_kind == "paper_case":
+        mu = 2.0 * (pp * pp + pm * pm) / q
+        return np.full(3, 1.5 * mu), -mu / 2.0
+    raise InvalidInputError(f"unknown sampler kind {sampler_kind!r}")
 
 
 def square_loss(scores, labels) -> tuple[np.ndarray, np.ndarray]:

@@ -11,8 +11,8 @@ of the buffer: its similarity rows, then its unlabeled rows.
 
 The pools are stacked in one array, and the rows' side values (the slot
 weights, or the supervised labels) in one vector, so each epoch is one
-gather of each. The model's parameters are views of one flat vector, which
-Adam updates as a single array.
+gather of each. Adam updates the model's parameter vector, model.theta, as
+a single array.
 
 The weak trainer and the supervised oracle share the loop and differ only
 in the per-batch upstream gradient and the per-epoch risk they plug in.
@@ -32,7 +32,7 @@ from .core import (
     TrainingDivergedError,
     WeakDataset,
 )
-from .model import AdamState, Model, adam_step, backward, forward, init_model, pack_params
+from .model import AdamState, Model, adam_step, backward, forward, init_model
 from .model import accuracy as _accuracy
 from .risk import (
     ESTIMATORS,
@@ -147,7 +147,7 @@ def _fit(config, model, rows, row_values, pool_sizes, batch_upstream, epoch_risk
     batch_upstream(model, x, split, values) gets the batch's rows, the
     count of them from the first pool and their values, and returns the
     gradient of the batch objective with respect to their scores; one
-    backward pass and one Adam step on the flat parameter vector follow.
+    backward pass and one Adam step on model.theta follow.
     After the epoch's last step, epoch_risk(model) gives the full-pool risk
     for the log.
 
@@ -160,8 +160,7 @@ def _fit(config, model, rows, row_values, pool_sizes, batch_upstream, epoch_risk
     batches = [(x_buf[i:k], j - i, v_buf[i:k]) for i, j, k in bounds]
     _, ss_shuffle = np.random.SeedSequence(config.seed).spawn(2)
     rng = np.random.default_rng(ss_shuffle)
-    theta = {"theta": pack_params(model)}
-    state = AdamState.for_params(theta, lr=config.lr, weight_decay=config.weight_decay)
+    state = AdamState.for_theta(model.theta, lr=config.lr, weight_decay=config.weight_decay)
     log = TrainLog()
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         for epoch in range(1, config.epochs + 1):
@@ -172,9 +171,8 @@ def _fit(config, model, rows, row_values, pool_sizes, batch_upstream, epoch_risk
                 np.take(rows, order, axis=0, out=x_buf, mode="clip")
                 np.take(row_values, order, out=v_buf, mode="clip")
                 for x, split, values in batches:
-                    grads = backward(model, x, batch_upstream(model, x, split, values))
-                    flat = np.concatenate(tuple(grads.values()), axis=None)
-                    adam_step(theta, {"theta": flat}, state)
+                    grad = backward(model, x, batch_upstream(model, x, split, values))
+                    adam_step(model.theta, grad, state)
                 rv = epoch_risk(model)
                 reason = _divergence(rv, model)
                 acc = _accuracy(model, eval_set) if eval_set is not None and not reason else None

@@ -384,8 +384,9 @@ class TestSweepEmptyLists:
             (["--kind", "prior"], "no given priors to sweep"),
             (["--kind", "fraction", "--fractions", ","], "no fractions to sweep"),
             (["--kind", "correction", "--seeds", ","], "no seeds to sweep"),
+            (["--kind", "correction", "--corrections", ""], "no corrections to sweep"),
         ],
-        ids=["seeds", "given", "fractions", "correction-seeds"],
+        ids=["seeds", "given", "fractions", "correction-seeds", "corrections"],
     )
     def test_exits_config(self, tmp_path, capsys, flags, message):
         out = tmp_path / "s.csv"
@@ -418,6 +419,18 @@ class TestSweepValidatesFirst:
         assert calls == []
         assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
         assert not out.exists()
+
+
+def test_corrections_list_items_are_stripped(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(evaluation, "weak_run", lambda *a, **k: calls.append(a) or 0.9)
+    out = tmp_path / "s.csv"
+    argv = ["sweep", "--kind", "correction", "--pi", "0.4", "--corrections", "none, abs",
+            "--seeds", "0", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert [a[1].correction.value for a in calls] == ["none", "abs"]
+    assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == ["none", "abs"]
+    capsys.readouterr()
 
 
 class TestConfigInjection:
@@ -512,5 +525,24 @@ class TestConfigFile:
                    "--out", str(out)])
         assert rc == EXIT_CONFIG
         assert capsys.readouterr().err == "error: --config given more than once\n"
+        assert not out.exists()
+        assert not (tmp_path / "z.csv.manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "flag", [["--conf", "{cfg}"], ["--conf={cfg}"], ["--see", "5"]],
+        ids=["conf", "conf-equals", "see"],
+    )
+    def test_abbreviated_flag_exits_usage(self, tmp_path, capsys, flag):
+        # an abbreviation used to parse as the full flag, and --conf was
+        # recorded as the config file without being expanded
+        cfg = tmp_path / "a.txt"
+        cfg.write_text("seed=5\n")
+        out = tmp_path / "z.csv"
+        argv = ["synth", *(f.format(cfg=cfg) for f in flag), "--pi", "0.4", "--n", "5",
+                "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
         assert not out.exists()
         assert not (tmp_path / "z.csv.manifest.json").exists()

@@ -13,9 +13,17 @@ from trisim.model import (
     deserialize_model,
     forward,
     init_model,
-    pack_params,
     serialize_model,
 )
+
+
+def _key_slices(model):
+    """Each params() key's slice of theta, by params() sizes."""
+    slices, offset = {}, 0
+    for key, p in model.params().items():
+        slices[key] = slice(offset, offset + p.size)
+        offset += p.size
+    return slices
 
 
 class TestInit:
@@ -98,7 +106,9 @@ class TestBackward:
             p += 0.2 * rng.standard_normal(p.shape)
         x = rng.uniform(-1, 1, size=(5, 3))
         up = rng.normal(size=5)
-        grads = backward(m, x, up)
+        grad = backward(m, x, up)
+        assert grad.shape == m.theta.shape
+        grads = {key: grad[sl] for key, sl in _key_slices(m).items()}
         eps = 1e-6
         for key, p in m.params().items():
             flat = p.ravel()
@@ -121,67 +131,101 @@ class TestBackward:
 
 class TestAdam:
     def test_single_step_direction(self):
-        params = {"w": np.array([1.0, -1.0])}
-        grads = {"w": np.array([0.5, -0.5])}
-        state = AdamState.for_params(params, lr=0.1)
-        adam_step(params, grads, state)
+        theta = np.array([1.0, -1.0])
+        state = AdamState.for_theta(theta, lr=0.1)
+        adam_step(theta, np.array([0.5, -0.5]), state)
         # first step moves each coordinate by about lr against the gradient
-        np.testing.assert_allclose(params["w"], [0.9, -0.9], atol=1e-6)
+        np.testing.assert_allclose(theta, [0.9, -0.9], atol=1e-6)
 
     def test_decoupled_weight_decay_shrinks(self):
-        params = {"w": np.array([1.0])}
-        state = AdamState.for_params(params, lr=0.1, weight_decay=0.5)
-        adam_step(params, {"w": np.array([0.0])}, state)
-        assert params["w"][0] == pytest.approx(0.95)
+        theta = np.array([1.0])
+        state = AdamState.for_theta(theta, lr=0.1, weight_decay=0.5)
+        adam_step(theta, np.array([0.0]), state)
+        assert theta[0] == pytest.approx(0.95)
 
     def test_converges_on_quadratic(self):
-        params = {"w": np.array([5.0])}
-        state = AdamState.for_params(params, lr=0.1)
+        theta = np.array([5.0])
+        state = AdamState.for_theta(theta, lr=0.1)
         for _ in range(500):
-            adam_step(params, {"w": 2.0 * params["w"]}, state)
-        assert abs(params["w"][0]) < 1e-3
+            adam_step(theta, 2.0 * theta, state)
+        assert abs(theta[0]) < 1e-3
 
     def test_shape_mismatch(self):
-        params = {"w": np.zeros(2)}
-        state = AdamState.for_params(params)
+        theta = np.zeros(2)
+        state = AdamState.for_theta(theta)
         with pytest.raises(ShapeError):
-            adam_step(params, {"w": np.zeros(3)}, state)
+            adam_step(theta, np.zeros(3), state)
 
     def test_flat_vector_matches_per_key_dict_bitwise(self):
-        # Adam is elementwise, so one flat array gives the per-key bits
+        # adam_step on theta against an independent per-key loop: Adam is
+        # elementwise, so the flat vector must give the per-key bits
         rng = np.random.default_rng(3)
-        shapes = {"w1": (4, 3), "b1": (4,), "w2": (4,), "b2": (1,)}
-        params = {k: rng.normal(size=s) for k, s in shapes.items()}
-        flat = {"theta": np.concatenate(tuple(params.values()), axis=None)}
-        hyper = dict(lr=0.05, weight_decay=0.01)
-        state = AdamState.for_params(params, **hyper)
-        flat_state = AdamState.for_params(flat, **hyper)
+        m = init_model("mlp", 3, hidden=4, seed=1)
+        params = {k: p.copy() for k, p in m.params().items()}
+        mom = {k: np.zeros_like(p) for k, p in params.items()}
+        vel = {k: np.zeros_like(p) for k, p in params.items()}
+        lr, wd, beta1, beta2, eps = 0.05, 0.01, 0.9, 0.999, 1e-8
+        state = AdamState.for_theta(m.theta, lr=lr, weight_decay=wd)
+        slices = _key_slices(m)
+
         def flatten(arrays):
             return np.concatenate(tuple(arrays.values()), axis=None)
 
-        for _ in range(50):
-            grads = {k: rng.normal(size=s) for k, s in shapes.items()}
-            adam_step(params, grads, state)
-            adam_step(flat, {"theta": flatten(grads)}, flat_state)
-        assert np.array_equal(flat["theta"], flatten(params))
-        assert np.array_equal(flat_state.m["theta"], flatten(state.m))
-        assert np.array_equal(flat_state.v["theta"], flatten(state.v))
+        for t in range(1, 51):
+            grad = rng.normal(size=m.theta.shape)
+            adam_step(m.theta, grad, state)
+            for key, p in params.items():
+                g = grad[slices[key]].reshape(p.shape)
+                p *= 1.0 - lr * wd
+                mom[key] *= beta1
+                mom[key] += (1.0 - beta1) * g
+                vel[key] *= beta2
+                vel[key] += (1.0 - beta2) * g * g
+                m_hat = mom[key] / (1.0 - beta1**t)
+                v_hat = vel[key] / (1.0 - beta2**t)
+                p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        assert np.array_equal(m.theta, flatten(params))
+        assert np.array_equal(state.m, flatten(mom))
+        assert np.array_equal(state.v, flatten(vel))
 
 
-class TestPackParams:
+def _built(how, kind):
+    """A model of the given kind, built by init_model, by
+    deserialize_model, or by direct construction."""
+    m = init_model(kind, 3, hidden=4, seed=2)
+    if how == "deserialize":
+        return deserialize_model(serialize_model(m))
+    if how == "direct":
+        return type(m)(**{k: p.copy() for k, p in m.params().items()})
+    return m
+
+
+class TestLayout:
     @pytest.mark.parametrize("kind", ["linear", "mlp"])
-    def test_parameters_become_views_of_one_vector(self, kind):
-        m = init_model(kind, 3, hidden=4, seed=2)
-        before = {k: p.copy() for k, p in m.params().items()}
+    @pytest.mark.parametrize("how", ["init", "deserialize", "direct"])
+    def test_parameters_are_views_of_theta(self, how, kind):
+        m, ref = _built(how, kind), init_model(kind, 3, hidden=4, seed=2)
+        params = m.params()
+        assert m.theta.dtype == float and m.theta.shape == (sum(p.size for p in params.values()),)
+        for key, sl in _key_slices(m).items():
+            assert np.array_equal(params[key], ref.params()[key])
+            assert np.shares_memory(params[key], m.theta)
+            assert np.array_equal(params[key].ravel(), m.theta[sl])
         x = np.random.default_rng(0).normal(size=(5, 3))
         scores = forward(m, x)
-        flat = pack_params(m)
-        assert flat.size == sum(p.size for p in before.values())
-        for key, p in m.params().items():
-            assert np.array_equal(p, before[key]) and np.shares_memory(p, flat)
-        assert np.array_equal(forward(m, x), scores)
-        flat *= 0.0
+        assert np.array_equal(scores, forward(ref, x))
+        m.theta[-1] += 1.0  # the last entry is the output bias
+        np.testing.assert_allclose(forward(m, x), scores + 1.0)
+        m.theta[...] = 0.0
         assert all(not p.any() for p in m.params().values())
+        assert not forward(m, x).any()
+        grad = backward(m, x, np.ones(5))
+        assert grad.shape == m.theta.shape
+
+    def test_rebinding_a_parameter_is_refused(self):
+        m = init_model("linear", 2)
+        with pytest.raises(AttributeError):
+            m.weights = np.zeros(2)
 
 
 class TestSerialization:

@@ -17,9 +17,7 @@ from trisim.risk import (
     corrected_losses,
     empirical_risk,
     empirical_risk_grad,
-    matched_us_coefficients,
     reconstructed_risk_discrete,
-    similarity_mass,
     slot_weights,
     supervised_risk_discrete,
 )
@@ -176,17 +174,37 @@ class TestEmpiricalRisk:
         assert g_u.shape == (2,)
 
 
+def _similarity_mass(prior):
+    """2*(pi_plus^2 + pi_minus^2) / (1 - pi_plus*pi_minus)."""
+    pp, pm = prior.pi_plus, prior.pi_minus
+    return 2.0 * (pp * pp + pm * pm) / (1.0 - pp * pm)
+
+
+def _matched_coefficients(prior, kind):
+    """(c_anchor, c_companion, c_unlabeled) read off the matched row: the
+    anchor mean's weight, the weight on the mean over both companions, and
+    the unlabeled coefficient."""
+    weights, c_u = slot_weights(prior, kind, "matched")
+    return weights[0] / 3.0, (weights[1] + weights[2]) / 3.0, c_u
+
+
 class TestMatchedCoefficients:
     def test_similarity_mass_exceeds_one(self):
+        # the matched weights' total mass, for both samplers
         for pi in (0.1, 0.3, 0.4, 0.6, 0.9):
-            assert similarity_mass(ClassPrior(pi)) > 1.0
+            for kind in ("rejection", "paper_case"):
+                assert sum(_matched_coefficients(ClassPrior(pi), kind)) > 1.0
 
     def test_similarity_mass_pinned(self):
         # 2*(0.16 + 0.36) / 0.76 at pi = 0.4
-        assert similarity_mass(ClassPrior(0.4)) == pytest.approx(1.04 / 0.76)
+        for kind in ("rejection", "paper_case"):
+            mass = sum(_matched_coefficients(ClassPrior(0.4), kind))
+            assert mass == pytest.approx(1.04 / 0.76)
 
     def test_rejection_coefficients(self):
-        c_a, c_c, c_u = matched_us_coefficients(ClassPrior(0.4), "rejection")
+        weights, c_u = slot_weights(ClassPrior(0.4), "rejection", "matched")
+        np.testing.assert_array_equal(weights, [6.0, 0.0, 0.0])
+        c_a, c_c, c_u = _matched_coefficients(ClassPrior(0.4), "rejection")
         assert c_a == pytest.approx(2.0)
         assert c_c == pytest.approx(0.0)
         assert c_u == pytest.approx(-2.0 * 0.24 / 0.76)
@@ -194,19 +212,21 @@ class TestMatchedCoefficients:
     def test_paper_case_coefficients_sum_to_mass(self):
         for pi in (0.2, 0.4, 0.7):
             prior = ClassPrior(pi)
-            c_a, c_c, c_u = matched_us_coefficients(prior, "paper_case")
-            mu = similarity_mass(prior)
+            c_a, c_c, c_u = _matched_coefficients(prior, "paper_case")
+            mu = _similarity_mass(prior)
             assert c_a + c_c + c_u == pytest.approx(mu)
             assert c_a == pytest.approx(mu / 2)
 
     def test_unknown_sampler_raises(self):
         with pytest.raises(InvalidInputError):
-            matched_us_coefficients(ClassPrior(0.4), "other")
+            slot_weights(ClassPrior(0.4), "other", "matched")
 
     def test_point_weights_reproduce_position_means(self):
         prior = ClassPrior(0.3)
+        mu = _similarity_mass(prior)
+        table = {"rejection": (2.0, 0.0, -2.0 * 0.21 / 0.79), "paper_case": (mu / 2, mu, -mu / 2)}
         for kind in ("rejection", "paper_case"):
-            c_a, c_c, c_u = matched_us_coefficients(prior, kind)
+            c_a, c_c, c_u = table[kind]
             n = 4
             weights, u_coef = slot_weights(prior, kind, "matched")
             w = np.tile(weights, n)

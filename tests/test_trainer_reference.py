@@ -6,8 +6,9 @@ index arrays with np.array_split, fancy-indexes and concatenates every
 batch, and runs Adam key by key over the model's own parameter arrays. It
 calls the package's forward, backward and risk functions, so the only
 things compared are the batch composition, the update order and the
-optimizer bookkeeping. Any move in them changes the final parameters and
-the log rows, which are compared with np.array_equal.
+optimizer bookkeeping. backward's gradient vector is sliced back into
+parameters by the params() sizes. Any move in them changes the final
+parameters and the log rows, which are compared with np.array_equal.
 """
 import numpy as np
 import pytest
@@ -47,10 +48,11 @@ def _reference_loop(config, model, pool_sizes, batch_upstream, epoch_risk, eval_
         splits = [np.array_split(rng.permutation(n), n_batches) for n in pool_sizes]
         for indices in zip(*splits):
             x, upstream = batch_upstream(model, *indices)
-            grads = backward(model, x, upstream)
-            step += 1
+            grad = backward(model, x, upstream)
+            step, offset = step + 1, 0
             for key, p in params.items():
-                g = grads[key]
+                g = grad[offset : offset + p.size].reshape(p.shape)
+                offset += p.size
                 p *= 1.0 - lr * wd
                 m[key] *= beta1
                 m[key] += (1.0 - beta1) * g
