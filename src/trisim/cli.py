@@ -108,6 +108,16 @@ def _list_of(kind):
     return parse
 
 
+def _seed(text: str) -> int:
+    """argparse type for a seed: numpy seeds are non-negative integers."""
+    if int(text) < 0:
+        raise ValueError(text)
+    return int(text)
+
+
+_seed.__name__ = "non-negative int"
+
+
 def _gaussian_spec(args) -> GaussianSourceSpec:
     if (args.mu_plus is None) != (args.mu_minus is None):
         raise ConfigurationError("--mu-plus and --mu-minus must be given together")
@@ -195,26 +205,23 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-SUITES = ("thetas", "identity", "acceptance", "bias", "matched", "gradients", "trend", "all")
+# each suite by name, in the order `all` merges them; the lambdas look the
+# check functions up when called, so a patched module global is honoured
+SUITES = {
+    "thetas": lambda seed: check_theta_system(),
+    "identity": lambda seed: check_risk_identity(seed=seed),
+    "acceptance": lambda seed: check_acceptance_rate(seed=seed),
+    "bias": lambda seed: run_bias_suite(seed=seed),
+    "matched": lambda seed: check_matched_calibration(seed=seed),
+    "gradients": lambda seed: check_gradients(seed=seed),
+    "trend": lambda seed: check_error_trend(),
+}
 
 
 def _run_suite(name: str, seed: int) -> VerifyReport:
-    if name == "thetas":
-        return check_theta_system()
-    if name == "identity":
-        return check_risk_identity(seed=seed)
-    if name == "acceptance":
-        return check_acceptance_rate(seed=seed)
-    if name == "bias":
-        return run_bias_suite(seed=seed)
-    if name == "matched":
-        return check_matched_calibration(seed=seed)
-    if name == "gradients":
-        return check_gradients(seed=seed)
-    if name == "trend":
-        return check_error_trend()
-    reports = [_run_suite(s, seed) for s in SUITES[:-1]]
-    return VerifyReport.merge(reports)
+    if name == "all":
+        return VerifyReport.merge([run(seed) for run in SUITES.values()])
+    return SUITES[name](seed)
 
 
 def cmd_verify(args) -> int:
@@ -289,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a labeled Gaussian-mixture CSV")
     _add_source_flags(p)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
@@ -299,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-us", type=int, required=True)
     p.add_argument("--n-u", type=int, required=True)
     p.add_argument("--sampler", choices=SAMPLERS, default="rejection")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_make_weak)
 
@@ -314,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="sampler that produced the triplets (sets the matched weights)",
     )
     _add_train_flags(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--test", help="labeled CSV for held-out accuracy")
     p.add_argument("--out", required=True, help="model file path")
     p.add_argument("--log", help="train log CSV path (default: <out>.log.csv)")
@@ -327,8 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("verify", help="run verification oracles")
-    p.add_argument("--suite", choices=SUITES, default="all")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--suite", choices=[*SUITES, "all"], default="all")
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
 
@@ -341,8 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--fractions", type=_list_of(float), default="0.1,0.25,0.5,1.0")
     p.add_argument("--corrections", type=_list_of(str), default="none,max_zero,abs")
-    p.add_argument("--seeds", type=_list_of(int), default="0,1,2,3,4")
-    p.add_argument("--seed", type=int, default=0, help="recorded only; runs are seeded by --seeds")
+    p.add_argument("--seeds", type=_list_of(_seed), default="0,1,2,3,4")
+    p.add_argument("--seed", type=_seed, default=0, help="recorded only; runs are seeded by --seeds")
     p.add_argument("--n-us", type=int, default=2000)
     p.add_argument("--n-u", type=int, default=2000)
     p.add_argument("--n-test", type=int, default=2000)
@@ -373,7 +380,8 @@ def _config_path(argv: list[str]) -> str | None:
 def _inject_config(argv: list[str]) -> list[str]:
     """Expand --config key=value files into flags placed before the
     explicit flags, so command-line values take precedence. A file that is
-    not UTF-8 text raises InvalidInputError."""
+    not UTF-8 text, or that names another config file, raises
+    InvalidInputError."""
     path = _config_path(argv)
     if path is None:
         return argv
@@ -387,7 +395,10 @@ def _inject_config(argv: list[str]) -> list[str]:
         if not line or line.startswith("#"):
             continue
         key, _, value = line.partition("=")
-        extra.extend([f"--{key.strip().replace('_', '-')}", value.strip()])
+        flag = f"--{key.strip().replace('_', '-')}"
+        if flag == "--config":
+            raise InvalidInputError(f"{path}: a config file cannot name another config file")
+        extra.extend([flag, value.strip()])
     # argv[0] is the subcommand; config-derived flags go right after it
     return argv[:1] + extra + argv[1:]
 

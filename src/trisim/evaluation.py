@@ -13,7 +13,7 @@ import numpy as np
 from .core import ClassPrior, ConfigurationError, CorrectionKind
 from .model import accuracy
 from .sampler import GaussianSourceSpec, make_weak_dataset, synth_gaussian_labeled
-from .trainer import TrainConfig, train, train_supervised_oracle
+from .trainer import TrainConfig, _batch_plan, train, train_supervised_oracle
 
 
 @dataclass(frozen=True)
@@ -42,6 +42,12 @@ def derive_seeds(seed: int, n: int) -> list[int]:
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(n, dtype=np.uint64)]
 
 
+def _clamped(config: TrainConfig, n_us: int, n_u: int) -> TrainConfig:
+    """config with its batch clamped to the pool sizes of a weak run, so one
+    config can be swept across data budgets smaller than its nominal batch."""
+    return replace(config, batch_size=min(config.batch_size, 3 * n_us, n_u))
+
+
 def weak_run(
     source_spec: GaussianSourceSpec,
     config: TrainConfig,
@@ -51,16 +57,12 @@ def weak_run(
     n_test: int = 2000,
     sampler_kind: str = "paper_case",
 ) -> float:
-    """One full generate-train-evaluate cycle; returns test accuracy.
-
-    The batch size is clamped to the pool sizes so a single config can be
-    swept across data budgets smaller than its nominal batch.
-    """
+    """One full generate-train-evaluate cycle with the batch clamped to
+    the pools; returns test accuracy."""
     data_seed, test_seed = derive_seeds(seed, 2)
     data = make_weak_dataset(source_spec, n_us, n_u, sampler_kind, data_seed)
     test = synth_gaussian_labeled(source_spec, n_test, test_seed)
-    batch = min(config.batch_size, 3 * n_us, n_u)
-    model, _ = train(replace(config, seed=seed, batch_size=batch), data)
+    model, _ = train(replace(_clamped(config, n_us, n_u), seed=seed), data)
     return accuracy(model, test)
 
 
@@ -87,15 +89,24 @@ def _require_values(axis: str, settings, seeds) -> None:
             raise ConfigurationError(f"no {name} to sweep: the list is empty")
 
 
-def _row(setting: str, accs: list[float]) -> SweepRow:
-    std = float(np.std(accs, ddof=1)) if len(accs) >= 2 else None
-    return SweepRow(
-        setting=setting,
-        mean=float(np.mean(accs)),
-        std=std,
-        n_seeds=len(accs),
-        per_seed=tuple(accs),
-    )
+def _sweep(axis, summary, cells, seeds, source_spec, n_test, sampler_kind) -> SweepResult:
+    """Run every cell at every seed, in order; a cell is (label, config,
+    n_us, n_u). Every cell's batch plan is checked before the first run."""
+    for label, cfg, n_us, n_u in cells:
+        # train skips the plan for zero epochs; an empty pool fails in the sampler
+        if cfg.epochs and min(n_us, n_u) > 0:
+            try:
+                _batch_plan((3 * n_us, n_u), _clamped(cfg, n_us, n_u).batch_size)
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"{axis} {label}: {exc}") from None
+    result = SweepResult(axis=axis, config=summary)
+    for label, cfg, n_us, n_u in cells:
+        accs = [
+            weak_run(source_spec, cfg, n_us, n_u, seed, n_test, sampler_kind) for seed in seeds
+        ]
+        std = float(np.std(accs, ddof=1)) if len(accs) >= 2 else None
+        result.rows.append(SweepRow(label, float(np.mean(accs)), std, len(accs), tuple(accs)))
+    return result
 
 
 def prior_sweep(
@@ -112,33 +123,20 @@ def prior_sweep(
     """Generate data under the true prior, train under each given prior.
 
     Data generation depends only on (true prior, seed), so every given
-    prior sees identical datasets per seed.
+    prior sees identical datasets per seed. A given prior of 0.5 gets a
+    skipped row.
     """
     _require_values("given priors", given_priors, seeds)
-    result = SweepResult(
-        axis="given_prior",
-        config={"true_prior": true_prior.pi_plus, "n_us": n_us, "n_u": n_u},
-    )
+    # every prior is checked before the first run
+    cells = [
+        (f"{g}", replace(config, prior=ClassPrior(g)), n_us, n_u) for g in given_priors if g != 0.5
+    ]
+    summary = {"true_prior": true_prior.pi_plus, "n_us": n_us, "n_u": n_u}
     spec = replace(source_spec, prior=true_prior)
-    # every prior is checked before the first run; 0.5 gets a skipped row
-    configs = [None if g == 0.5 else replace(config, prior=ClassPrior(g)) for g in given_priors]
-    for given, cfg in zip(given_priors, configs):
-        if cfg is None:
-            result.rows.append(
-                SweepRow(
-                    setting=f"{given}",
-                    mean=None,
-                    std=None,
-                    n_seeds=0,
-                    error="degenerate prior 0.5 skipped",
-                )
-            )
-            continue
-        accs = [
-            weak_run(spec, cfg, n_us, n_u, seed, n_test, sampler_kind)
-            for seed in seeds
-        ]
-        result.rows.append(_row(f"{given}", accs))
+    result = _sweep("given_prior", summary, cells, seeds, spec, n_test, sampler_kind)
+    skipped = SweepRow("0.5", None, None, 0, error="degenerate prior 0.5 skipped")
+    rows = iter(result.rows)
+    result.rows = [skipped if g == 0.5 else next(rows) for g in given_priors]
     return result
 
 
@@ -154,26 +152,14 @@ def fraction_sweep(
 ) -> SweepResult:
     """Accuracy at increasing fractions of the full training budget."""
     _require_values("fractions", fractions, seeds)
-    result = SweepResult(axis="fraction", config={"n_us": n_us, "n_u": n_u})
-    # every fraction is checked before the first run
     for frac in fractions:
         if not 0 < frac <= 1:
             raise ConfigurationError(f"fraction must lie in (0, 1], got {frac}")
-    for frac in fractions:
-        accs = [
-            weak_run(
-                source_spec,
-                config,
-                max(1, round(n_us * frac)),
-                max(1, round(n_u * frac)),
-                seed,
-                n_test,
-                sampler_kind,
-            )
-            for seed in seeds
-        ]
-        result.rows.append(_row(f"{frac}", accs))
-    return result
+    cells = [
+        (f"{f}", config, max(1, round(n_us * f)), max(1, round(n_u * f))) for f in fractions
+    ]
+    summary = {"n_us": n_us, "n_u": n_u}
+    return _sweep("fraction", summary, cells, seeds, source_spec, n_test, sampler_kind)
 
 
 def correction_sweep(
@@ -188,18 +174,9 @@ def correction_sweep(
 ) -> SweepResult:
     """One training run per (correction, seed), identical data per seed."""
     _require_values("corrections", corrections, seeds)
-    kinds = []
     for name in corrections:
-        try:
-            kinds.append(CorrectionKind(name))
-        except ValueError:
-            raise ConfigurationError(f"unknown correction {name!r}") from None
-    result = SweepResult(axis="correction", config={"n_us": n_us, "n_u": n_u})
-    for kind in kinds:
-        cfg = replace(config, correction=kind)
-        accs = [
-            weak_run(source_spec, cfg, n_us, n_u, seed, n_test, sampler_kind)
-            for seed in seeds
-        ]
-        result.rows.append(_row(kind.value, accs))
-    return result
+        if name not in {c.value for c in CorrectionKind}:
+            raise ConfigurationError(f"unknown correction {name!r}")
+    cells = [(c, replace(config, correction=CorrectionKind(c)), n_us, n_u) for c in corrections]
+    summary = {"n_us": n_us, "n_u": n_u}
+    return _sweep("correction", summary, cells, seeds, source_spec, n_test, sampler_kind)

@@ -62,12 +62,18 @@ class GaussianSourceSpec:
         mm = np.asarray(self.mu_minus, dtype=float)
         if mp.shape != (self.dim,) or mm.shape != (self.dim,):
             raise ShapeError("class means must have shape (dim,)")
+        if not (np.isfinite(mp).all() and np.isfinite(mm).all()):
+            raise InvalidInputError("class means must be finite")
         object.__setattr__(self, "mu_plus", mp)
         object.__setattr__(self, "mu_minus", mm)
 
     def draw_class(self, rng: np.random.Generator, label: int, n: int) -> np.ndarray:
         mu = self.mu_plus if label == 1 else self.mu_minus
-        return mu + self.sigma * rng.standard_normal((n, self.dim))
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = mu + self.sigma * rng.standard_normal((n, self.dim))
+        if not np.isfinite(x).all():
+            raise InvalidInputError(f"class {label:+d} draws overflow; use smaller means or sigma")
+        return x
 
 
 def default_gaussian_spec(

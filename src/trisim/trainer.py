@@ -104,9 +104,11 @@ def _batch_plan(pool_sizes: tuple[int, ...], batch_size: int) -> int:
             f"(pool sizes {', '.join(map(str, pool_sizes))}); reduce --batch or supply more data"
         )
     if n_batches > min(pool_sizes):
+        # a batch as large as the smallest pool is the largest allowed
+        fix = "increase --batch" if batch_size < min(pool_sizes) else "supply more data"
         raise ConfigurationError(
             f"{n_batches} batches cannot each contain a point from every pool "
-            f"(pool sizes {', '.join(map(str, pool_sizes))}); increase --batch"
+            f"(pool sizes {', '.join(map(str, pool_sizes))}); {fix}"
         )
     return n_batches
 

@@ -103,6 +103,29 @@ def test_bad_list_flag_exits_usage(tmp_path, capsys, argv):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--sep", "nan"], "class means must be finite"),
+        (["--sep", "inf"], "class means must be finite"),
+        (["--mu-plus", "1,0", "--mu-minus=-inf,0"], "class means must be finite"),
+        (["--sep", "1e308", "--sigma", "1e308"],
+         "class +1 draws overflow; use smaller means or sigma"),
+    ],
+    ids=["nan", "inf", "mu-minus", "overflow"],
+)
+def test_synth_non_finite_exits_config(tmp_path, capsys, flags, message):
+    # these used to write nan/inf features that the CSV reader rejects
+    out = tmp_path / "x.csv"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["synth", "--pi", "0.4", "--n", "50", *flags, "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
 class TestMakeWeak:
     def test_produces_both_files(self, tmp_path):
         data = _synth(tmp_path)
@@ -406,8 +429,16 @@ class TestSweepValidatesFirst:
              "fraction must lie in (0, 1], got 2.0"),
             (["--kind", "prior", "--given", "0.4,1.5"],
              "pi_plus must lie strictly in (0, 1), got 1.5"),
+            # pools of 3 and 20 clamp the batch to 3, so no --batch can help
+            (["--kind", "fraction", "--fractions", "1.0,0.01", "--seeds", "0,1,2",
+              "--n-us", "100", "--n-u", "2000"],
+             "fraction 0.01: 8 batches cannot each contain a point from every pool "
+             "(pool sizes 3, 20); supply more data"),
+            (["--kind", "correction", "--corrections", "none", "--n-us", "100", "--batch", "2"],
+             "correction none: 1150 batches cannot each contain a point from every pool "
+             "(pool sizes 300, 2000); increase --batch"),
         ],
-        ids=["fraction", "prior"],
+        ids=["fraction", "prior", "fraction-batch-plan", "correction-batch-plan"],
     )
     def test_bad_late_setting_exits_before_any_run(self, tmp_path, capsys, monkeypatch,
                                                    flags, message):
@@ -431,6 +462,34 @@ def test_corrections_list_items_are_stripped(tmp_path, capsys, monkeypatch):
     assert [a[1].correction.value for a in calls] == ["none", "abs"]
     assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == ["none", "abs"]
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "--pi", "0.4", "--n", "5", "--seed", "-1", "--out", "{out}"],
+        ["make-weak", "--in", "{csv}", "--n-us", "5", "--n-u", "5", "--seed", "-1",
+         "--out-dir", "{out}"],
+        ["train", "--us", "{csv}", "--u", "{csv}", "--pi", "0.4", "--seed", "-1", "--out", "{out}"],
+        ["verify", "--suite", "thetas", "--seed", "-1", "--out", "{out}"],
+        ["sweep", "--kind", "correction", "--pi", "0.4", "--seed", "-1", "--out", "{out}"],
+        ["sweep", "--kind", "correction", "--pi", "0.4", "--seeds", "0,-1", "--out", "{out}"],
+    ],
+    ids=["synth", "make-weak", "train", "verify", "sweep-seed", "sweep-seeds"],
+)
+def test_negative_seed_exits_usage(tmp_path, capsys, monkeypatch, argv):
+    # numpy seeds must be non-negative; a negative one used to reach
+    # SeedSequence and end in a traceback
+    calls = []
+    monkeypatch.setattr(evaluation, "weak_run", lambda *a, **k: calls.append(a) or 0.9)
+    csv, out = _synth(tmp_path), tmp_path / "out"
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(csv=csv, out=out) for a in argv])
+    assert exc.value.code == EXIT_USAGE
+    assert "invalid" in capsys.readouterr().err.splitlines()[-1]
+    assert calls == []
+    assert not out.exists()
 
 
 class TestConfigInjection:
@@ -487,6 +546,22 @@ class TestDeterminism:
 
 
 class TestConfigFile:
+    def test_nested_config_exits_config_with_one_line(self, tmp_path, capsys):
+        # a config=... line used to become a --config flag that was never
+        # expanded, so the nested file's values were silently dropped
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        a.write_text(f"config={b}\n")
+        b.write_text("seed=7\n")
+        out = tmp_path / "z.csv"
+        capsys.readouterr()
+        rc = main(["synth", "--config", str(a), "--pi", "0.4", "--n", "5", "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {a}: a config file cannot name another config file"
+        ]
+        assert not out.exists()
+        assert not (tmp_path / "z.csv.manifest.json").exists()
+
     def test_not_utf8_exits_config_with_one_line(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.bin"
         cfg.write_bytes(b"\xff\xfe" + bytes(range(256)))

@@ -108,3 +108,67 @@ class TestSweeps:
         d = result.to_dict()
         assert d["axis"] == "fraction"
         assert isinstance(d["rows"][0]["per_seed"], list)
+
+
+# to_dict() of each sweep as the three per-sweep loops gave it, before the
+# sweeps shared one runner; per-seed accuracies must match exactly
+PINNED = {
+    "prior": {
+        "axis": "given_prior",
+        "rows": [
+            {"setting": "0.35", "mean": 0.655, "std": 0.24748737341529162, "n_seeds": 2,
+             "per_seed": [0.83, 0.48], "error": None},
+            {"setting": "0.5", "mean": None, "std": None, "n_seeds": 0,
+             "per_seed": [], "error": "degenerate prior 0.5 skipped"},
+            {"setting": "0.45", "mean": 0.655, "std": 0.24748737341529162, "n_seeds": 2,
+             "per_seed": [0.83, 0.48], "error": None},
+        ],
+        "config": {"true_prior": 0.4, "n_us": 40, "n_u": 60},
+    },
+    "fraction": {
+        "axis": "fraction",
+        "rows": [
+            {"setting": "0.5", "mean": 0.655, "std": 0.24748737341529162, "n_seeds": 2,
+             "per_seed": [0.83, 0.48], "error": None},
+            {"setting": "1.0", "mean": 0.655, "std": 0.24748737341529162, "n_seeds": 2,
+             "per_seed": [0.83, 0.48], "error": None},
+        ],
+        "config": {"n_us": 40, "n_u": 60},
+    },
+    "correction": {
+        "axis": "correction",
+        "rows": [
+            {"setting": "none", "mean": 0.6599999999999999, "std": 0.2545584412271571,
+             "n_seeds": 2, "per_seed": [0.84, 0.48], "error": None},
+            {"setting": "abs", "mean": 0.655, "std": 0.24748737341529162, "n_seeds": 2,
+             "per_seed": [0.83, 0.48], "error": None},
+        ],
+        "config": {"n_us": 40, "n_u": 60},
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "kind,run",
+    [
+        ("prior", lambda: prior_sweep(ClassPrior(0.4), [0.35, 0.5, 0.45], [0, 1], SPEC, QUICK,
+                                      40, 60, n_test=100)),
+        ("fraction", lambda: fraction_sweep([0.5, 1.0], [0, 1], SPEC, QUICK, 40, 60, n_test=100)),
+        ("correction", lambda: correction_sweep(["none", "abs"], [0, 1], SPEC, QUICK, 40, 60,
+                                                n_test=100)),
+    ],
+    ids=["prior", "fraction", "correction"],
+)
+def test_sweep_matches_pinned_result(kind, run):
+    got, want = run().to_dict(), PINNED[kind]
+    for name in ("axis", "config"):
+        assert got[name] == want[name]
+    assert len(got["rows"]) == len(want["rows"])
+    for row, ref in zip(got["rows"], want["rows"]):
+        for key in ("setting", "n_seeds", "per_seed", "error"):
+            assert row[key] == ref[key], key
+        for key in ("mean", "std"):
+            if ref[key] is None:
+                assert row[key] is None
+            else:
+                assert row[key] == pytest.approx(ref[key], rel=1e-9, abs=0)

@@ -1,7 +1,8 @@
 """Property tests of the failure contract on fuzzed input files: a reader
 returns a value or raises InvalidInputError, and `eval` and `train` exit
 with a documented code (0, 2, 3 or 4), print at most one stderr line and
-let no traceback or numpy warning escape.
+let no traceback or numpy warning escape. `synth` is fuzzed over its
+numeric flags the same way, and what it writes must read back.
 
 The inputs are arbitrary bytes, plus text built from the tokens each format
 is made of (numbers, edge values, JSON values), so the search reaches the
@@ -160,5 +161,50 @@ def test_train_exits_with_a_documented_code(tmp_path, capsys, target):
             "--epochs", "1", "--batch", "10", "--out", str(tmp_path / "m.json"),
         ])
         assert rc in (0, 2, 3, 4) and len(err) <= 1, (rc, err)
+
+    check()
+
+
+# numeric flag values, a valid one first, then negative, zero, non-finite
+# and overflowing ones
+SYNTH_FLAGS = {
+    "--seed": ["0", "3", "-1", "nan"],
+    "--n": ["2", "50", "1", "0", "-5", "inf"],
+    "--dim": ["1", "4", "0", "-1", "nan"],
+    "--sep": ["4", "0", "-2", "nan", "inf", "-inf", "1e308"],
+    "--sigma": ["1", "0.5", "0", "-1", "nan", "inf", "1e308"],
+    "--pi": ["0.4", "0.9", "0", "-0.4", "1", "nan", "inf", "1e308"],
+}
+
+
+@st.composite
+def _synth_flags(draw):
+    """Every flag at its valid first value except one or two drawn from the
+    whole list, so most runs get past the flags that are not fuzzed."""
+    fuzzed = draw(st.sets(st.sampled_from(sorted(SYNTH_FLAGS)), min_size=1, max_size=2))
+    return {k: draw(st.sampled_from(v)) if k in fuzzed else v[0] for k, v in SYNTH_FLAGS.items()}
+
+
+def test_synth_numeric_flags_keep_the_contract(tmp_path, capsys):
+    out = tmp_path / "synth.csv"
+
+    @settings(FUZZ, max_examples=100)  # synth is cheap
+    @given(values=_synth_flags())
+    def check(values):
+        out.unlink(missing_ok=True)
+        # the = form keeps argparse from reading a leading minus as a flag
+        argv = ["synth", *(f"{k}={v}" for k, v in values.items()), "--out", str(out)]
+        try:
+            rc, err = _run_main(capsys, argv)
+        except SystemExit as exc:
+            rc, err = exc.code, []
+        assert rc in (0, 2, 4), (rc, err)
+        if rc == 4:
+            assert len(err) == 1, err
+        if rc == 0:
+            pool = read_labeled_csv(out)
+            assert len(pool) == int(values["--n"])
+        else:
+            assert not out.exists()
 
     check()

@@ -77,6 +77,12 @@ class TestBatchPlan:
         with pytest.raises(ConfigurationError):
             _batch_plan((4, 1000), 5)
 
+    @pytest.mark.parametrize("batch,fix", [(3, "increase --batch"), (4, "supply more data")])
+    def test_too_many_batches_advises_a_fix_that_can_work(self, batch, fix):
+        # a batch as large as the smallest pool cannot grow any further
+        with pytest.raises(ConfigurationError, match=f"; {fix}$"):
+            _batch_plan((4, 1000), batch)
+
 
 class TestTrain:
     def test_zero_epochs_returns_init_model(self):
