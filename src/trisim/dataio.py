@@ -2,15 +2,17 @@
 training-log CSV, and sweep exports.
 
 Floats are written with repr-precision so identical runs produce
-byte-identical files.
+byte-identical files; the CSV writers give csv.writer's bytes.
 """
 from __future__ import annotations
 
 import csv
 import functools
+import io
 import json
 import math
 from dataclasses import fields
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -25,12 +27,10 @@ WEAK_META = "weak.json"  # beside the two JSONL files: how the weak data was mad
 
 
 def write_labeled_csv(path, pool: LabeledPool) -> None:
-    d = pool.x.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["y"] + [f"f{i + 1}" for i in range(d)])
-        for yi, xi in zip(pool.y, pool.x):
-            writer.writerow([f"{yi:+d}"] + [repr(float(v)) for v in xi])
+    n, d = pool.x.shape  # csv.writer's bytes: no label, name or float repr needs quotes
+    header = ",".join(["y"] + [f"f{i + 1}" for i in range(d)]) + "\r\n"
+    values = chain.from_iterable(zip(pool.y.tolist(), *pool.x.T.tolist()))
+    Path(path).write_text(header + ("%+d" + ",%r" * d + "\r\n") * n % tuple(values), newline="")
 
 
 def _utf8_only(read):
@@ -51,7 +51,9 @@ def _utf8_only(read):
 def read_labeled_csv(path) -> LabeledPool:
     """Labeled pool from a CSV with a 'y' column first; a malformed row or
     a non-finite feature raises InvalidInputError naming its line."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    if (pool := _csv_at_once(path)) is not None:
+        return pool
+    with open(path, newline="", encoding="utf-8") as fh:  # the line loop
         reader = csv.reader(fh)
         header = next(reader, None)
         if not header or header[0] != "y":
@@ -79,12 +81,31 @@ def read_labeled_csv(path) -> LabeledPool:
     return LabeledPool(x=np.array(xs), y=np.array(ys))
 
 
+def _csv_at_once(path) -> LabeledPool | None:
+    """read_labeled_csv from csv's rows of the whole file, or None unless every
+    row is as long as the header and parses; the line loop names the bad line."""
+    try:
+        header, *rows = csv.reader(io.StringIO(Path(path).read_bytes().decode(), newline=""))
+        cells = list(chain.from_iterable(rows))
+        labels = cells[:: len(header)]
+        del cells[:: len(header)]
+        x = np.fromiter(map(float, cells), float, len(cells)).reshape(len(rows), len(header) - 1)
+        y = np.array(list(map(int, labels)))
+    except (ValueError, csv.Error):  # not UTF-8 or a number, no header, a field over csv's limit
+        return None
+    proven = header[0] == "y" and set(map(len, rows)) == {len(header)} and np.isfinite(x).all()
+    return LabeledPool(x=x, y=y) if proven else None
+
+
 def _write_jsonl(path, keys: tuple[str, ...], arr: np.ndarray) -> None:
-    """One JSON object per row of an (n, len(keys), d) array, each key
-    holding its member's float vector; the mirror of _read_jsonl."""
-    with open(path, "w") as fh:
-        for row in np.asarray(arr, dtype=float):
-            fh.write(json.dumps(dict(zip(keys, row.tolist()))) + "\n")
+    """One JSON object per row of an (n, len(keys), d) array, each key holding
+    its member's float vector, as json.dumps writes it; the mirror of _read_jsonl."""
+    arr = np.asarray(arr, dtype=float)
+    line = json.dumps(dict.fromkeys(keys, [0.0] * arr.shape[2])).replace("0.0", "%s") + "\n"
+    values = arr.ravel().tolist()  # for %s, as str(float) is repr(float)
+    if not np.isfinite(arr).all():  # as json writes them: NaN, Infinity, -Infinity
+        values = list(map(json.dumps, values))
+    Path(path).write_text(line * len(arr) % tuple(values))
 
 
 def write_triplets_jsonl(path, triplets: np.ndarray) -> None:
@@ -95,10 +116,12 @@ def write_triplets_jsonl(path, triplets: np.ndarray) -> None:
 def _read_jsonl(path, keys: tuple[str, ...], what: str) -> np.ndarray:
     """The named fields of every non-blank line as one float array of shape
     (lines, len(keys), d). A line that is not a JSON object with those keys,
-    or whose values are not finite numeric vectors of the first line's
-    shape, raises InvalidInputError naming the line."""
+    or whose values are not finite JSON numbers in vectors shaped like the
+    first line's, raises InvalidInputError naming the line."""
+    if (arr := _jsonl_at_once(path, keys)) is not None:
+        return arr
     rows, linenos = [], []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh:  # the line loop
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
@@ -114,6 +137,8 @@ def _read_jsonl(path, keys: tuple[str, ...], what: str) -> np.ndarray:
                 )
             rows.append([rec[k] for k in keys])
             linenos.append(lineno)
+            if not _numbers_only(rows[-1]):
+                raise InvalidInputError(f"{path}:{lineno}: could not convert: not a JSON number")
     if not rows:
         raise InvalidInputError(f"{path}: no {what}")
     try:
@@ -139,6 +164,32 @@ def _read_jsonl(path, keys: tuple[str, ...], what: str) -> np.ndarray:
                 f"line {linenos[0]} has {first_shape[1:]}"
             )
     raise InvalidInputError(f"{path}: {error}")
+
+
+def _jsonl_at_once(path, keys: tuple[str, ...]) -> np.ndarray | None:
+    """_read_jsonl by one json.loads of the lines joined into an array; None unless
+    that proves each line one object: no CR, '}' and '{' around each line break, and
+    objects with just the named keys, each a vector of finite JSON numbers of one
+    length. Such objects hold no other brace, so no join can fall inside one."""
+    try:
+        body = Path(path).read_bytes().decode().removesuffix("\n")
+        recs = json.loads("[" + body.replace("\n", ",") + "]")
+        vectors = [rec[k] for rec in recs for k in keys]
+        flat = list(chain.from_iterable(vectors))
+        arr = np.array(flat, dtype=float).reshape(len(recs), len(keys), len(vectors[0]))
+    except (ValueError, LookupError, TypeError, OverflowError, RecursionError):
+        return None  # not UTF-8 or JSON, no objects, or an integer beyond float range
+    proven = ("\r" not in body and body.count("\n") == body.count("}\n{") == len(recs) - 1
+              and set(map(len, recs)) == {len(keys)} and set(map(type, vectors)) == {list}
+              and len(set(map(len, vectors))) == 1 and set(map(type, flat)) <= {int, float})
+    return arr if proven and np.isfinite(arr).all() else None
+
+
+def _numbers_only(values: list) -> bool:
+    """Whether every leaf of these nested lists is a JSON number (a bool is not)."""
+    while any(type(v) is list for v in values):
+        values = list(chain.from_iterable(v if type(v) is list else [v] for v in values))
+    return all(type(v) in (int, float) for v in values)
 
 
 def read_triplets_jsonl(path) -> np.ndarray:
@@ -228,32 +279,21 @@ def read_model(path) -> Model:
 
 
 def write_train_log_csv(path, log: TrainLog) -> None:
-    """One row per EpochRecord, its fields in order, floats in repr form
-    and a missing test accuracy as an empty cell."""
+    """One row per EpochRecord, its fields in order, values in repr form and
+    a missing test accuracy as an empty cell."""
     names = [f.name for f in fields(EpochRecord)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for record in log.records:
-            values = (getattr(record, name) for name in names)
-            writer.writerow(["" if v is None else repr(v) for v in values])
+    line = ",".join(["%s"] * len(names)) + "\r\n"
+    values = (getattr(record, name) for record in log.records for name in names)
+    cells = ["" if v is None else repr(v) for v in values]
+    Path(path).write_text(line % tuple(names) + line * len(log.records) % tuple(cells), newline="")
 
 
 def write_sweep_csv(path, result: SweepResult) -> None:
+    header = [result.axis, "mean", "std", "n_seeds", "per_seed", "error"]
+    rows = [[r.setting, *("" if v is None else repr(v) for v in (r.mean, r.std)), r.n_seeds,
+             ";".join(map(repr, r.per_seed)), r.error or ""] for r in result.rows]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([result.axis, "mean", "std", "n_seeds", "per_seed", "error"])
-        for row in result.rows:
-            writer.writerow(
-                [
-                    row.setting,
-                    "" if row.mean is None else repr(row.mean),
-                    "" if row.std is None else repr(row.std),
-                    row.n_seeds,
-                    ";".join(repr(a) for a in row.per_seed),
-                    row.error or "",
-                ]
-            )
+        csv.writer(fh).writerows([header, *rows])
 
 
 def write_sweep_json(path, result: SweepResult) -> None:

@@ -126,6 +126,18 @@ def test_synth_non_finite_exits_config(tmp_path, capsys, flags, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--dim", "--n"])
+def test_synth_unallocatable_size_exits_config(tmp_path, capsys, flag):
+    # 10**15 float64 values are petabytes: numpy refuses before allocating
+    out = tmp_path / "x.csv"
+    capsys.readouterr()
+    rc = main(["synth", "--pi", "0.4", "--n", "2", flag, str(10**15), "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: out of memory: Unable to allocate"), err
+    assert list(tmp_path.iterdir()) == []  # no output, no manifest
+
+
 class TestMakeWeak:
     def test_produces_both_files(self, tmp_path):
         data = _synth(tmp_path)

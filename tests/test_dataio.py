@@ -1,12 +1,18 @@
-"""Unit tests for file formats: round trips, byte-stability, and error
-reporting on malformed inputs."""
+"""Unit tests for file formats: round trips, byte-stability, error
+reporting on malformed inputs, and the batched writers and readers against
+the per-row writers and the line loops they replaced."""
+import csv
 import json
+from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from trisim import dataio
 from trisim.core import ClassPrior, InvalidInputError, LabeledPool, WeakDataset
 from trisim.dataio import (
+    TRIPLET_KEYS,
     WEAK_META,
     read_labeled_csv,
     read_model,
@@ -306,3 +312,253 @@ class TestLogsAndSweeps:
         doc = json.loads(json_path.read_text())
         assert doc["config"]["n_us"] == 10
         assert doc["rows"][1]["error"] == "skipped"
+
+
+# The per-row writers that the batched ones replaced, kept as references:
+# the batched writers must give their bytes.
+def reference_labeled_csv(path, pool):
+    d = pool.x.shape[1]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["y"] + [f"f{i + 1}" for i in range(d)])
+        for yi, xi in zip(pool.y, pool.x):
+            writer.writerow([f"{yi:+d}"] + [repr(float(v)) for v in xi])
+
+
+def reference_jsonl(path, keys, arr):
+    with open(path, "w") as fh:
+        for row in np.asarray(arr, dtype=float):
+            fh.write(json.dumps(dict(zip(keys, row.tolist()))) + "\n")
+
+
+def reference_train_log_csv(path, log):
+    names = [f.name for f in fields(EpochRecord)]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        for record in log.records:
+            values = (getattr(record, name) for name in names)
+            writer.writerow(["" if v is None else repr(v) for v in values])
+
+
+def reference_sweep_csv(path, result):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([result.axis, "mean", "std", "n_seeds", "per_seed", "error"])
+        for row in result.rows:
+            writer.writerow(
+                [
+                    row.setting,
+                    "" if row.mean is None else repr(row.mean),
+                    "" if row.std is None else repr(row.std),
+                    row.n_seeds,
+                    ";".join(repr(a) for a in row.per_seed),
+                    row.error or "",
+                ]
+            )
+
+
+EDGE = [-0.0, 5e-324, 1e308, 0.1, 1 / 3]
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+def _floats(n, d, edge, seed=0):
+    """n x d floats over many magnitudes, starting with the edge values (as
+    many as fit)."""
+    rng = np.random.default_rng(seed)
+    flat = rng.normal(size=n * d) * 10.0 ** rng.integers(-30, 30, size=n * d)
+    flat[: len(edge)] = edge[: flat.size]
+    return flat.reshape(n, d)
+
+
+def _same_bytes(tmp_path, write, reference, *args):
+    write(tmp_path / "batched", *args)
+    reference(tmp_path / "reference", *args)
+    return (tmp_path / "batched").read_bytes() == (tmp_path / "reference").read_bytes()
+
+
+class TestWriterBytes:
+    @pytest.mark.parametrize("n", [0, 1, 3000])
+    @pytest.mark.parametrize("d", [1, 2, 50])
+    def test_labeled_csv(self, tmp_path, n, d):
+        pool = LabeledPool(_floats(n, d, EDGE), np.random.default_rng(1).choice([1, -1], size=n))
+        assert _same_bytes(tmp_path, write_labeled_csv, reference_labeled_csv, pool)
+
+    @pytest.mark.parametrize("n", [0, 1, 3000])
+    @pytest.mark.parametrize("d", [1, 2, 50])
+    def test_jsonl(self, tmp_path, n, d):
+        triplets = _floats(n * 3, d, EDGE + NON_FINITE).reshape(n, 3, d)
+        unlabeled = _floats(n, d, NON_FINITE + EDGE, seed=1)
+        assert _same_bytes(
+            tmp_path, write_triplets_jsonl,
+            lambda path, t: reference_jsonl(path, TRIPLET_KEYS, t), triplets,
+        )
+        assert _same_bytes(
+            tmp_path, write_unlabeled_jsonl,
+            lambda path, x: reference_jsonl(path, ("x",), x[:, None]), unlabeled,
+        )
+
+    @pytest.mark.parametrize("values", [EDGE, EDGE + NON_FINITE], ids=["finite", "non-finite"])
+    def test_jsonl_every_value_in_every_slot(self, tmp_path, values):
+        x = np.array(values)[:, None] * np.ones(2)
+        assert _same_bytes(
+            tmp_path, write_unlabeled_jsonl,
+            lambda path, x: reference_jsonl(path, ("x",), x[:, None]), x,
+        )
+
+    @pytest.mark.parametrize("accuracy", ["none", "all", "some"])
+    def test_train_log(self, tmp_path, accuracy):
+        records = [
+            EpochRecord(
+                i, EDGE[i % 5], -EDGE[(i + 1) % 5], 0.1 * i, 1e-5 * i,
+                None if accuracy == "none" or (accuracy == "some" and i % 2) else 1 / i,
+            )
+            for i in range(1, 601)
+        ]
+        for log in (TrainLog(records), TrainLog([])):
+            assert _same_bytes(tmp_path, write_train_log_csv, reference_train_log_csv, log)
+
+    def test_sweep_csv(self, tmp_path):
+        result = SweepResult(
+            axis="prior",
+            rows=[
+                SweepRow("0.35", 1 / 3, 0.0, 2, (5e-324, 1e308)),
+                SweepRow("0.5", None, None, 0, (), error='degenerate, "skipped"\nprior'),
+            ],
+            config={},
+        )
+        assert _same_bytes(tmp_path, write_sweep_csv, reference_sweep_csv, result)
+
+
+def _outcome(reader, path):
+    """What a reader gives for a file: its arrays bit for bit, or its error."""
+    try:
+        got = reader(path)
+    except Exception as exc:  # the same error, whatever it is, from both paths
+        return type(exc).__name__, str(exc)
+    arrays = (got.x, got.y) if isinstance(got, LabeledPool) else (got,)
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+def _batched_and_loop(reader, path):
+    """The reader's outcome, and its line loop's outcome with the batched
+    pass switched off."""
+    batched = _outcome(reader, path)
+    with mock.patch.object(dataio, "_csv_at_once", lambda *args: None), \
+            mock.patch.object(dataio, "_jsonl_at_once", lambda *args: None):
+        return batched, _outcome(reader, path)
+
+
+SPLITLINES_ONLY = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+class TestBatchedReaders:
+    """The batched pass accepts exactly what the line loop accepts, with
+    equal arrays, and otherwise leaves the line loop to name the bad line."""
+
+    def _check(self, tmp_path, reader, text, expected):
+        path = tmp_path / "f.txt"
+        path.write_bytes(text.encode())
+        batched, loop = _batched_and_loop(reader, path)
+        assert batched == loop
+        if isinstance(expected, str):
+            assert batched[0] == "InvalidInputError" and batched[1] == f"{path}:{expected}"
+        else:
+            assert batched == _outcome(lambda p: expected, path)
+
+    def test_written_files_take_the_batched_pass(self, tmp_path):
+        write_labeled_csv(tmp_path / "d.csv", _pool())
+        write_triplets_jsonl(tmp_path / "t.jsonl", _floats(6, 2, EDGE).reshape(2, 3, 2))
+        write_unlabeled_jsonl(tmp_path / "u.jsonl", _floats(4, 2, EDGE))
+        assert dataio._csv_at_once(tmp_path / "d.csv") is not None
+        assert dataio._jsonl_at_once(tmp_path / "t.jsonl", TRIPLET_KEYS) is not None
+        assert dataio._jsonl_at_once(tmp_path / "u.jsonl", ("x",)) is not None
+
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            ('y,f1\n+1,"0.5"\n-1,"2"\n', LabeledPool(np.array([[0.5], [2.0]]), np.array([1, -1]))),
+            ('y,f1\n+1,"0,5"\n', "2: could not convert string to float: '0,5'"),
+            ('y,f1\n"+1\n",0.5\n', LabeledPool(np.array([[0.5]]), np.array([1]))),
+        ],
+        ids=["quoted", "quoted-comma", "quoted-line-break"],
+    )
+    def test_csv_quoting(self, tmp_path, text, expected):
+        self._check(tmp_path, read_labeled_csv, text, expected)
+
+    def test_csv_nul(self, tmp_path):
+        # csv reads NUL as a character from Python 3.11 and refused it before;
+        # either way both paths agree and name line 2
+        path = tmp_path / "f.csv"
+        path.write_text("y,f1\n+1,0.5\x00\n")
+        batched, loop = _batched_and_loop(read_labeled_csv, path)
+        assert batched == loop and batched[1].startswith(f"{path}:2: ")
+
+    def test_csv_lone_cr_ends_a_row(self, tmp_path):
+        pool = LabeledPool(np.array([[0.5], [2.0]]), np.array([1, -1]))
+        self._check(tmp_path, read_labeled_csv, "y,f1\r\n+1,0.5\r-1,2\n", pool)
+
+    def test_csv_field_over_limit(self, tmp_path):
+        text = "y,f1\n+1,0.5\n-1," + "1" * (csv.field_size_limit() + 1) + "\n"
+        self._check(tmp_path, read_labeled_csv, text,
+                    f"3: field larger than field limit ({csv.field_size_limit()})")
+
+    @pytest.mark.parametrize("char", SPLITLINES_ONLY)
+    def test_csv_splitlines_characters_do_not_end_a_row(self, tmp_path, char):
+        self._check(tmp_path, read_labeled_csv, f"y,f1\n+1,0.5{char}-1,2\n",
+                    "2: expected 2 fields, got 3")
+
+    def test_csv_field_counts_are_checked_per_line(self, tmp_path):
+        # 4 + 2 fields balance to 2 x 3 over the two lines
+        self._check(tmp_path, read_labeled_csv, "y,f1,f2\n+1,0.5,1,2\n-1,0.5\n",
+                    "2: expected 3 fields, got 4")
+
+    def test_csv_blank_lines_are_skipped(self, tmp_path):
+        pool = LabeledPool(np.array([[0.5], [2.0]]), np.array([1, -1]))
+        self._check(tmp_path, read_labeled_csv, "y,f1\n\n+1,0.5\r\n\r\n-1,2\n\n", pool)
+
+    def test_jsonl_two_lines_that_join_into_valid_json(self, tmp_path):
+        self._check(tmp_path, read_unlabeled_jsonl, '{"x": [1, 2]}, {"x": [3\n4]}\n',
+                    "1: invalid JSON: Extra data")
+
+    def test_jsonl_two_objects_on_one_line(self, tmp_path):
+        self._check(tmp_path, read_unlabeled_jsonl, '{"x": [1]}, {"x": [2]}\n',
+                    "1: invalid JSON: Extra data")
+
+    def test_jsonl_braces_inside_extra_keys(self, tmp_path):
+        # joined, the three lines are three objects that each hold "x"
+        text = '{"x": [1], "k": [{}\n{}]}\n{"x": [2]}, {"x": [3]}\n'
+        self._check(tmp_path, read_unlabeled_jsonl, text, "1: invalid JSON: Expecting ',' delimiter")
+        # valid lines with extra keys: the line loop reads them
+        self._check(tmp_path, read_unlabeled_jsonl, '{"x": [1], "k": {"a": {}}}\n{"x": [2]}\n',
+                    np.array([[1.0], [2.0]]))
+
+    @pytest.mark.parametrize("char", SPLITLINES_ONLY)
+    def test_jsonl_splitlines_characters_do_not_end_a_line(self, tmp_path, char):
+        self._check(tmp_path, read_unlabeled_jsonl, '{"x": [1.0]}' + char + '{"x": [2.0]}\n',
+                    "1: invalid JSON: Extra data")
+
+    def test_jsonl_cr_ends_a_line(self, tmp_path):
+        self._check(tmp_path, read_unlabeled_jsonl, '{"x": [1]}\r\n{"x": [2]}\r{"x": [3]}',
+                    np.array([[1.0], [2.0], [3.0]]))
+        self._check(tmp_path, read_unlabeled_jsonl, '{"x": [1,\r2]}\n',
+                    "1: invalid JSON: Expecting value")
+
+    def test_jsonl_integers_read_as_json_reads_them(self, tmp_path):
+        # -0 is the integer 0, so +0.0; 10**400 is too large for a float
+        self._check(tmp_path, read_unlabeled_jsonl, '{"x": [-0, 3]}\n', np.array([[0.0, 3.0]]))
+        self._check(tmp_path, read_unlabeled_jsonl, '{"x": [1' + "0" * 400 + ']}\n',
+                    "1: int too large to convert to float")
+
+    def test_jsonl_shapes_the_line_loop_accepts(self, tmp_path):
+        self._check(tmp_path, read_unlabeled_jsonl, '{"x": []}\n{"x": []}\n', np.empty((2, 0)))
+        self._check(tmp_path, read_unlabeled_jsonl, '{"x": 1.5}\n', np.array([1.5]))
+
+    @pytest.mark.parametrize("value", ["true", '"2.5"', "null"])
+    @pytest.mark.parametrize("reader", [read_unlabeled_jsonl, read_triplets_jsonl])
+    def test_jsonl_accepts_only_json_numbers(self, tmp_path, reader, value):
+        # np.array(..., dtype=float) used to read true as 1.0, "2.5" as 2.5
+        # and null as nan
+        keys = ("x",) if reader is read_unlabeled_jsonl else TRIPLET_KEYS
+        lines = ["{" + ", ".join(f'"{k}": [{v}, 2.5]' for k in keys) + "}\n" for v in (value, 1)]
+        self._check(tmp_path, reader, "".join(lines), "1: could not convert: not a JSON number")

@@ -6,17 +6,20 @@ numeric flags the same way, and what it writes must read back.
 
 The inputs are arbitrary bytes, plus text built from the tokens each format
 is made of (numbers, edge values, JSON values), so the search reaches the
-parsers' deeper branches. Runs are derandomized, so every run tries the same
-examples."""
+parsers' deeper branches. On mostly valid text with stray line breaks, each
+batched reader must give what its line loop alone gives: equal arrays or the
+same error. Runs are derandomized, so every run tries the same examples."""
 import json
 import warnings
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from trisim import dataio
 from trisim.cli import main
-from trisim.core import InvalidInputError
+from trisim.core import InvalidInputError, LabeledPool
 from trisim.dataio import read_labeled_csv, read_model, read_triplets_jsonl, read_unlabeled_jsonl
 
 FUZZ = settings(
@@ -107,6 +110,80 @@ def test_reader_returns_or_raises_invalid_input(tmp_path, reader, text):
             pass
 
     check()
+
+
+# Files that are mostly valid, so the batched pass accepts some of them,
+# with the breaks and characters that set it apart from the line loop.
+BREAKS = st.sampled_from(
+    ["\n"] * 30 + ["\r\n", "\r", "\n\n", "\x0c", "\x1c", "\x85", "\u2028", " \n", "\x00", ""]
+)
+CSV_CELL = st.sampled_from(
+    ["0.5", "-2.5e3", "1", "-0.0", "5e-324", "1e308"] * 10
+    + ["nan", "1e999", " 1", "1_0", "", '"1"', '"0,5"', '"1\n"', "abc", "1" + "0" * 400]
+)
+CSV_LABEL = st.sampled_from(["+1", "-1"] * 20 + ["1", "2", "0.5", '"+1"', "", "1" + "0" * 400])
+JSON_NUMBER = st.sampled_from(
+    ["0.5", "-2.5e3", "1", "-0", "5e-324", "1e308"] * 10
+    + ["NaN", "1e999", "true", '"2.5"', "null", "[1]", "{}", "1" + "0" * 400, ""]
+)
+JSON_VECTOR = st.lists(JSON_NUMBER, min_size=2, max_size=2).map(lambda v: "[" + ", ".join(v) + "]")
+
+
+def _broken_lines(line):
+    """Lines, each followed by a break drawn from BREAKS."""
+    return st.lists(st.tuples(line, BREAKS), min_size=1, max_size=6).map(
+        lambda parts: "".join(a + b for a, b in parts)
+    )
+
+
+CSV_ROW = st.tuples(CSV_LABEL, st.lists(CSV_CELL, min_size=2, max_size=2) | st.lists(CSV_CELL)).map(
+    lambda row: ",".join([row[0], *row[1]])
+)
+X_LINE = JSON_VECTOR.map(lambda v: f'{{"x": {v}}}') | JSON_VECTOR.map(
+    lambda v: f'{{"x": {v}, "k": {{}}}}'
+)
+TRIPLET_LINE = st.tuples(JSON_VECTOR, JSON_VECTOR, JSON_VECTOR).map(
+    lambda v: '{"anchor": %s, "c1": %s, "c2": %s}' % v
+)
+BATCHABLE = {  # reader, the name of its batched pass, its files
+    "csv": (read_labeled_csv, "_csv_at_once", _broken_lines(CSV_ROW).map("y,f1,f2\n".__add__)),
+    "unlabeled": (read_unlabeled_jsonl, "_jsonl_at_once", _broken_lines(X_LINE)),
+    "triplets": (read_triplets_jsonl, "_jsonl_at_once", _broken_lines(TRIPLET_LINE)),
+}
+
+
+def _outcome(reader, path):
+    """What a reader gives for a file: its arrays bit for bit, or its error."""
+    try:
+        got = reader(path)
+    except Exception as exc:  # the same error, whatever it is, from both paths
+        return type(exc).__name__, str(exc)
+    arrays = (got.x, got.y) if isinstance(got, LabeledPool) else (got,)
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+@pytest.mark.parametrize("kind", sorted(BATCHABLE))
+def test_batched_reader_matches_its_line_loop(tmp_path, kind):
+    reader, batched_name, text = BATCHABLE[kind]
+    batched = getattr(dataio, batched_name)
+    taken = []
+
+    def counted(*args):
+        got = batched(*args)
+        taken.append(got is not None)
+        return got
+
+    @READER_FUZZ
+    @given(data=text)
+    def check(data):
+        path = _write(tmp_path / "fuzzed", data.encode())
+        with mock.patch.object(dataio, batched_name, counted):
+            expected = _outcome(reader, path)
+        with mock.patch.object(dataio, batched_name, lambda *args: None):
+            assert _outcome(reader, path) == expected
+
+    check()
+    assert any(taken) and not all(taken)  # both paths were exercised
 
 
 def _valid_files(tmp_path):
