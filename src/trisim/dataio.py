@@ -49,52 +49,43 @@ def _utf8_only(read):
 
 @_utf8_only
 def read_labeled_csv(path) -> LabeledPool:
-    """Labeled pool from a CSV with a 'y' column first; a malformed row or
-    a non-finite feature raises InvalidInputError naming its line."""
-    if (pool := _csv_at_once(path)) is not None:
-        return pool
-    with open(path, newline="", encoding="utf-8") as fh:  # the line loop
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "y":
-            raise InvalidInputError(f"{path}: expected header starting with 'y'")
-        ys, xs = [], []
-        try:
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise InvalidInputError(
-                        f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}"
-                    )
-                try:
-                    ys.append(int(row[0]))
-                    xs.append([float(v) for v in row[1:]])
-                except ValueError as exc:
-                    raise InvalidInputError(f"{path}:{reader.line_num}: {exc}") from None
-                if not all(map(math.isfinite, xs[-1])):
-                    raise InvalidInputError(f"{path}:{reader.line_num}: non-finite value")
-        except csv.Error as exc:  # e.g. a field over csv's size limit
-            raise InvalidInputError(f"{path}:{reader.line_num}: {exc}") from None
-    if not ys:
-        raise InvalidInputError(f"{path}: no data rows")
-    return LabeledPool(x=np.array(xs), y=np.array(ys))
-
-
-def _csv_at_once(path) -> LabeledPool | None:
-    """read_labeled_csv from csv's rows of the whole file, or None unless every
-    row is as long as the header and parses; the line loop names the bad line."""
+    """Labeled pool from a CSV with a 'y' column first, by one csv.reader pass
+    over the text; a file that pass rejects gets _csv_error's bad line."""
     try:
         header, *rows = csv.reader(io.StringIO(Path(path).read_bytes().decode(), newline=""))
-        cells = list(chain.from_iterable(rows))
-        labels = cells[:: len(header)]
-        del cells[:: len(header)]
-        x = np.fromiter(map(float, cells), float, len(cells)).reshape(len(rows), len(header) - 1)
-        y = np.array(list(map(int, labels)))
+        rows = list(filter(None, rows))  # blank data rows are skipped, a blank header is not
+        if header[:1] == ["y"] and set(map(len, rows)) == {len(header)}:
+            cells = list(chain.from_iterable(rows))
+            labels = list(map(int, cells[:: len(header)]))
+            del cells[:: len(header)]
+            x = np.fromiter(map(float, cells), float, len(cells)).reshape(len(rows), len(header) - 1)
+            if set(labels) <= {1, -1} and np.isfinite(x).all():
+                return LabeledPool(x=x, y=np.array(labels))
     except (ValueError, csv.Error):  # not UTF-8 or a number, no header, a field over csv's limit
-        return None
-    proven = header[0] == "y" and set(map(len, rows)) == {len(header)} and np.isfinite(x).all()
-    return LabeledPool(x=x, y=y) if proven else None
+        pass
+    raise _csv_error(path)
+
+
+def _csv_error(path) -> InvalidInputError:
+    """The error naming the first bad line of a CSV that read_labeled_csv
+    rejects; a file with a header and no bad line has no data rows."""
+    reader = csv.reader(io.StringIO(Path(path).read_bytes().decode(), newline=""))
+    try:
+        header = next(reader, None)
+        if not header or header[0] != "y":
+            return InvalidInputError(f"{path}: expected header starting with 'y'")
+        for row in filter(None, reader):
+            where = f"{path}:{reader.line_num}"
+            if len(row) != len(header):
+                return InvalidInputError(f"{where}: expected {len(header)} fields, got {len(row)}")
+            label, features = int(row[0]), [float(v) for v in row[1:]]
+            if not all(map(math.isfinite, features)):
+                return InvalidInputError(f"{where}: non-finite value")
+            if label not in (1, -1):
+                return InvalidInputError(f"{where}: labels must be +1 or -1")
+    except (ValueError, csv.Error) as exc:  # not a number, or a field over csv's size limit
+        return InvalidInputError(f"{path}:{reader.line_num}: {exc}")
+    return InvalidInputError(f"{path}: no data rows")
 
 
 def _write_jsonl(path, keys: tuple[str, ...], arr: np.ndarray) -> None:
@@ -114,82 +105,69 @@ def write_triplets_jsonl(path, triplets: np.ndarray) -> None:
 
 @_utf8_only
 def _read_jsonl(path, keys: tuple[str, ...], what: str) -> np.ndarray:
-    """The named fields of every non-blank line as one float array of shape
-    (lines, len(keys), d). A line that is not a JSON object with those keys,
-    or whose values are not finite JSON numbers in vectors shaped like the
-    first line's, raises InvalidInputError naming the line."""
-    if (arr := _jsonl_at_once(path, keys)) is not None:
-        return arr
-    rows, linenos = [], []
-    with open(path, encoding="utf-8") as fh:  # the line loop
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except ValueError as exc:  # a JSONDecodeError, or an integer too long to parse
-                raise InvalidInputError(
-                    f"{path}:{lineno}: invalid JSON: {getattr(exc, 'msg', exc)}"
-                ) from None
-            if not isinstance(rec, dict) or not all(k in rec for k in keys):
-                raise InvalidInputError(
-                    f"{path}:{lineno}: expected a JSON object with keys {', '.join(keys)}"
-                )
-            rows.append([rec[k] for k in keys])
-            linenos.append(lineno)
-            if not _numbers_only(rows[-1]):
-                raise InvalidInputError(f"{path}:{lineno}: could not convert: not a JSON number")
-    if not rows:
-        raise InvalidInputError(f"{path}: no {what}")
-    try:
-        arr = np.array(rows, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        error = exc
-    else:
-        finite = np.isfinite(arr.reshape(len(rows), -1)).all(axis=1)
-        if not finite.all():
-            raise InvalidInputError(f"{path}:{linenos[np.argmin(finite)]}: non-finite value")
-        return arr
-    # name the first line that is not numeric or not shaped like line one
-    first_shape = None
-    for lineno, row in zip(linenos, rows):
-        try:
-            shape = np.array(row, dtype=float).shape
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InvalidInputError(f"{path}:{lineno}: {exc}") from None
-        first_shape = first_shape or shape
-        if shape != first_shape:
-            raise InvalidInputError(
-                f"{path}:{lineno}: ragged row: values of shape {shape[1:]}, "
-                f"line {linenos[0]} has {first_shape[1:]}"
-            )
-    raise InvalidInputError(f"{path}: {error}")
+    """The named fields of every non-blank line as one (lines, len(keys), d) float
+    array; a file _joined rejects, raw and re-joined, gets _jsonl_error's bad line."""
+    arr = _joined(Path(path).read_bytes().decode(), keys)
+    if arr is None:  # CR line ends, blank lines or spaces around an object, or a bad line
+        with open(path, encoding="utf-8") as fh:  # \r\n and \r end a line too
+            # strip JSON's whitespace only: str.strip would also take \x0c, which JSON refuses
+            arr = _joined("\n".join(line.strip(" \t\r\n") for line in fh if line.strip()), keys)
+    if arr is None:
+        raise _jsonl_error(path, keys, what)
+    return arr
 
 
-def _jsonl_at_once(path, keys: tuple[str, ...]) -> np.ndarray | None:
-    """_read_jsonl by one json.loads of the lines joined into an array; None unless
-    that proves each line one object: no CR, '}' and '{' around each line break, and
-    objects with just the named keys, each a vector of finite JSON numbers of one
+def _joined(text: str, keys: tuple[str, ...]) -> np.ndarray | None:
+    """The array of one json.loads of text's lines joined into an array; None
+    unless that proves each line one object: no CR, '}' and '{' around each line
+    break, and exactly the named keys, each a list of finite JSON numbers of one
     length. Such objects hold no other brace, so no join can fall inside one."""
+    breaks = text.count("\n") - text.endswith("\n")  # a last line break stays whitespace
     try:
-        body = Path(path).read_bytes().decode().removesuffix("\n")
-        recs = json.loads("[" + body.replace("\n", ",") + "]")
+        recs = json.loads("[" + text.replace("\n", ",", breaks) + "]")
         vectors = [rec[k] for rec in recs for k in keys]
         flat = list(chain.from_iterable(vectors))
         arr = np.array(flat, dtype=float).reshape(len(recs), len(keys), len(vectors[0]))
     except (ValueError, LookupError, TypeError, OverflowError, RecursionError):
-        return None  # not UTF-8 or JSON, no objects, or an integer beyond float range
-    proven = ("\r" not in body and body.count("\n") == body.count("}\n{") == len(recs) - 1
+        return None  # not JSON, no objects, or an integer beyond float range
+    proven = ("\r" not in text and text.count("}\n{") == breaks == len(recs) - 1
               and set(map(len, recs)) == {len(keys)} and set(map(type, vectors)) == {list}
               and len(set(map(len, vectors))) == 1 and set(map(type, flat)) <= {int, float})
     return arr if proven and np.isfinite(arr).all() else None
 
 
-def _numbers_only(values: list) -> bool:
-    """Whether every leaf of these nested lists is a JSON number (a bool is not)."""
-    while any(type(v) is list for v in values):
-        values = list(chain.from_iterable(v if type(v) is list else [v] for v in values))
-    return all(type(v) in (int, float) for v in values)
+def _jsonl_error(path, keys: tuple[str, ...], what: str) -> InvalidInputError:
+    """The error naming the first bad line of a JSONL file that _read_jsonl
+    rejects; a file with no bad line has no non-blank lines."""
+    first = None
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            where = f"{path}:{lineno}"
+            try:
+                rec = json.loads(line)
+            except (ValueError, RecursionError) as exc:  # also too long an integer, too deep a list
+                return InvalidInputError(f"{where}: invalid JSON: {getattr(exc, 'msg', exc)}")
+            if type(rec) is not dict or rec.keys() != set(keys):
+                return InvalidInputError(f"{where}: expected a JSON object with keys {', '.join(keys)}")
+            values = [rec[k] for k in keys]
+            leaves = chain.from_iterable(v if type(v) is list else [v] for v in values)
+            if not all(type(n) in (int, float) for n in leaves):
+                return InvalidInputError(f"{where}: could not convert: not a JSON number")
+            if not all(type(v) is list for v in values):  # a number, not a list of them
+                return InvalidInputError(f"{where}: expected a list of JSON numbers at each key")
+            try:
+                row = np.array(values, dtype=float)
+            except (ValueError, OverflowError) as exc:  # lists of two lengths, or an int too large
+                return InvalidInputError(f"{where}: {exc}")
+            first = first or (lineno, row.shape)
+            if row.shape != first[1]:
+                return InvalidInputError(f"{where}: ragged row: values of shape {row.shape[1:]}, "
+                                         f"line {first[0]} has {first[1][1:]}")
+            if not np.isfinite(row).all():
+                return InvalidInputError(f"{where}: non-finite value")
+    return InvalidInputError(f"{path}: no {what}")
 
 
 def read_triplets_jsonl(path) -> np.ndarray:
@@ -223,7 +201,7 @@ def write_weak_meta(out_dir, data: WeakDataset) -> Path:
 def _check_weak_meta(path, data: WeakDataset, triplets_path, unlabeled_path) -> None:
     try:
         meta = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # also nesting past the recursion limit
         raise InvalidInputError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(meta, dict):
         raise InvalidInputError(f"{path}: expected a JSON object")
@@ -270,7 +248,7 @@ def read_model(path) -> Model:
     documents raise InvalidInputError naming the path."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # a JSONDecodeError, or an integer too long to parse
+    except (ValueError, RecursionError) as exc:  # also an integer too long to parse, or nesting
         raise InvalidInputError(f"{path}: invalid JSON: {exc}") from None
     try:
         return deserialize_model(doc)

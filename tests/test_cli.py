@@ -1,5 +1,6 @@
 """Unit tests for the CLI: end-to-end subcommand flows, exit codes,
 manifests, and config-file injection."""
+import csv
 import json
 import warnings
 from pathlib import Path
@@ -229,14 +230,20 @@ class TestMalformedInput:
             ("triplets", '{"anchor": [1.0], "c1": [2.0]}'),
             ("test", "+1,nan,0.5"),
             ("unlabeled", '{"x": [NaN, 1.0]}'),
+            ("test", "1" + "0" * 30 + ",0.5,0.5"),  # beyond int64
+            ("test", "2,0.5,0.5"),
+            pytest.param("unlabeled", "[" * 100_000, id="unlabeled-nested-past-recursion-limit"),
+            # "header" puts the bad line first in the test CSV
+            pytest.param("header", "y," + "1" * (csv.field_size_limit() + 1), id="header-field-limit"),
         ],
     )
     def test_exits_config_with_one_line(self, tmp_path, capsys, target, bad_line):
         data = _synth(tmp_path)
         triplets, unlabeled = _weak(tmp_path, data)
-        bad = {"test": data, "unlabeled": unlabeled, "triplets": triplets}[target]
+        bad = {"test": data, "header": data, "unlabeled": unlabeled, "triplets": triplets}[target]
+        lineno = 1 if target == "header" else 6
         lines = bad.read_text().splitlines()
-        lines[5] = bad_line
+        lines[lineno - 1] = bad_line
         bad.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         rc = main(
@@ -249,7 +256,7 @@ class TestMalformedInput:
         assert rc == EXIT_CONFIG
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1, err
-        assert err[0].startswith(f"error: {bad}:6: ")
+        assert err[0].startswith(f"error: {bad}:{lineno}: ")
 
     def test_eval_on_random_bytes(self, tmp_path, capsys):
         data = _synth(tmp_path)

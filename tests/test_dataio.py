@@ -1,10 +1,11 @@
 """Unit tests for file formats: round trips, byte-stability, error
 reporting on malformed inputs, and the batched writers and readers against
-the per-row writers and the line loops they replaced."""
+the per-row writers and the line-loop readers they replaced."""
 import csv
 import json
+import math
 from dataclasses import fields
-from unittest import mock
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -157,7 +158,10 @@ class TestWeakMeta:
             read_weak_dataset(tp, up, ClassPrior(0.3), sampler_kind="paper_case")
         assert str(exc.value).startswith(f"{meta}: {message}")
 
-    @pytest.mark.parametrize("text", ["", "[]", '{"sampler": "paper_case"}', b"\xff"])
+    @pytest.mark.parametrize("text", [
+        "", "[]", '{"sampler": "paper_case"}', b"\xff",
+        pytest.param(b"[" * 100_000, id="nested-past-recursion-limit"),
+    ])
     def test_malformed_sidecar_raises(self, tmp_path, text):
         tp, up, meta = self._write(tmp_path)
         meta.write_bytes(text if isinstance(text, bytes) else text.encode())
@@ -197,6 +201,19 @@ class TestMalformedInput:
             (read_labeled_csv, "y,f1\n+1,0.5\n-1," + "1" * 200_000 + "\n", ":3: field larger"),
             (read_unlabeled_jsonl, '{"x": [1.0]}\n{"x": [1' + "0" * 400 + "]}\n", ":2: int too large"),
             (read_unlabeled_jsonl, '{"x": [' + "9" * 5000 + "]}\n", ":1: invalid JSON: Exceeds"),
+            (read_labeled_csv, "y," + "1" * 200_000 + "\n+1,0.5\n", ":1: field larger"),
+            (read_labeled_csv, "y,f1\n1" + "0" * 30 + ",0.5\n", ":2: labels must be +1 or -1"),
+            (read_labeled_csv, "y,f1\n+1,0.5\n2,0.5\n", ":3: labels must be +1 or -1"),
+            (read_unlabeled_jsonl, "[" * 100_000, ":1: invalid JSON: maximum recursion depth"),
+            (read_unlabeled_jsonl, '{"x": [1.0], "k": 1}\n', ":1: expected a JSON object with keys x"),
+            (read_unlabeled_jsonl, '{"x": 1.5}\n', ":1: expected a list of JSON numbers"),
+            (read_triplets_jsonl, '{"anchor": [[1.0]], "c1": [[2.0]], "c2": [[3.0]]}\n',
+             ":1: could not convert: not a JSON number"),
+            (read_unlabeled_jsonl, '{"x": {}}\n', ":1: could not convert: not a JSON number"),
+            # the first bad line is named, whatever its defect
+            (read_labeled_csv, "y,f1\n2,0.5\n+1,abc\n", ":2: labels must be +1 or -1"),
+            (read_unlabeled_jsonl, '{"x": [NaN]}\n{"x": [1.0]\n', ":1: non-finite value"),
+            (read_unlabeled_jsonl, '{"x": [1.0]}\n{"x": [1.0, 2.0]}\n{"x"\n', ":2: ragged row"),
         ],
         ids=[
             "csv-bad-number", "csv-bad-label", "csv-ragged", "jsonl-ragged",
@@ -204,6 +221,10 @@ class TestMalformedInput:
             "triplet-missing-key", "triplet-ragged", "csv-nan", "csv-inf",
             "jsonl-nan", "triplet-inf", "csv-not-utf8", "jsonl-not-utf8",
             "csv-field-limit", "jsonl-int-overflow", "jsonl-int-too-long",
+            "csv-header-field-limit", "csv-label-beyond-int64", "csv-label-2",
+            "jsonl-nested-past-recursion-limit", "jsonl-extra-key", "jsonl-scalar",
+            "triplet-nested", "jsonl-empty-object", "csv-first-bad-line",
+            "jsonl-non-finite-before-invalid", "jsonl-ragged-before-invalid",
         ],
     )
     def test_names_path_and_line(self, tmp_path, reader, text, message):
@@ -264,11 +285,12 @@ class TestModelFile:
             ('{"kind": "linear", "dim": "2", "params": {}}', "must be integers"),
             ('{"kind": "linear", "dim": 1, "params": []}', "'params' must be a JSON object"),
             ('{"kind": "linear", "dim": 1, "params": {"bias": [0.0]}}', "missing parameter 'weights'"),
+            ("[" * 100_000, "invalid JSON: maximum recursion depth"),
         ],
         ids=[
             "empty", "invalid-json", "missing-params", "tanh", "not-object", "mistyped-param",
             "short-param", "mlp-size", "non-finite", "oversized-dims", "string-dim",
-            "params-not-object", "missing-weights",
+            "params-not-object", "missing-weights", "nested-past-recursion-limit",
         ],
     )
     def test_bad_file_names_path(self, tmp_path, text, message):
@@ -434,45 +456,123 @@ def _outcome(reader, path):
     """What a reader gives for a file: its arrays bit for bit, or its error."""
     try:
         got = reader(path)
-    except Exception as exc:  # the same error, whatever it is, from both paths
+    except Exception as exc:  # any error, so a reference's traceback shows as one
         return type(exc).__name__, str(exc)
     arrays = (got.x, got.y) if isinstance(got, LabeledPool) else (got,)
     return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
 
 
-def _batched_and_loop(reader, path):
-    """The reader's outcome, and its line loop's outcome with the batched
-    pass switched off."""
-    batched = _outcome(reader, path)
-    with mock.patch.object(dataio, "_csv_at_once", lambda *args: None), \
-            mock.patch.object(dataio, "_jsonl_at_once", lambda *args: None):
-        return batched, _outcome(reader, path)
+# The line loops that read_labeled_csv and _read_jsonl fell back on when their
+# batched pass could not prove a file valid, kept as references: the readers,
+# now one parse each, accept no file these reject and read the files both
+# accept into equal arrays (tests/test_fuzz.py). The JSONL format is narrower
+# than this loop's: exactly the named keys, each a flat list of numbers.
+def reference_read_labeled_csv(path) -> LabeledPool:
+    with open(path, newline="", encoding="utf-8") as fh:  # the line loop
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if not header or header[0] != "y":
+            raise InvalidInputError(f"{path}: expected header starting with 'y'")
+        ys, xs = [], []
+        try:
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise InvalidInputError(
+                        f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}"
+                    )
+                try:
+                    ys.append(int(row[0]))
+                    xs.append([float(v) for v in row[1:]])
+                except ValueError as exc:
+                    raise InvalidInputError(f"{path}:{reader.line_num}: {exc}") from None
+                if not all(map(math.isfinite, xs[-1])):
+                    raise InvalidInputError(f"{path}:{reader.line_num}: non-finite value")
+        except csv.Error as exc:  # e.g. a field over csv's size limit
+            raise InvalidInputError(f"{path}:{reader.line_num}: {exc}") from None
+    if not ys:
+        raise InvalidInputError(f"{path}: no data rows")
+    return LabeledPool(x=np.array(xs), y=np.array(ys))
+
+
+def reference_read_jsonl(path, keys: tuple[str, ...], what: str) -> np.ndarray:
+    rows, linenos = [], []
+    with open(path, encoding="utf-8") as fh:  # the line loop
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except ValueError as exc:  # a JSONDecodeError, or an integer too long to parse
+                raise InvalidInputError(
+                    f"{path}:{lineno}: invalid JSON: {getattr(exc, 'msg', exc)}"
+                ) from None
+            if not isinstance(rec, dict) or not all(k in rec for k in keys):
+                raise InvalidInputError(
+                    f"{path}:{lineno}: expected a JSON object with keys {', '.join(keys)}"
+                )
+            rows.append([rec[k] for k in keys])
+            linenos.append(lineno)
+            if not _reference_numbers_only(rows[-1]):
+                raise InvalidInputError(f"{path}:{lineno}: could not convert: not a JSON number")
+    if not rows:
+        raise InvalidInputError(f"{path}: no {what}")
+    try:
+        arr = np.array(rows, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        error = exc
+    else:
+        finite = np.isfinite(arr.reshape(len(rows), -1)).all(axis=1)
+        if not finite.all():
+            raise InvalidInputError(f"{path}:{linenos[np.argmin(finite)]}: non-finite value")
+        return arr
+    # name the first line that is not numeric or not shaped like line one
+    first_shape = None
+    for lineno, row in zip(linenos, rows):
+        try:
+            shape = np.array(row, dtype=float).shape
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidInputError(f"{path}:{lineno}: {exc}") from None
+        first_shape = first_shape or shape
+        if shape != first_shape:
+            raise InvalidInputError(
+                f"{path}:{lineno}: ragged row: values of shape {shape[1:]}, "
+                f"line {linenos[0]} has {first_shape[1:]}"
+            )
+    raise InvalidInputError(f"{path}: {error}")
+
+
+def _reference_numbers_only(values: list) -> bool:
+    """Whether every leaf of these nested lists is a JSON number (a bool is not)."""
+    while any(type(v) is list for v in values):
+        values = list(chain.from_iterable(v if type(v) is list else [v] for v in values))
+    return all(type(v) in (int, float) for v in values)
 
 
 SPLITLINES_ONLY = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 
 class TestBatchedReaders:
-    """The batched pass accepts exactly what the line loop accepts, with
-    equal arrays, and otherwise leaves the line loop to name the bad line."""
+    """What each reader's one parse gives for the files that set a whole-file
+    parse apart from a line loop: the arrays, or the error naming the line."""
 
     def _check(self, tmp_path, reader, text, expected):
         path = tmp_path / "f.txt"
         path.write_bytes(text.encode())
-        batched, loop = _batched_and_loop(reader, path)
-        assert batched == loop
+        got = _outcome(reader, path)
         if isinstance(expected, str):
-            assert batched[0] == "InvalidInputError" and batched[1] == f"{path}:{expected}"
+            assert got == ("InvalidInputError", f"{path}:{expected}")
         else:
-            assert batched == _outcome(lambda p: expected, path)
+            assert got == _outcome(lambda p: expected, path)
 
     def test_written_files_take_the_batched_pass(self, tmp_path):
-        write_labeled_csv(tmp_path / "d.csv", _pool())
-        write_triplets_jsonl(tmp_path / "t.jsonl", _floats(6, 2, EDGE).reshape(2, 3, 2))
-        write_unlabeled_jsonl(tmp_path / "u.jsonl", _floats(4, 2, EDGE))
-        assert dataio._csv_at_once(tmp_path / "d.csv") is not None
-        assert dataio._jsonl_at_once(tmp_path / "t.jsonl", TRIPLET_KEYS) is not None
-        assert dataio._jsonl_at_once(tmp_path / "u.jsonl", ("x",)) is not None
+        # written files need no second join: their raw text passes the proof
+        t, u = _floats(6, 2, EDGE).reshape(2, 3, 2), _floats(4, 2, EDGE)
+        write_triplets_jsonl(tmp_path / "t.jsonl", t)
+        write_unlabeled_jsonl(tmp_path / "u.jsonl", u)
+        for name, keys, arr in (("t.jsonl", TRIPLET_KEYS, t), ("u.jsonl", ("x",), u[:, None])):
+            np.testing.assert_array_equal(dataio._joined((tmp_path / name).read_text(), keys), arr)
 
     @pytest.mark.parametrize(
         "text,expected",
@@ -488,11 +588,11 @@ class TestBatchedReaders:
 
     def test_csv_nul(self, tmp_path):
         # csv reads NUL as a character from Python 3.11 and refused it before;
-        # either way both paths agree and name line 2
+        # either way the error names line 2
         path = tmp_path / "f.csv"
         path.write_text("y,f1\n+1,0.5\x00\n")
-        batched, loop = _batched_and_loop(read_labeled_csv, path)
-        assert batched == loop and batched[1].startswith(f"{path}:2: ")
+        got = _outcome(read_labeled_csv, path)
+        assert got[0] == "InvalidInputError" and got[1].startswith(f"{path}:2: ")
 
     def test_csv_lone_cr_ends_a_row(self, tmp_path):
         pool = LabeledPool(np.array([[0.5], [2.0]]), np.array([1, -1]))
@@ -516,6 +616,9 @@ class TestBatchedReaders:
     def test_csv_blank_lines_are_skipped(self, tmp_path):
         pool = LabeledPool(np.array([[0.5], [2.0]]), np.array([1, -1]))
         self._check(tmp_path, read_labeled_csv, "y,f1\n\n+1,0.5\r\n\r\n-1,2\n\n", pool)
+        # but a blank first line is a missing header
+        self._check(tmp_path, read_labeled_csv, "\ny,f1\n+1,0.5\n",
+                    " expected header starting with 'y'")
 
     def test_jsonl_two_lines_that_join_into_valid_json(self, tmp_path):
         self._check(tmp_path, read_unlabeled_jsonl, '{"x": [1, 2]}, {"x": [3\n4]}\n',
@@ -529,9 +632,9 @@ class TestBatchedReaders:
         # joined, the three lines are three objects that each hold "x"
         text = '{"x": [1], "k": [{}\n{}]}\n{"x": [2]}, {"x": [3]}\n'
         self._check(tmp_path, read_unlabeled_jsonl, text, "1: invalid JSON: Expecting ',' delimiter")
-        # valid lines with extra keys: the line loop reads them
+        # valid JSON lines with extra keys: an object holds exactly the named keys
         self._check(tmp_path, read_unlabeled_jsonl, '{"x": [1], "k": {"a": {}}}\n{"x": [2]}\n',
-                    np.array([[1.0], [2.0]]))
+                    "1: expected a JSON object with keys x")
 
     @pytest.mark.parametrize("char", SPLITLINES_ONLY)
     def test_jsonl_splitlines_characters_do_not_end_a_line(self, tmp_path, char):
@@ -552,7 +655,11 @@ class TestBatchedReaders:
 
     def test_jsonl_shapes_the_line_loop_accepts(self, tmp_path):
         self._check(tmp_path, read_unlabeled_jsonl, '{"x": []}\n{"x": []}\n', np.empty((2, 0)))
-        self._check(tmp_path, read_unlabeled_jsonl, '{"x": 1.5}\n', np.array([1.5]))
+        # a scalar or nested value is no list of numbers, though the line loop read both
+        self._check(tmp_path, read_unlabeled_jsonl, '{"x": 1.5}\n',
+                    "1: expected a list of JSON numbers at each key")
+        self._check(tmp_path, read_unlabeled_jsonl, '{"x": [[1.5]]}\n',
+                    "1: could not convert: not a JSON number")
 
     @pytest.mark.parametrize("value", ["true", '"2.5"', "null"])
     @pytest.mark.parametrize("reader", [read_unlabeled_jsonl, read_triplets_jsonl])

@@ -6,21 +6,29 @@ numeric flags the same way, and what it writes must read back.
 
 The inputs are arbitrary bytes, plus text built from the tokens each format
 is made of (numbers, edge values, JSON values), so the search reaches the
-parsers' deeper branches. On mostly valid text with stray line breaks, each
-batched reader must give what its line loop alone gives: equal arrays or the
-same error. Runs are derandomized, so every run tries the same examples."""
+parsers' deeper branches. On that text, and on mostly valid text with stray
+line breaks, each reader must accept no file that the line loop it replaced
+rejects, and give that loop's arrays where both accept. Runs are
+derandomized, so every run tries the same examples, and the inputs that once
+ended in a traceback are tried first."""
+import csv
 import json
 import warnings
-from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from test_dataio import _outcome, reference_read_jsonl, reference_read_labeled_csv
 
-from trisim import dataio
 from trisim.cli import main
-from trisim.core import InvalidInputError, LabeledPool
-from trisim.dataio import read_labeled_csv, read_model, read_triplets_jsonl, read_unlabeled_jsonl
+from trisim.core import InvalidInputError
+from trisim.dataio import (
+    TRIPLET_KEYS,
+    read_labeled_csv,
+    read_model,
+    read_triplets_jsonl,
+    read_unlabeled_jsonl,
+)
 
 FUZZ = settings(
     derandomize=True,
@@ -85,6 +93,19 @@ def _content(text):
     return st.one_of(text.map(lambda t: t.encode("utf-8", "surrogatepass")), st.binary(max_size=200))
 
 
+def _once_a_traceback(check):
+    """check, given first the files that ended in a traceback before their
+    readers caught them: a CSV header field over csv's size limit, a label
+    beyond int64, and a line nested past the recursion limit."""
+    for data in (
+        b"y," + b"1" * (csv.field_size_limit() + 1) + b"\n+1,0.5\n",
+        b"y,f1,f2\n1" + b"0" * 30 + b",0.5,0.5\n",
+        b"[" * 100_000,
+    ):
+        check = example(data=data)(check)
+    return check
+
+
 def _write(path, data: bytes):
     path.write_bytes(data)
     return str(path)
@@ -102,6 +123,7 @@ def _write(path, data: bytes):
 )
 def test_reader_returns_or_raises_invalid_input(tmp_path, reader, text):
     @READER_FUZZ
+    @_once_a_traceback
     @given(data=_content(text))
     def check(data):
         try:
@@ -112,8 +134,8 @@ def test_reader_returns_or_raises_invalid_input(tmp_path, reader, text):
     check()
 
 
-# Files that are mostly valid, so the batched pass accepts some of them,
-# with the breaks and characters that set it apart from the line loop.
+# Files that are mostly valid, so the readers accept some of them, with the
+# breaks and characters that set a whole-file parse apart from a line loop.
 BREAKS = st.sampled_from(
     ["\n"] * 30 + ["\r\n", "\r", "\n\n", "\x0c", "\x1c", "\x85", "\u2028", " \n", "\x00", ""]
 )
@@ -145,45 +167,44 @@ X_LINE = JSON_VECTOR.map(lambda v: f'{{"x": {v}}}') | JSON_VECTOR.map(
 TRIPLET_LINE = st.tuples(JSON_VECTOR, JSON_VECTOR, JSON_VECTOR).map(
     lambda v: '{"anchor": %s, "c1": %s, "c2": %s}' % v
 )
-BATCHABLE = {  # reader, the name of its batched pass, its files
-    "csv": (read_labeled_csv, "_csv_at_once", _broken_lines(CSV_ROW).map("y,f1,f2\n".__add__)),
-    "unlabeled": (read_unlabeled_jsonl, "_jsonl_at_once", _broken_lines(X_LINE)),
-    "triplets": (read_triplets_jsonl, "_jsonl_at_once", _broken_lines(TRIPLET_LINE)),
+BATCHABLE = {  # reader, the line loop it replaced, its files
+    "csv": (read_labeled_csv, reference_read_labeled_csv,
+            _broken_lines(CSV_ROW).map("y,f1,f2\n".__add__) | CSV_TEXT),
+    "unlabeled": (read_unlabeled_jsonl,
+                  lambda path: reference_read_jsonl(path, ("x",), "unlabeled points")[:, 0],
+                  _broken_lines(X_LINE) | JSONL_TEXT),
+    "triplets": (read_triplets_jsonl,
+                 lambda path: reference_read_jsonl(path, TRIPLET_KEYS, "triplets"),
+                 _broken_lines(TRIPLET_LINE) | JSONL_TEXT),
 }
-
-
-def _outcome(reader, path):
-    """What a reader gives for a file: its arrays bit for bit, or its error."""
-    try:
-        got = reader(path)
-    except Exception as exc:  # the same error, whatever it is, from both paths
-        return type(exc).__name__, str(exc)
-    arrays = (got.x, got.y) if isinstance(got, LabeledPool) else (got,)
-    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+# what a reader alone rejects: a JSONL object holds exactly the named keys,
+# each a flat list of numbers, where the line loop took extra keys, a scalar
+# or nested lists
+NARROWER = ("expected a JSON object with keys", "expected a list of JSON numbers",
+            "could not convert: not a JSON number")
 
 
 @pytest.mark.parametrize("kind", sorted(BATCHABLE))
 def test_batched_reader_matches_its_line_loop(tmp_path, kind):
-    reader, batched_name, text = BATCHABLE[kind]
-    batched = getattr(dataio, batched_name)
-    taken = []
-
-    def counted(*args):
-        got = batched(*args)
-        taken.append(got is not None)
-        return got
+    reader, line_loop, text = BATCHABLE[kind]
+    accepted = []
 
     @READER_FUZZ
     @given(data=text)
     def check(data):
-        path = _write(tmp_path / "fuzzed", data.encode())
-        with mock.patch.object(dataio, batched_name, counted):
-            expected = _outcome(reader, path)
-        with mock.patch.object(dataio, batched_name, lambda *args: None):
-            assert _outcome(reader, path) == expected
+        path = _write(tmp_path / "fuzzed", data.encode("utf-8", "surrogatepass"))
+        got, expected = _outcome(reader, path), _outcome(line_loop, path)
+        accepted.append(isinstance(got, list))
+        if accepted[-1]:
+            assert got == expected
+        else:
+            assert got[0] == "InvalidInputError" and got[1].startswith(f"{path}:"), got
+            assert not isinstance(expected, list) or (
+                kind != "csv" and any(m in got[1] for m in NARROWER)
+            ), (got, expected)
 
     check()
-    assert any(taken) and not all(taken)  # both paths were exercised
+    assert any(accepted) and not all(accepted)  # both outcomes were tried
 
 
 def _valid_files(tmp_path):
@@ -212,6 +233,7 @@ def test_eval_exits_with_a_documented_code(tmp_path, capsys, target):
     files = {"model": model, "test": csv}
 
     @FUZZ
+    @_once_a_traceback
     @given(data=_content(MODEL_TEXT if target == "model" else CSV_TEXT))
     def check(data):
         paths = {**files, target: _write(tmp_path / f"fuzzed-{target}", data)}
@@ -228,6 +250,7 @@ def test_train_exits_with_a_documented_code(tmp_path, capsys, target):
     originals = {k: p.read_bytes() for k, p in valid.items() if p.exists()}
 
     @FUZZ
+    @_once_a_traceback
     @given(data=_content(META_TEXT if target == "meta" else JSONL_TEXT))
     def check(data):
         for key, original in originals.items():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import trisim
+from trisim.cli import SUITES
 from trisim.core import ClassPrior, EnumerationSizeError
 from trisim.risk import (
     DiscreteDomainSpec,
@@ -185,6 +186,19 @@ class TestGradientSuite:
         report = check_gradients(n_trials=12, seed=1)
         assert len(report.checks) == 12
         assert report.passed, report.to_json()
+
+
+class TestSeededSuites:
+    def test_seed_156_fails_one_monte_carlo_check(self):
+        # Five Monte Carlo checks are 3-SE tests, so some seeds fail one by
+        # chance: 24 of seeds 0-1599, the lowest 156. Pinning that false alarm
+        # pins every random stream and float the seeded suites consume.
+        seeded = ("identity", "acceptance", "bias", "matched", "gradients")
+        report = VerifyReport.merge([SUITES[name](156) for name in seeded])
+        failed = [(c.name, c.expected, c.observed) for c in report.checks if not c.passed]
+        assert failed == [
+            ("bias.paper_case_mc_vs_enumeration", 2.746979652494801, 2.540702312709296)
+        ]
 
 
 class TestDefaults:
