@@ -50,9 +50,10 @@ def _utf8_only(read):
 @_utf8_only
 def read_labeled_csv(path) -> LabeledPool:
     """Labeled pool from a CSV with a 'y' column first, by one csv.reader pass
-    over the text; a file that pass rejects gets _csv_error's bad line."""
+    over the open file; a file that pass rejects gets _csv_error's bad line."""
     try:
-        header, *rows = csv.reader(io.StringIO(Path(path).read_bytes().decode(), newline=""))
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
         rows = list(filter(None, rows))  # blank data rows are skipped, a blank header is not
         if header[:1] == ["y"] and set(map(len, rows)) == {len(header)}:
             cells = list(chain.from_iterable(rows))

@@ -30,16 +30,28 @@ from .core import (
 )
 
 
+def _put(dst: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """dst[rows] = values for a boolean mask over dst's first axis. A mask of
+    dst's full shape assigns in place, where a row mask would first build an
+    int64 index of the selected rows."""
+    full = np.broadcast_to(rows.reshape((-1,) + (1,) * (dst.ndim - 1)), dst.shape)
+    dst[full] = values.ravel()
+
+
 def draw_labeled(source, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n labeled draws from a source: first the labels from its prior, then
-    the positives, then the negatives."""
-    y = np.where(rng.random(n) < source.prior.pi_plus, 1, -1)
-    pos = y == 1
-    x_pos = source.draw_class(rng, 1, int(pos.sum()))
+    """n labeled draws from a source and their class mask (True where
+    positive): first the mask from its prior, then the positives, then the
+    negatives."""
+    positive = rng.random(n) < source.prior.pi_plus
+    n_pos = int(np.count_nonzero(positive))
+    x_pos = source.draw_class(rng, 1, n_pos)
+    x_neg = source.draw_class(rng, -1, n - n_pos)
+    # x is allocated after both draws, so it never coexists with a draw's temporaries
     x = np.empty((n, x_pos.shape[1]))
-    x[pos] = x_pos
-    x[~pos] = source.draw_class(rng, -1, int((~pos).sum()))
-    return x, y
+    _put(x, positive, x_pos)
+    del x_pos
+    _put(x, ~positive, x_neg)
+    return x, positive
 
 
 @dataclass(frozen=True)
@@ -149,25 +161,22 @@ def sample_triplets_rejection(
     while remaining > 0:
         # oversample to amortize the redraw loop
         chunk = max(remaining * 2, 16)
-        x, y = draw_labeled(source, rng, 3 * chunk)
-        x = x.reshape(chunk, 3, -1)
-        y = y.reshape(chunk, 3)
-        accept = ~((y[:, 1] == y[:, 2]) & (y[:, 1] != y[:, 0]))
-        accepted = x[accept]
+        x, positive = draw_labeled(source, rng, 3 * chunk)
+        anchor, first, second = positive.reshape(chunk, 3).T
+        accepted = np.flatnonzero((first != second) | (first == anchor))[:remaining]
         # count raw draws only up to the point the quota was filled
-        if accepted.shape[0] >= remaining:
-            cutoff = np.searchsorted(np.cumsum(accept), remaining) + 1
-            n_raw += int(cutoff)
-            out.append(accepted[:remaining])
-            remaining = 0
-        else:
-            n_raw += chunk
-            out.append(accepted)
-            remaining -= accepted.shape[0]
-    triplets = np.concatenate(out, axis=0)
-    swap = rng.random(n) < 0.5
-    triplets[swap] = triplets[swap][:, [0, 2, 1]]
+        n_raw += chunk if accepted.size < remaining else int(accepted[-1]) + 1
+        out.append(x.reshape(chunk, 3, -1)[accepted])
+        remaining -= accepted.size
+    triplets = out[0] if len(out) == 1 else np.concatenate(out)
+    _swap_companions(triplets, rng.random(n) < 0.5)
     return triplets, RejectionStats(n_raw=n_raw, n_accepted=n)
+
+
+def _swap_companions(triplets: np.ndarray, swap: np.ndarray) -> None:
+    """Exchange the two companions of the triplets where swap is True, in place."""
+    rows = np.flatnonzero(swap)
+    triplets[rows, 1:] = triplets[rows, :0:-1]
 
 
 def paper_case_weights(prior: ClassPrior) -> np.ndarray:
@@ -189,20 +198,19 @@ def sample_triplets_paper_case(
         raise InvalidInputError(f"triplet count must be >= 1, got {n}")
     weights = paper_case_weights(source.prior)
     cases = rng.choice(4, size=n, p=weights)
-    tied_label = np.where(cases % 2 == 0, 1, -1)
-    tied_with_first = cases < 2
+    tied_positive, tied_with_first = cases % 2 == 0, cases < 2
+    del cases
 
-    third, _ = draw_labeled(source, rng, n)
-    d = third.shape[1]
-    triplets = np.empty((n, 3, d))
-    pos = tied_label == 1
-    triplets[pos, :2] = source.draw_class(rng, 1, 2 * int(pos.sum())).reshape(-1, 2, d)
-    triplets[~pos, :2] = source.draw_class(rng, -1, 2 * int((~pos).sum())).reshape(-1, 2, d)
+    third = draw_labeled(source, rng, n)[0]
+    triplets = np.empty((n, 3, third.shape[1]))
     triplets[:, 2] = third
+    del third
+    n_pos = int(np.count_nonzero(tied_positive))
+    _put(triplets[:, :2], tied_positive, source.draw_class(rng, 1, 2 * n_pos))
+    _put(triplets[:, :2], ~tied_positive, source.draw_class(rng, -1, 2 * (n - n_pos)))
     # the slots now hold (tied, tied, third); cases 2 and 3 tie the anchor to
     # the second companion, and the closing 1/2 swap flips the companions again
-    flip = tied_with_first == (rng.random(n) < 0.5)
-    triplets[flip] = triplets[flip][:, [0, 2, 1]]
+    _swap_companions(triplets, tied_with_first == (rng.random(n) < 0.5))
     return triplets
 
 
@@ -250,5 +258,5 @@ def synth_gaussian_labeled(spec: GaussianSourceSpec, n: int, seed: int) -> Label
     if n < 2:
         raise InvalidInputError(f"need n >= 2 labeled examples, got {n}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    x, y = draw_labeled(spec, rng, n)
-    return LabeledPool(x=x, y=y)
+    x, positive = draw_labeled(spec, rng, n)
+    return LabeledPool(x=x, y=np.where(positive, 1, -1))

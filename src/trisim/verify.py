@@ -171,7 +171,8 @@ def check_acceptance_rate(
         # featureless discrete domain: only the labels matter here
         domain = DiscreteDomainSpec(np.ones(1), np.ones(1), prior, np.zeros(1))
         rng = np.random.default_rng([seed, i])
-        _, stats = sample_triplets_rejection(domain, n_draws, rng)
+        # the stats only, so no prior's triplets live through the next draw
+        stats = sample_triplets_rejection(domain, n_draws, rng)[1]
         p = 1.0 - prior.pi_plus * prior.pi_minus
         se = np.sqrt(p * (1.0 - p) / stats.n_raw)
         report.add(f"acceptance_rate_pi={pi}", p, stats.acceptance_rate, 3.0 * se)
