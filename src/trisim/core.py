@@ -36,10 +36,6 @@ class ConfigurationError(TrisimError):
     """Inconsistent training/CLI configuration."""
 
 
-class EnumerationSizeError(TrisimError):
-    """A brute-force enumeration would exceed its configured cap."""
-
-
 class TrainingDivergedError(TrisimError):
     """Training overflowed, or its risk or parameters left the bound the
     trainer states."""

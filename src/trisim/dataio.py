@@ -55,7 +55,7 @@ def read_labeled_csv(path) -> LabeledPool:
         with open(path, newline="", encoding="utf-8") as fh:
             header, *rows = csv.reader(fh)
         rows = list(filter(None, rows))  # blank data rows are skipped, a blank header is not
-        if header[:1] == ["y"] and set(map(len, rows)) == {len(header)}:
+        if len(header) > 1 and header[0] == "y" and set(map(len, rows)) == {len(header)}:
             cells = list(chain.from_iterable(rows))
             labels = list(map(int, cells[:: len(header)]))
             del cells[:: len(header)]
@@ -75,6 +75,8 @@ def _csv_error(path) -> InvalidInputError:
         header = next(reader, None)
         if not header or header[0] != "y":
             return InvalidInputError(f"{path}: expected header starting with 'y'")
+        if len(header) == 1:
+            return InvalidInputError(f"{path}: expected a feature column after 'y'")
         for row in filter(None, reader):
             where = f"{path}:{reader.line_num}"
             if len(row) != len(header):

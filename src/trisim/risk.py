@@ -77,17 +77,14 @@ def slot_weights(prior: ClassPrior, sampler_kind: str, estimator: str) -> tuple[
     valid prior, so the plain pooled mean systematically underweights the
     similarity term by exactly that factor.
 
-    The matched rows use only the known position marginals of each sampler.
-    Under the rejection sampler the anchor marginal is
-    [pi+^2(1+pi-) P+ + pi-^2(1+pi+) P-] / q and both companions are
-    marginal-P draws, like the unlabeled pool; unbiasedness fixes only the
-    sum of their coefficients, and this row puts all of it on the unlabeled
-    pool, so the companions get weight 0. Under the four-case sampler the
-    anchor is always a tied-pair member (marginal proportional to
-    pi+^2 P+ + pi-^2 P-) and each companion is an even mixture of that
-    measure and P. Solving the resulting linear systems gives the closed
-    forms above; trisim.verify checks the resulting expectation against the
-    reconstruction integral by exact enumeration.
+    The matched rows use only each slot's label marginal, which
+    trisim.verify.label_patterns writes down per sampler; given its label, a
+    slot holds a class-conditional draw. Under rejection both companions
+    are marginal-P draws like the unlabeled pool, so unbiasedness fixes only
+    the sum of their coefficients; this row puts all of it on the unlabeled
+    pool, and the companions get weight 0. Solving the linear system for
+    each sampler gives the closed forms above; trisim.verify checks the
+    resulting expectation against the reconstruction integral exactly.
     """
     if estimator == "plain":
         return np.ones(3), 0.0
@@ -253,10 +250,6 @@ class DiscreteDomainSpec:
         object.__setattr__(self, "p_plus", pp)
         object.__setattr__(self, "p_minus", pm)
         object.__setattr__(self, "scores", f)
-
-    @property
-    def support_size(self) -> int:
-        return self.scores.size
 
     @property
     def p_marginal(self) -> np.ndarray:

@@ -249,7 +249,7 @@ def disassemble(triplets: np.ndarray) -> np.ndarray:
     t = np.asarray(triplets, dtype=float)
     if t.ndim != 3 or t.shape[1] != 3:
         raise ShapeError(f"expected shape (n, 3, d), got {t.shape}")
-    return t.reshape(-1, t.shape[2])
+    return t.reshape(3 * len(t), t.shape[2])
 
 
 def synth_gaussian_labeled(spec: GaussianSourceSpec, n: int, seed: int) -> LabeledPool:

@@ -2,20 +2,19 @@
 machinery rests on, plus a quantified (never asserted-away) measurement of
 the pointwise estimator's bias.
 
-The bias suite enumerates every accepted label-and-point configuration of a
-small discrete domain exactly, so the expected value of the estimator is
-computed with no sampling error at all; Monte Carlo through the real
-samplers then has to agree with the enumeration within standard error.
+The bias suite sums over each sampler's 8 label patterns on a small
+discrete domain, so the expected value of the estimator is computed with no
+sampling error at all; Monte Carlo through the real samplers then has to
+agree with that enumeration within standard error.
 """
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import SAMPLERS, ClassPrior, CorrectionKind, EnumerationSizeError, InvalidInputError
+from .core import SAMPLERS, ClassPrior, CorrectionKind, InvalidInputError
 from .evaluation import fraction_sweep
 from .model import backward, forward, init_model
 from .risk import (
@@ -37,8 +36,6 @@ from .sampler import (
     sample_unlabeled,
 )
 from .trainer import TrainConfig
-
-ENUMERATION_CAP = 8  # K^3 * 2^3 label-point configurations stay < 1e6
 
 
 @dataclass(frozen=True)
@@ -179,67 +176,53 @@ def check_acceptance_rate(
     return report
 
 
-def position_expectations(
-    domain: DiscreteDomainSpec, sampler_kind: str, values: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Exact per-position expectations (anchor, first companion, second
-    companion) of a pointwise function given by its values on the support,
-    under the chosen sampler's triplet distribution, plus the total
-    probability of the enumerated configurations (1 up to rounding).
-
-    One joint enumeration: the (K, K, K) pmf of the three members' support
-    points is summed over the sampler's accepted label patterns (rejection)
-    or its four tied-pair cases (paper_case), then symmetrized over the two
-    companion slots, since both samplers swap them with probability 1/2.
-    """
-    if domain.support_size > ENUMERATION_CAP:
-        raise EnumerationSizeError(
-            f"support size {domain.support_size} exceeds enumeration cap {ENUMERATION_CAP}"
-        )
-    prior = domain.prior
-    cond = {1: domain.p_plus, -1: domain.p_minus}
-    members = []  # (probability, anchor pmf, first companion pmf, second companion pmf)
+def label_patterns(prior: ClassPrior, sampler_kind: str) -> np.ndarray:
+    """The sampler's label law: P(anchor, first companion, second companion
+    labels) as a (2, 2, 2) array, index 0 positive, symmetric in the
+    companions. rejection keeps three i.i.d. prior labels unless the
+    companions share a class the anchor lacks, renormalized by q = 1 - pi+pi-.
+    paper_case ties the anchor and either companion to a class t chosen with
+    probability proportional to pi_t^2; the other companion's label is drawn
+    from the prior."""
+    pi = np.array([prior.pi_plus, prior.pi_minus])
     if sampler_kind == "rejection":
-        class_prob = {1: prior.pi_plus, -1: prior.pi_minus}
-        p_accept = 1.0 - prior.pi_plus * prior.pi_minus
-        for y1, y2, y3 in itertools.product((1, -1), repeat=3):
-            if y2 == y3 != y1:
-                continue  # rejected: the companions share a class the anchor lacks
-            prob = class_prob[y1] * class_prob[y2] * class_prob[y3] / p_accept
-            members.append((prob, cond[y1], cond[y2], cond[y3]))
-    elif sampler_kind == "paper_case":
-        # cases 0 and 1 tie the anchor to the first companion, cases 2 and 3
-        # to the second; the remaining slot holds the marginal draw
-        marginal = domain.p_marginal
-        for case, w in enumerate(paper_case_weights(prior)):
-            tied = cond[1] if case % 2 == 0 else cond[-1]
-            members.append((w, tied, tied, marginal) if case < 2 else (w, tied, marginal, tied))
-    else:
-        raise InvalidInputError(f"unknown sampler kind {sampler_kind!r}")
-    joint = sum(
-        w * a[:, None, None] * b[None, :, None] * c[None, None, :] for w, a, b, c in members
-    )
-    joint = 0.5 * (joint + joint.transpose(0, 2, 1))
-    slots = (joint.sum(axis=(1, 2)), joint.sum(axis=(0, 2)), joint.sum(axis=(0, 1)))
-    return np.array([slot @ values for slot in slots]), float(joint.sum())
+        # pi_b * pi_c first, so the table is symmetric in the companions bit for bit
+        table = pi[:, None, None] * (pi[:, None] * pi) / (1.0 - prior.pi_plus * prior.pi_minus)
+        table[0, 1, 1] = table[1, 0, 0] = 0.0  # the companions share a class the anchor lacks
+        return table
+    if sampler_kind == "paper_case":
+        # cases 0 and 1 tie the anchor to the first companion, 2 and 3 to the second
+        case = paper_case_weights(prior)
+        table = np.zeros((2, 2, 2))
+        for t in (0, 1):
+            table[t, t] += case[t] * pi
+            table[t, :, t] += case[2 + t] * pi
+        return table
+    raise InvalidInputError(f"unknown sampler kind {sampler_kind!r}")
 
 
 def enumerate_estimator_expectation(
     domain: DiscreteDomainSpec, sampler_kind: str, estimator: str = "plain"
 ) -> tuple[float, float]:
-    """Exact E[estimator] under the chosen sampler by full enumeration: the
-    mean of the three slot-weighted position expectations of l_us, plus the
-    estimator's unlabeled-pool coefficient times the marginal expectation of
-    l_us, plus the marginal expectation of l_u.
+    """Exact E[estimator] under the chosen sampler: the mean of the three
+    slot-weighted slot expectations of l_us, plus the estimator's
+    unlabeled-pool coefficient times the marginal expectation of l_us, plus
+    the marginal expectation of l_u.
 
-    Returns (expectation, total probability mass of the enumerated triplet
-    configurations); the latter must be 1 up to rounding.
+    Given its label, each triplet member is a class-conditional draw, so a
+    slot's expectation is its label marginal from label_patterns times the
+    two class-conditional expectations of l_us.
+
+    Returns (expectation, total probability of the label patterns); the
+    latter must be 1 up to rounding.
     """
     lus, lu = corrected_losses(domain.scores, domain.prior)
     weights, c_u = slot_weights(domain.prior, sampler_kind, estimator)
-    e_pos, total_prob = position_expectations(domain, sampler_kind, lus)
+    table = label_patterns(domain.prior, sampler_kind)
+    slot_labels = [table.sum(axis=(1, 2)), table.sum(axis=(0, 2)), table.sum(axis=(0, 1))]
+    e_pos = np.array(slot_labels) @ [domain.p_plus @ lus, domain.p_minus @ lus]
     e_us = float(np.mean(weights * e_pos)) + c_u * float(np.sum(domain.p_marginal * lus))
-    return e_us + float(np.sum(domain.p_marginal * lu)), total_prob
+    return e_us + float(np.sum(domain.p_marginal * lu)), float(table.sum())
 
 
 def check_matched_calibration(n_trials: int = 50, seed: int = 0) -> VerifyReport:

@@ -299,6 +299,32 @@ class TestMalformedInput:
         assert err[0].startswith(f"error: {model}: ")
 
 
+class TestFeaturelessData:
+    def test_make_weak_rejects_a_csv_without_features(self, tmp_path, capsys):
+        data = tmp_path / "y.csv"
+        data.write_text("y\n1\n-1\n1\n")
+        out_dir = tmp_path / "w"
+        capsys.readouterr()
+        rc = main(["make-weak", "--in", str(data), "--n-us", "4", "--n-u", "3",
+                   "--out-dir", str(out_dir)])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {data}: expected a feature column after 'y'"
+        ]
+        assert not out_dir.exists()
+
+    def test_train_on_empty_vectors_exits_config(self, tmp_path, capsys):
+        us, u = tmp_path / "t.jsonl", tmp_path / "u.jsonl"
+        us.write_text('{"anchor": [], "c1": [], "c2": []}\n' * 4)
+        u.write_text('{"x": []}\n' * 3)
+        model = tmp_path / "m.json"
+        capsys.readouterr()
+        rc = main(["train", "--us", str(us), "--u", str(u), "--pi", "0.6", "--out", str(model)])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == ["error: dim must be >= 1, got 0"]
+        assert not model.exists()
+
+
 class TestWeakMeta:
     def _paper_case_weak(self, tmp_path):
         data = _synth(tmp_path)

@@ -1,5 +1,6 @@
 """Unit tests for the verification oracles themselves: the report
 container, the enumeration machinery, and the individual suites."""
+import itertools
 import os
 import subprocess
 import sys
@@ -10,12 +11,18 @@ import pytest
 
 import trisim
 from trisim.cli import SUITES
-from trisim.core import ClassPrior, EnumerationSizeError
+from trisim.core import SAMPLERS, ClassPrior, InvalidInputError
 from trisim.risk import (
     DiscreteDomainSpec,
     compute_thetas,
     corrected_losses,
+    slot_weights,
     supervised_risk_discrete,
+)
+from trisim.sampler import (
+    paper_case_weights,
+    sample_triplets_paper_case,
+    sample_triplets_rejection,
 )
 from trisim.verify import (
     _spearman,
@@ -29,8 +36,8 @@ from trisim.verify import (
     default_gaussian_spec,
     default_prior_grid,
     enumerate_estimator_expectation,
+    label_patterns,
     measure_estimator_bias,
-    position_expectations,
     random_domain,
     run_bias_suite,
     theta_system_residuals,
@@ -44,6 +51,38 @@ def _domain(pi=0.4):
         prior=ClassPrior(pi),
         scores=np.array([1.2, -0.4, 0.3]),
     )
+
+
+def reference_position_expectations(domain, sampler_kind, values):
+    """The K^3 joint enumeration label_patterns replaced, kept verbatim as a
+    reference (the support-size cap dropped): per-position expectations of a
+    pointwise function and the total probability of the configurations."""
+    prior = domain.prior
+    cond = {1: domain.p_plus, -1: domain.p_minus}
+    members = []  # (probability, anchor pmf, first companion pmf, second companion pmf)
+    if sampler_kind == "rejection":
+        class_prob = {1: prior.pi_plus, -1: prior.pi_minus}
+        p_accept = 1.0 - prior.pi_plus * prior.pi_minus
+        for y1, y2, y3 in itertools.product((1, -1), repeat=3):
+            if y2 == y3 != y1:
+                continue  # rejected: the companions share a class the anchor lacks
+            prob = class_prob[y1] * class_prob[y2] * class_prob[y3] / p_accept
+            members.append((prob, cond[y1], cond[y2], cond[y3]))
+    elif sampler_kind == "paper_case":
+        # cases 0 and 1 tie the anchor to the first companion, cases 2 and 3
+        # to the second; the remaining slot holds the marginal draw
+        marginal = domain.p_marginal
+        for case, w in enumerate(paper_case_weights(prior)):
+            tied = cond[1] if case % 2 == 0 else cond[-1]
+            members.append((w, tied, tied, marginal) if case < 2 else (w, tied, marginal, tied))
+    else:
+        raise InvalidInputError(f"unknown sampler kind {sampler_kind!r}")
+    joint = sum(
+        w * a[:, None, None] * b[None, :, None] * c[None, None, :] for w, a, b, c in members
+    )
+    joint = 0.5 * (joint + joint.transpose(0, 2, 1))
+    slots = (joint.sum(axis=(1, 2)), joint.sum(axis=(0, 2)), joint.sum(axis=(0, 1)))
+    return np.array([slot @ values for slot in slots]), float(joint.sum())
 
 
 class TestVerifyReport:
@@ -114,35 +153,78 @@ class TestEnumeration:
             _, total = enumerate_estimator_expectation(_domain(), kind)
             assert total == pytest.approx(1.0, abs=1e-12)
 
-    def test_cap_enforced(self):
-        big = DiscreteDomainSpec(
-            p_plus=np.full(9, 1 / 9),
-            p_minus=np.full(9, 1 / 9),
-            prior=ClassPrior(0.4),
-            scores=np.zeros(9),
-        )
-        with pytest.raises(EnumerationSizeError):
-            enumerate_estimator_expectation(big, "rejection")
-
-    def test_position_expectations_sum_to_constant(self):
-        # with values identically 1 every position expectation is 1
-        d = _domain()
-        ones = np.ones(d.support_size)
-        for kind in ("rejection", "paper_case"):
-            e, total = position_expectations(d, kind, ones)
-            np.testing.assert_allclose(e, (1.0, 1.0, 1.0), atol=1e-12)
-            assert total == pytest.approx(1.0, abs=1e-12)
+    def test_label_patterns_sum_to_one(self):
+        for pi, kind in itertools.product((0.1, 0.2, 0.4, 0.6, 0.9), SAMPLERS):
+            table = label_patterns(ClassPrior(pi), kind)
+            assert table.shape == (2, 2, 2)
+            assert (table >= 0).all()
+            assert table.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_companion_slots_symmetric(self):
-        d = _domain()
-        lus, _ = corrected_losses(d.scores, d.prior)
-        for kind in ("rejection", "paper_case"):
-            (_, e1, e2), _ = position_expectations(d, kind, lus)
-            assert e1 == pytest.approx(e2, abs=1e-14)
+        for pi, kind in itertools.product((0.1, 0.2, 0.4, 0.6, 0.9), SAMPLERS):
+            table = label_patterns(ClassPrior(pi), kind)
+            np.testing.assert_array_equal(table, table.transpose(0, 2, 1))
+
+    def test_matches_the_joint_enumeration(self):
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            d = random_domain(rng)
+            for kind, estimator in itertools.product(SAMPLERS, ("plain", "matched")):
+                lus, lu = corrected_losses(d.scores, d.prior)
+                weights, c_u = slot_weights(d.prior, kind, estimator)
+                e_pos, total = reference_position_expectations(d, kind, lus)
+                expected = (
+                    float(np.mean(weights * e_pos))
+                    + c_u * float(np.sum(d.p_marginal * lus))
+                    + float(np.sum(d.p_marginal * lu))
+                )
+                got, got_total = enumerate_estimator_expectation(d, kind, estimator)
+                assert got == pytest.approx(expected, abs=1e-13, rel=0)
+                assert got_total == pytest.approx(total, abs=1e-13, rel=0)
+
+    def test_matched_unbiased_beyond_the_old_cap(self):
+        # far past support 8, where a K^3 joint refused to enumerate
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            d = DiscreteDomainSpec(
+                p_plus=rng.dirichlet(np.ones(64)),
+                p_minus=rng.dirichlet(np.ones(64)),
+                prior=ClassPrior(float(rng.choice([0.1, 0.3, 0.4, 0.6, 0.8]))),
+                scores=rng.uniform(-2.0, 2.0, size=64),
+            )
+            for kind in SAMPLERS:
+                got, total = enumerate_estimator_expectation(d, kind, "matched")
+                assert got == pytest.approx(supervised_risk_discrete(d), abs=1e-10, rel=0)
+                assert total == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", SAMPLERS)
+    @pytest.mark.parametrize("pi", [0.2, 0.6])
+    def test_real_samplers_follow_the_table(self, kind, pi):
+        # feature 0 is a positive member and 1 a negative, so each triplet's
+        # features are its label pattern
+        n = 100_000
+        prior = ClassPrior(pi)
+        domain = DiscreteDomainSpec(np.array([1.0, 0.0]), np.array([0.0, 1.0]), prior, np.zeros(2))
+        rng = np.random.default_rng([16, int(10 * pi)])
+        if kind == "rejection":
+            triplets, _ = sample_triplets_rejection(domain, n, rng)
+        else:
+            triplets = sample_triplets_paper_case(domain, n, rng)
+        labels = triplets[:, :, 0].astype(int)
+        counts = np.bincount(labels @ [4, 2, 1], minlength=8).reshape(2, 2, 2)
+        table = label_patterns(prior, kind)
+        possible = table > 0
+        z = (counts - n * table)[possible] / np.sqrt(n * table * (1 - table))[possible]
+        assert np.abs(z).max() < 5.0, z
+        assert (counts[~possible] == 0).all()
+        # neither sampler leaves the anchor's class out of both companions
+        assert not possible[0, 1, 1] and not possible[1, 0, 0] and possible.sum() == 6
 
     def test_unknown_kind_raises(self):
         with pytest.raises(ValueError):
             enumerate_estimator_expectation(_domain(), "other")
+        with pytest.raises(InvalidInputError):
+            label_patterns(ClassPrior(0.4), "other")
 
 
 class TestBiasSuite:
@@ -188,7 +270,29 @@ class TestGradientSuite:
         assert report.passed, report.to_json()
 
 
+# Each fast suite's checks at seed 0, as their tolerances in report order;
+# None marks the recorded-only (not assertable) checks. The Monte Carlo
+# tolerances are 3 SE, which a moved random stream shifts by well under 1%.
+REPORT_SHAPES = {
+    "thetas": [1e-12] * 18,
+    "identity": [1e-10],
+    "acceptance": [0.0031883609, 0.0035313550, 0.0035326300],
+    "bias": [1e-10] * 6 + [1e-12, None, 0.1844506800, 1e-12, None, 0.1845696329],
+    "matched": [1e-10] * 2,
+    "gradients": [1e-5] * 50,
+}
+
+
 class TestSeededSuites:
+    def test_report_shapes_are_pinned(self):
+        # a refactor of an oracle must not drop, add or loosen a check
+        for name, tolerances in REPORT_SHAPES.items():
+            checks = SUITES[name](0).checks
+            assert [c.assertable for c in checks] == [t is not None for t in tolerances], name
+            assert [c.tolerance for c in checks] == [
+                t if t is None else pytest.approx(t, rel=1e-2) for t in tolerances
+            ], name
+
     def test_seed_156_fails_one_monte_carlo_check(self):
         # Five Monte Carlo checks are 3-SE tests, so some seeds fail one by
         # chance: 24 of seeds 0-1599, the lowest 156. Pinning that false alarm
@@ -197,7 +301,7 @@ class TestSeededSuites:
         report = VerifyReport.merge([SUITES[name](156) for name in seeded])
         failed = [(c.name, c.expected, c.observed) for c in report.checks if not c.passed]
         assert failed == [
-            ("bias.paper_case_mc_vs_enumeration", 2.746979652494801, 2.540702312709296)
+            ("bias.paper_case_mc_vs_enumeration", 2.7469796524948005, 2.540702312709296)
         ]
 
 
