@@ -11,11 +11,14 @@ The models are frozen: write into theta or a parameter view, never rebind.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import InvalidInputError, LabeledPool, ShapeError
+
+_BLOCK = 1 << 18  # most multiply-adds per BLAS call in _over_rows
 
 
 def _pack(model) -> None:
@@ -111,7 +114,7 @@ def forward(model: Model, x) -> np.ndarray:
     """Scores of an (n, d) batch, as an (n,) array."""
     arr = _as_batch(model, x)
     if isinstance(model, LinearModel):
-        return arr @ model.weights + model.bias[0]
+        return arr.dot(model.weights) + model.bias[0]
     h = np.maximum(arr @ model.w1.T + model.b1, 0.0)
     return h @ model.w2 + model.b2[0]
 
@@ -122,7 +125,18 @@ def accuracy(model: Model, pool: LabeledPool) -> float:
     if len(pool) == 0:
         raise InvalidInputError("test set is empty")
     scores = forward(model, pool.x)
-    return float(np.mean(np.where(scores >= 0, 1, -1) == pool.y))
+    return int(np.count_nonzero((scores >= 0) == (pool.y > 0))) / len(pool)
+
+
+def _over_rows(a, b) -> np.ndarray:
+    """a.T @ b for a (n,) or (n, k) and b (n, d), summed in order over row
+    blocks of at most _BLOCK multiply-adds: OpenBLAS splits the sum of no
+    call this small between threads, so the bits do not depend on how many."""
+    rows = max(1, _BLOCK // (math.prod(a.shape[1:]) * b.shape[1]))
+    total = a[:rows].T.dot(b[:rows])
+    for i in range(rows, a.shape[0], rows):
+        total += a[i : i + rows].T.dot(b[i : i + rows])
+    return total
 
 
 def backward(model: Model, x, upstream) -> np.ndarray:
@@ -133,26 +147,27 @@ def backward(model: Model, x, upstream) -> np.ndarray:
     up = np.asarray(upstream, dtype=float)
     if up.shape != (arr.shape[0],):
         raise ShapeError(f"upstream shape {up.shape} does not match batch {arr.shape[0]}")
-    if not np.isfinite(up).all():
+    if np.count_nonzero(np.isfinite(up)) < up.size:
         raise InvalidInputError("upstream must be finite")
     if isinstance(model, LinearModel):
-        return np.concatenate((up @ arr, [up.sum()]))
+        return np.concatenate((_over_rows(up, arr), np.add.reduce(up, keepdims=True)))
     pre = arr @ model.w1.T + model.b1
     h = np.maximum(pre, 0.0)
     act_mask = (pre > 0).astype(float)
     dh = np.outer(up, model.w2) * act_mask  # (n, h)
     # w1, b1, w2, b2: params() order
-    return np.concatenate((dh.T @ arr, dh.sum(axis=0), up @ h, [up.sum()]), axis=None)
+    grads = (_over_rows(dh, arr), dh.sum(axis=0), _over_rows(up, h), [up.sum()])
+    return np.concatenate(grads, axis=None)
 
 
 @dataclass
 class AdamState:
     """Adam with bias correction; weight decay is decoupled (applied as a
-    multiplicative shrink before the Adam delta). The moments m and v are
-    arrays in the layout of the theta they update."""
+    multiplicative shrink before the Adam delta). The moments of a theta of
+    p parameters are one (2, p) array, whose rows m and v one call updates
+    together. The betas are read once, when the state is built."""
 
-    m: np.ndarray
-    v: np.ndarray
+    moments: np.ndarray
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
@@ -160,27 +175,38 @@ class AdamState:
     weight_decay: float = 0.0
     step: int = 0
 
+    def __post_init__(self):
+        # each row's beta and 1 - beta, and the step's scratch and its rows,
+        # so that a step makes same-shape calls on views built once
+        decay = np.array([[self.beta1], [self.beta2]]) + np.zeros_like(self.moments)
+        delta = np.empty_like(self.moments)
+        self.m, self.v = self.moments
+        self._scratch = (decay, 1.0 - decay, delta, *delta)
+
     @classmethod
     def for_theta(cls, theta: np.ndarray, **hyper) -> "AdamState":
-        return cls(np.zeros_like(theta), np.zeros_like(theta), **hyper)
+        return cls(np.zeros((2, theta.size)), **hyper)
 
 
 def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
-    """One in-place update of theta and state."""
+    """One in-place update of theta and state, in the textbook order of operations."""
     if grad.shape != theta.shape:
         raise ShapeError(f"gradient shape {grad.shape} != theta shape {theta.shape}")
     state.step += 1
-    t = state.step
-    if state.weight_decay:
-        theta *= 1.0 - state.lr * state.weight_decay
-    m, v = state.m, state.v
-    m *= state.beta1
-    m += (1.0 - state.beta1) * grad
-    v *= state.beta2
-    v += (1.0 - state.beta2) * grad * grad
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    theta -= state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    theta *= 1.0 - state.lr * state.weight_decay
+    decay, gain, delta, m_hat, v_hat = state._scratch
+    state.moments *= decay
+    delta[...] = grad
+    delta *= gain
+    v_hat *= grad  # ((1 - b2) * g) * g
+    state.moments += delta
+    np.divide(state.m, 1.0 - state.beta1**state.step, m_hat)
+    np.divide(state.v, 1.0 - state.beta2**state.step, v_hat)
+    np.sqrt(v_hat, v_hat)
+    v_hat += state.epsilon
+    m_hat *= state.lr
+    m_hat /= v_hat
+    theta -= m_hat
 
 
 def serialize_model(model: Model, config_echo: dict | None = None) -> dict:

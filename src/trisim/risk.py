@@ -142,7 +142,7 @@ def _check_scores(scores, side: str) -> np.ndarray:
         raise InvalidInputError(f"{side} scores must be a 1-D array")
     if arr.size == 0:
         raise InsufficientDataError(f"{side} score list is empty")
-    if not np.isfinite(arr).all():
+    if np.count_nonzero(np.isfinite(arr)) < arr.size:
         raise InvalidInputError(f"{side} scores contain non-finite values")
     return arr
 
@@ -155,7 +155,7 @@ def _check_weights(us_weights, n: int) -> np.ndarray:
         raise InvalidInputError(
             f"us_weights must match the similarity score count {n}, got shape {w.shape}"
         )
-    if not np.isfinite(w).all():
+    if np.count_nonzero(np.isfinite(w)) < w.size:
         raise InvalidInputError("us_weights contain non-finite values")
     return w
 
@@ -220,7 +220,9 @@ def empirical_risk_grad(
     )
     factor = correction.grad_factor(us_term + u_term)
     g_us = factor / us.size * a * w
-    g_u = factor / u.size * (2.0 * u + (b + u_plus_coef * a))
+    g_u = np.multiply(u, 2.0)
+    g_u += b + u_plus_coef * a
+    g_u *= factor / u.size
     return g_us, g_u
 
 

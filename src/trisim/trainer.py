@@ -76,6 +76,10 @@ class TrainConfig:
             raise ConfigurationError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 2:
             raise ConfigurationError(f"batch_size must be >= 2, got {self.batch_size}")
+        if not 0.0 < self.lr < np.inf:
+            raise ConfigurationError(f"lr must be finite and > 0, got {self.lr}")
+        if not 0.0 <= self.weight_decay < np.inf:
+            raise ConfigurationError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         self.prior.require_non_degenerate()
 
 
@@ -117,10 +121,10 @@ def _divergence(rv: RiskValue, model: Model) -> str | None:
     """Why the epoch's end state counts as diverged, or None."""
     if not abs(rv.raw) <= DIVERGENCE_LIMIT:
         return f"risk {rv.raw!r} exceeds {DIVERGENCE_LIMIT:g} in magnitude"
-    for key, p in model.params().items():
-        if not np.max(np.abs(p)) <= DIVERGENCE_LIMIT:
-            return f"parameter {key!r} exceeds {DIVERGENCE_LIMIT:g} in magnitude"
-    return None
+    if np.abs(model.theta).max() <= DIVERGENCE_LIMIT:
+        return None
+    key = next(k for k, p in model.params().items() if not np.abs(p).max() <= DIVERGENCE_LIMIT)
+    return f"parameter {key!r} exceeds {DIVERGENCE_LIMIT:g} in magnitude"
 
 
 def _epoch_layout(pool_sizes, n_batches):
@@ -160,6 +164,10 @@ def _fit(config, model, rows, row_values, pool_sizes, batch_upstream, epoch_risk
     offsets, gather, bounds = _epoch_layout(pool_sizes, n_batches)
     x_buf, v_buf = np.empty_like(rows, order="C"), np.empty_like(row_values)
     batches = [(x_buf[i:k], j - i, v_buf[i:k]) for i, j, k in bounds]
+    # shuffling an arange slice draws rng.permutation(n) + offset
+    ranks = np.arange(rows.shape[0])
+    perm, order = np.empty_like(ranks), np.empty_like(ranks)
+    pools = [perm[o : o + n] for o, n in zip(offsets, pool_sizes)]
     _, ss_shuffle = np.random.SeedSequence(config.seed).spawn(2)
     rng = np.random.default_rng(ss_shuffle)
     state = AdamState.for_theta(model.theta, lr=config.lr, weight_decay=config.weight_decay)
@@ -167,9 +175,11 @@ def _fit(config, model, rows, row_values, pool_sizes, batch_upstream, epoch_risk
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         for epoch in range(1, config.epochs + 1):
             try:
-                perms = [rng.permutation(n) + o for n, o in zip(pool_sizes, offsets)]
-                order = np.concatenate(perms)[gather]
+                perm[...] = ranks
+                for pool in pools:
+                    rng.shuffle(pool)
                 # mode="clip" writes straight into out; the default "raise" buffers
+                np.take(perm, gather, out=order, mode="clip")
                 np.take(rows, order, axis=0, out=x_buf, mode="clip")
                 np.take(row_values, order, out=v_buf, mode="clip")
                 for x, split, values in batches:
@@ -225,9 +235,11 @@ def train(
     # an unlabeled row's value is never read
     row_weights = np.concatenate((np.tile(weights, data.n_triplets), np.zeros(pool_sizes[1])))
     us_weights = row_weights[: pool_sizes[0]]
+    upstream = np.empty_like(row_weights)
 
     def batch_upstream(model, x, split, w):
-        g_us, g_u = empirical_risk_grad(
+        up = upstream[: x.shape[0]]
+        up[:split], up[split:] = empirical_risk_grad(
             forward(model, x[:split]),
             forward(model, x[split:]),
             config.prior,
@@ -235,7 +247,7 @@ def train(
             us_weights=w[:split],
             u_plus_coef=u_plus_coef,
         )
-        return np.concatenate((g_us, g_u))
+        return up
 
     def epoch_risk(model):
         return empirical_risk(

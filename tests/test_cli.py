@@ -220,6 +220,35 @@ class TestTrainEval:
         )
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "flag,value,name",
+        [
+            ("--lr", "nan", "lr"),
+            ("--lr", "inf", "lr"),
+            ("--lr", "-1", "lr"),
+            ("--lr", "0", "lr"),
+            ("--weight-decay", "-5", "weight_decay"),
+            ("--weight-decay", "nan", "weight_decay"),
+            ("--weight-decay", "inf", "weight_decay"),
+        ],
+    )
+    def test_bad_rate_exits_config_naming_the_flag(self, tmp_path, capsys, flag, value, name):
+        # a bad rate fails before training: a non-finite one would surface as
+        # non-finite scores, and a negative one trains uphill
+        data = _synth(tmp_path)
+        triplets, unlabeled = _weak(tmp_path, data)
+        capsys.readouterr()
+        rc = main(
+            [
+                "train", "--us", str(triplets), "--u", str(unlabeled), "--pi", "0.4",
+                "--epochs", "5", "--batch", "30", flag, value, "--out", str(tmp_path / "m.json"),
+            ]
+        )
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {name} must be finite"), err
+        assert not (tmp_path / "m.json").exists()
+
 
 class TestMalformedInput:
     @pytest.mark.parametrize(

@@ -1,8 +1,15 @@
 """Unit tests for the training loop: configuration validation, batching
 invariants, determinism, and sanity of the logged risks."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import trisim
+from trisim import trainer
 from trisim.core import (
     ClassPrior,
     ConfigurationError,
@@ -53,6 +60,18 @@ class TestTrainConfig:
     def test_rejects_unknown_estimator(self):
         with pytest.raises(ConfigurationError):
             _config(estimator="exotic")
+
+    @pytest.mark.parametrize(
+        "rates", [dict(lr=np.nan), dict(lr=np.inf), dict(lr=0.0), dict(lr=-1.0),
+                  dict(weight_decay=-5.0), dict(weight_decay=np.nan), dict(weight_decay=np.inf)]
+    )
+    def test_rejects_bad_rates(self, rates):
+        with pytest.raises(ConfigurationError, match=f"^{next(iter(rates))} must be finite"):
+            _config(**rates)
+
+    def test_accepts_huge_finite_rates(self):
+        # the divergence tests train at rates like these
+        _config(lr=1e120, weight_decay=0.0)
 
     def test_rejects_balanced_prior(self):
         with pytest.raises(Exception):
@@ -212,3 +231,83 @@ class TestSupervisedOracle:
             "batch_size 50 exceeds a pool size (pool sizes 20); "
             "reduce --batch or supply more data"
         )
+
+
+# The names trisim.trainer looks up at call time, which the benchmark wraps
+# (README, "The benchmark"), with the rows each call is given.
+CONTRACT = ("forward", "backward", "adam_step", "empirical_risk_grad", "empirical_risk", "_accuracy")
+
+
+def _record_calls(monkeypatch):
+    calls = []
+    for name in CONTRACT:
+        def wrapper(*args, _name=name, _fn=getattr(trainer, name), **kwargs):
+            x = args[1] if _name in ("forward", "backward") else None
+            calls.append((_name, None if x is None else x.shape[0]))
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, name, wrapper)
+    return calls
+
+
+class TestCallContract:
+    """Per batch and per epoch, the loop makes exactly the calls the
+    benchmark's counters and epoch marks rely on, in this order."""
+
+    def test_weak_run(self, monkeypatch):
+        data = _data(n_us=40, n_u=90)  # 120 similarity rows, 90 unlabeled
+        calls = _record_calls(monkeypatch)
+        train(_config(epochs=3, batch_size=60), data, synth_gaussian_labeled(_spec(), 50, seed=2))
+        # 4 batches: the pools split 30/30/30/30 and 23/23/22/22
+        batch = lambda us, u: [
+            ("forward", us), ("forward", u), ("empirical_risk_grad", None),
+            ("backward", us + u), ("adam_step", None),
+        ]
+        epoch = (batch(30, 23) + batch(30, 23) + batch(30, 22) + batch(30, 22)
+                 + [("forward", 120), ("forward", 90), ("empirical_risk", None), ("_accuracy", None)])
+        assert calls == 3 * epoch
+
+    def test_supervised_oracle(self, monkeypatch):
+        pool = synth_gaussian_labeled(_spec(), 130, seed=1)
+        calls = _record_calls(monkeypatch)
+        train_supervised_oracle(_config(epochs=2, batch_size=50), pool, pool)
+        batch = lambda n: [("forward", n), ("backward", n), ("adam_step", None)]
+        epoch = batch(44) + batch(43) + batch(43) + [("forward", 130), ("_accuracy", None)]
+        assert calls == 2 * epoch
+
+
+_THREADS_SCRIPT = """
+import hashlib
+import numpy as np
+from trisim.core import ClassPrior
+from trisim.sampler import GaussianSourceSpec, make_weak_dataset
+from trisim.trainer import TrainConfig, train
+mu = np.zeros(50)
+mu[0] = 1.0
+data = make_weak_dataset(GaussianSourceSpec(50, mu, -mu, 1.0, ClassPrior(0.4)), 20000, 20000, "rejection", 1)
+for kind, batch in (("linear", 20000), ("mlp", 20000), ("mlp", 2000)):
+    config = TrainConfig(ClassPrior(0.4), epochs=2, batch_size=batch, lr=0.01, model_kind=kind, hidden=32)
+    model, log = train(config, data)
+    print(kind, batch, hashlib.sha256(model.theta.tobytes() + repr(log.records).encode()).hexdigest())
+"""
+
+
+def test_same_bits_on_any_blas_thread_count():
+    # A BLAS call that sums over many rows may split the sum between its
+    # threads. Without the row blocks of model._over_rows, a 20000 x 50
+    # batch (linear) and a 2000-row batch with 32 hidden units (mlp) train
+    # to other bits on 2 threads than on 1.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(trisim.__file__).resolve().parents[1]), env.get("PYTHONPATH")) if p
+    )
+    runs = []
+    for threads in ("1", "2"):
+        env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        res = subprocess.run(
+            [sys.executable, "-c", _THREADS_SCRIPT], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert res.returncode == 0, res.stderr
+        runs.append(res.stdout.splitlines())
+    assert len(runs[0]) == 3
+    assert runs[0] == runs[1]

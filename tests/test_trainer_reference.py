@@ -108,10 +108,11 @@ def _reference_supervised(config, labeled, eval_set):
     return _reference_loop(config, model, (len(labeled),), batch_upstream, epoch_risk, eval_set)
 
 
-def _config(model_kind, batch_size, correction="abs"):
+def _config(model_kind, batch_size, correction="abs", estimator="matched"):
     return TrainConfig(
         prior=ClassPrior(0.4),
         correction=CorrectionKind(correction),
+        estimator=estimator,
         epochs=EPOCHS[model_kind],
         batch_size=batch_size,
         lr=0.01,
@@ -138,12 +139,17 @@ def _assert_identical(model, log, ref_model, ref_rows):
 
 @pytest.mark.parametrize("model_kind", ["linear", "mlp"])
 @pytest.mark.parametrize("sampler", ["rejection", "paper_case"])
-@pytest.mark.parametrize("correction", ["abs", "none"])
+# "plain" is the plain estimator under abs: its unlabeled coefficient is 0,
+# the other branch of risk._side_terms
+@pytest.mark.parametrize("correction", ["abs", "none", "max_zero", "plain"])
 def test_weak_train_matches_reference_loop(model_kind, sampler, correction):
     # uneven pools: 999 similarity rows and 777 unlabeled rows in 8 batches
     data = make_weak_dataset(SPEC, 333, 777, sampler, 2)
     test = synth_gaussian_labeled(SPEC, 200, seed=5)
-    config = _config(model_kind, 250, correction)
+    if correction == "plain":
+        config = _config(model_kind, 250, "abs", "plain")
+    else:
+        config = _config(model_kind, 250, correction)
     model, log = train(config, data, test)
     _assert_identical(model, log, *_reference_train(config, data, test))
 
