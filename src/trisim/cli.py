@@ -42,7 +42,7 @@ from .dataio import (
     write_unlabeled_jsonl,
     write_weak_meta,
 )
-from .evaluation import accuracy, correction_sweep, fraction_sweep, prior_sweep
+from .evaluation import SWEEPS, accuracy, sweep
 from .risk import ESTIMATORS
 from .sampler import (
     GaussianSourceSpec,
@@ -239,14 +239,9 @@ def cmd_sweep(args) -> int:
     started = time.monotonic()
     spec = _gaussian_spec(args)
     config = _train_config(args, spec.prior)
-    # every sweep takes these arguments after its own axis, in this order
-    common = (args.seeds, spec, config, args.n_us, args.n_u, args.n_test, args.sampler)
-    if args.kind == "prior":
-        result = prior_sweep(spec.prior, args.given, *common)
-    elif args.kind == "fraction":
-        result = fraction_sweep(args.fractions, *common)
-    else:
-        result = correction_sweep(args.corrections, *common)
+    values = {"prior": args.given, "fraction": args.fractions, "correction": args.corrections}
+    result = sweep(args.kind, values[args.kind], args.seeds, spec, config,
+                   args.n_us, args.n_u, args.n_test, args.sampler)
     write_sweep_csv(args.out, result)
     outputs = [args.out]
     if args.json_out:
@@ -340,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="run an ablation sweep on synthetic data")
-    p.add_argument("--kind", choices=("prior", "fraction", "correction"), required=True)
+    p.add_argument("--kind", choices=SWEEPS, required=True)
     _add_source_flags(p)
     _add_train_flags(p)
     p.add_argument(

@@ -1,7 +1,8 @@
-"""Desk-scale ablation sweeps: robustness to a misspecified training prior,
+"""Desk-scale ablation sweeps. `sweep(kind, values, ...)` runs the three
+kinds in SWEEPS: robustness to a misspecified training prior,
 accuracy-vs-data-fraction curves, and the correction-function comparison.
 
-Each (setting, seed) cell is an independent training run; results are
+Each (setting, seed) cell is an independent weak run; results are
 assembled deterministically ordered by setting then seed.
 """
 from __future__ import annotations
@@ -82,101 +83,75 @@ def supervised_run(
     return accuracy(model, test)
 
 
-def _require_values(axis: str, settings, seeds) -> None:
-    """Every sweep needs at least one setting on its axis and one seed."""
-    for name, values in ((axis, settings), ("seeds", seeds)):
-        if len(values) == 0:
+# each sweep kind and the axis its values are settings of
+SWEEPS = {"prior": "given_prior", "fraction": "fraction", "correction": "correction"}
+
+
+def _cell(kind: str, value, config: TrainConfig, n_us: int, n_u: int):
+    """The (config, n_us, n_u) that one axis value trains with, or None for a
+    given prior of 0.5, whose row is skipped."""
+    if kind == "prior":
+        return None if value == 0.5 else (replace(config, prior=ClassPrior(value)), n_us, n_u)
+    if kind == "fraction":
+        if not 0 < value <= 1:
+            raise ConfigurationError(f"fraction must lie in (0, 1], got {value}")
+        return config, max(1, round(n_us * value)), max(1, round(n_u * value))
+    if value not in {c.value for c in CorrectionKind}:
+        raise ConfigurationError(f"unknown correction {value!r}")
+    return replace(config, correction=CorrectionKind(value)), n_us, n_u
+
+
+def sweep(
+    kind: str,
+    values: list,
+    seeds: list[int],
+    source_spec: GaussianSourceSpec,
+    config: TrainConfig,
+    n_us: int,
+    n_u: int,
+    n_test: int = 2000,
+    sampler_kind: str = "paper_case",
+) -> SweepResult:
+    """One weak run per (value, seed), in that order; a row per value.
+
+    A prior sweep draws data under the source's prior and trains under each
+    given prior; a given prior of 0.5 gets a skipped row. A fraction sweep
+    scales both budgets by each fraction in (0, 1], at least one point per
+    pool. A correction sweep trains with each named correction. Data depend
+    only on the seed and the budgets, so in a prior or correction sweep every
+    value sees the same data per seed. The budgets, every value and every
+    cell's clamped batch plan are checked before the first run.
+    """
+    axis = SWEEPS.get(kind)
+    if axis is None:
+        raise ConfigurationError(f"unknown sweep kind {kind!r}")
+    # the empty list is named "given priors", "fractions" or "corrections"
+    for name, listed in ((axis.replace("_", " ") + "s", values), ("seeds", seeds)):
+        if len(listed) == 0:
             raise ConfigurationError(f"no {name} to sweep: the list is empty")
-
-
-def _sweep(axis, summary, cells, seeds, source_spec, n_test, sampler_kind) -> SweepResult:
-    """Run every cell at every seed, in order; a cell is (label, config,
-    n_us, n_u). Every cell's batch plan is checked before the first run."""
-    for label, cfg, n_us, n_u in cells:
-        # train skips the plan for zero epochs; an empty pool fails in the sampler
-        if cfg.epochs and min(n_us, n_u) > 0:
-            try:
-                _batch_plan((3 * n_us, n_u), _clamped(cfg, n_us, n_u).batch_size)
-            except ConfigurationError as exc:
-                raise ConfigurationError(f"{axis} {label}: {exc}") from None
+    for name, n in (("n_us", n_us), ("n_u", n_u)):
+        if n < 1:
+            raise ConfigurationError(f"{name} must be >= 1, got {n}")
+    cells = [(f"{v}", _cell(kind, v, config, n_us, n_u)) for v in values]
+    for label, cell in cells:
+        if cell is None:
+            continue
+        cfg, cell_us, cell_u = cell
+        try:
+            clamped = _clamped(cfg, cell_us, cell_u)
+            if clamped.epochs:  # train skips the plan for zero epochs
+                _batch_plan((3 * cell_us, cell_u), clamped.batch_size)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{axis} {label}: {exc}") from None
+    summary = {"n_us": n_us, "n_u": n_u}
+    if kind == "prior":
+        summary = {"true_prior": source_spec.prior.pi_plus, **summary}
     result = SweepResult(axis=axis, config=summary)
-    for label, cfg, n_us, n_u in cells:
-        accs = [
-            weak_run(source_spec, cfg, n_us, n_u, seed, n_test, sampler_kind) for seed in seeds
-        ]
+    for label, cell in cells:
+        if cell is None:
+            result.rows.append(SweepRow(label, None, None, 0, error="degenerate prior 0.5 skipped"))
+            continue
+        accs = [weak_run(source_spec, *cell, seed, n_test, sampler_kind) for seed in seeds]
         std = float(np.std(accs, ddof=1)) if len(accs) >= 2 else None
         result.rows.append(SweepRow(label, float(np.mean(accs)), std, len(accs), tuple(accs)))
     return result
-
-
-def prior_sweep(
-    true_prior: ClassPrior,
-    given_priors: list[float],
-    seeds: list[int],
-    source_spec: GaussianSourceSpec,
-    config: TrainConfig,
-    n_us: int,
-    n_u: int,
-    n_test: int = 2000,
-    sampler_kind: str = "paper_case",
-) -> SweepResult:
-    """Generate data under the true prior, train under each given prior.
-
-    Data generation depends only on (true prior, seed), so every given
-    prior sees identical datasets per seed. A given prior of 0.5 gets a
-    skipped row.
-    """
-    _require_values("given priors", given_priors, seeds)
-    # every prior is checked before the first run
-    cells = [
-        (f"{g}", replace(config, prior=ClassPrior(g)), n_us, n_u) for g in given_priors if g != 0.5
-    ]
-    summary = {"true_prior": true_prior.pi_plus, "n_us": n_us, "n_u": n_u}
-    spec = replace(source_spec, prior=true_prior)
-    result = _sweep("given_prior", summary, cells, seeds, spec, n_test, sampler_kind)
-    skipped = SweepRow("0.5", None, None, 0, error="degenerate prior 0.5 skipped")
-    rows = iter(result.rows)
-    result.rows = [skipped if g == 0.5 else next(rows) for g in given_priors]
-    return result
-
-
-def fraction_sweep(
-    fractions: list[float],
-    seeds: list[int],
-    source_spec: GaussianSourceSpec,
-    config: TrainConfig,
-    n_us: int,
-    n_u: int,
-    n_test: int = 2000,
-    sampler_kind: str = "paper_case",
-) -> SweepResult:
-    """Accuracy at increasing fractions of the full training budget."""
-    _require_values("fractions", fractions, seeds)
-    for frac in fractions:
-        if not 0 < frac <= 1:
-            raise ConfigurationError(f"fraction must lie in (0, 1], got {frac}")
-    cells = [
-        (f"{f}", config, max(1, round(n_us * f)), max(1, round(n_u * f))) for f in fractions
-    ]
-    summary = {"n_us": n_us, "n_u": n_u}
-    return _sweep("fraction", summary, cells, seeds, source_spec, n_test, sampler_kind)
-
-
-def correction_sweep(
-    corrections: list[str],
-    seeds: list[int],
-    source_spec: GaussianSourceSpec,
-    config: TrainConfig,
-    n_us: int,
-    n_u: int,
-    n_test: int = 2000,
-    sampler_kind: str = "paper_case",
-) -> SweepResult:
-    """One training run per (correction, seed), identical data per seed."""
-    _require_values("corrections", corrections, seeds)
-    for name in corrections:
-        if name not in {c.value for c in CorrectionKind}:
-            raise ConfigurationError(f"unknown correction {name!r}")
-    cells = [(c, replace(config, correction=CorrectionKind(c)), n_us, n_u) for c in corrections]
-    summary = {"n_us": n_us, "n_u": n_u}
-    return _sweep("correction", summary, cells, seeds, source_spec, n_test, sampler_kind)

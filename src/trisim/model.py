@@ -160,25 +160,26 @@ def backward(model: Model, x, upstream) -> np.ndarray:
     return np.concatenate(grads, axis=None)
 
 
+# Adam's textbook moment decays and denominator offset
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     """Adam with bias correction; weight decay is decoupled (applied as a
     multiplicative shrink before the Adam delta). The moments of a theta of
     p parameters are one (2, p) array, whose rows m and v one call updates
-    together. The betas are read once, when the state is built."""
+    together."""
 
     moments: np.ndarray
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     weight_decay: float = 0.0
     step: int = 0
 
     def __post_init__(self):
         # each row's beta and 1 - beta, and the step's scratch and its rows,
         # so that a step makes same-shape calls on views built once
-        decay = np.array([[self.beta1], [self.beta2]]) + np.zeros_like(self.moments)
+        decay = np.array([[BETA1], [BETA2]]) + np.zeros_like(self.moments)
         delta = np.empty_like(self.moments)
         self.m, self.v = self.moments
         self._scratch = (decay, 1.0 - decay, delta, *delta)
@@ -200,10 +201,10 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
     delta *= gain
     v_hat *= grad  # ((1 - b2) * g) * g
     state.moments += delta
-    np.divide(state.m, 1.0 - state.beta1**state.step, m_hat)
-    np.divide(state.v, 1.0 - state.beta2**state.step, v_hat)
+    np.divide(state.m, 1.0 - BETA1**state.step, m_hat)
+    np.divide(state.v, 1.0 - BETA2**state.step, v_hat)
     np.sqrt(v_hat, v_hat)
-    v_hat += state.epsilon
+    v_hat += EPSILON
     m_hat *= state.lr
     m_hat /= v_hat
     theta -= m_hat

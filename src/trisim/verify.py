@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import SAMPLERS, ClassPrior, CorrectionKind, InvalidInputError
-from .evaluation import fraction_sweep
+from .evaluation import sweep
 from .model import backward, forward, init_model
 from .risk import (
     DiscreteDomainSpec,
@@ -428,10 +428,10 @@ def check_error_trend(
     seeds = seeds or [0, 1, 2, 3, 4]
     source_spec = default_gaussian_spec()
     report = VerifyReport(suite="trend")
-    sweep = fraction_sweep(
-        fractions, seeds, source_spec, TrainConfig(prior=source_spec.prior), n_us, n_u
+    result = sweep(
+        "fraction", fractions, seeds, source_spec, TrainConfig(prior=source_spec.prior), n_us, n_u
     )
-    means = [row.mean for row in sweep.rows]
+    means = [row.mean for row in result.rows]
     report.add(
         "full_vs_smallest_fraction",
         means[0],

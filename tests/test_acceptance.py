@@ -16,7 +16,7 @@ import numpy as np
 
 import trisim
 from trisim.core import ClassPrior, CorrectionKind
-from trisim.evaluation import correction_sweep, prior_sweep, supervised_run, weak_run
+from trisim.evaluation import supervised_run, sweep, weak_run
 from trisim.risk import DiscreteDomainSpec
 from trisim.trainer import TrainConfig
 from trisim.verify import (
@@ -160,9 +160,7 @@ def test_criterion_7_prior_robustness():
     start = time.monotonic()
     spec = default_gaussian_spec(pi_plus=0.4)
     cfg = TrainConfig(prior=spec.prior)
-    result = prior_sweep(
-        ClassPrior(0.4), [0.35, 0.4, 0.45], [0, 1, 2, 3, 4], spec, cfg, 8000, 8000
-    )
+    result = sweep("prior", [0.35, 0.4, 0.45], [0, 1, 2, 3, 4], spec, cfg, 8000, 8000)
     means = {row.setting: row.mean for row in result.rows}
     baseline = means["0.4"]
     drop = max(baseline - means["0.35"], baseline - means["0.45"])
@@ -204,7 +202,7 @@ def test_criterion_9_correction_comparison_soft():
     spec = default_gaussian_spec(pi_plus=0.4)
     cfg = TrainConfig(prior=spec.prior)
     seeds = [0, 1, 2, 3, 4]
-    result = correction_sweep(["none", "abs"], seeds, spec, cfg, 200, 2000)
+    result = sweep("correction", ["none", "abs"], seeds, spec, cfg, 200, 2000)
     per = {row.setting: row.per_seed for row in result.rows}
     wins = sum(a > n for a, n in zip(per["abs"], per["none"]))
     elapsed = time.monotonic() - start

@@ -1,6 +1,7 @@
 """Unit tests for the CLI: end-to-end subcommand flows, exit codes,
 manifests, and config-file injection."""
 import csv
+import hashlib
 import json
 import warnings
 from pathlib import Path
@@ -477,22 +478,29 @@ class TestSweepEmptyLists:
     @pytest.mark.parametrize(
         "flags,message",
         [
-            (["--kind", "prior", "--given", "0.35", "--seeds", ","], "no seeds to sweep"),
-            (["--kind", "prior"], "no given priors to sweep"),
-            (["--kind", "fraction", "--fractions", ","], "no fractions to sweep"),
-            (["--kind", "correction", "--seeds", ","], "no seeds to sweep"),
-            (["--kind", "correction", "--corrections", ""], "no corrections to sweep"),
+            (["--kind", "prior", "--given", "0.35", "--seeds", ","],
+             "no seeds to sweep: the list is empty"),
+            (["--kind", "prior"], "no given priors to sweep: the list is empty"),
+            (["--kind", "fraction", "--fractions", ","], "no fractions to sweep: the list is empty"),
+            (["--kind", "correction", "--seeds", ","], "no seeds to sweep: the list is empty"),
+            (["--kind", "correction", "--corrections", ""],
+             "no corrections to sweep: the list is empty"),
+            # a fraction's one-point floor once turned a negative budget into a run
+            (["--kind", "fraction", "--fractions", "1.0", "--n-us", "-5", "--n-u", "3",
+              "--batch", "3", "--epochs", "1", "--n-test", "50", "--seeds", "0"],
+             "n_us must be >= 1, got -5"),
+            (["--kind", "correction", "--n-u", "0"], "n_u must be >= 1, got 0"),
         ],
-        ids=["seeds", "given", "fractions", "correction-seeds", "corrections"],
+        ids=["seeds", "given", "fractions", "correction-seeds", "corrections", "n-us", "n-u"],
     )
     def test_exits_config(self, tmp_path, capsys, flags, message):
-        out = tmp_path / "s.csv"
+        out, json_out = tmp_path / "s.csv", tmp_path / "s.json"
         capsys.readouterr()
-        assert main(["sweep", "--pi", "0.4", *flags, "--out", str(out)]) == EXIT_CONFIG
-        assert capsys.readouterr().err.strip().splitlines() == [
-            f"error: {message}: the list is empty"
-        ]
+        argv = ["sweep", "--pi", "0.4", *flags, "--out", str(out), "--json-out", str(json_out)]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
         assert not out.exists()
+        assert not json_out.exists()
 
 
 class TestSweepValidatesFirst:
@@ -511,8 +519,13 @@ class TestSweepValidatesFirst:
             (["--kind", "correction", "--corrections", "none", "--n-us", "100", "--batch", "2"],
              "correction none: 1150 batches cannot each contain a point from every pool "
              "(pool sizes 300, 2000); increase --batch"),
+            # pools of 1 and 1 clamp the batch to 1 even when no epoch needs a plan
+            (["--kind", "fraction", "--fractions", "0.01", "--epochs", "0", "--n-us", "40",
+              "--n-u", "60", "--batch", "30"],
+             "fraction 0.01: batch_size must be >= 2, got 1"),
         ],
-        ids=["fraction", "prior", "fraction-batch-plan", "correction-batch-plan"],
+        ids=["fraction", "prior", "fraction-batch-plan", "correction-batch-plan",
+             "zero-epoch-batch"],
     )
     def test_bad_late_setting_exits_before_any_run(self, tmp_path, capsys, monkeypatch,
                                                    flags, message):
@@ -524,6 +537,34 @@ class TestSweepValidatesFirst:
         assert calls == []
         assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
         assert not out.exists()
+
+
+# sha256 of the CSV and JSON each kind wrote before the three sweeps became
+# one; guards the bits that test_sweep_matches_pinned_result's rel=1e-9 allows
+SWEEP_DIGESTS = {
+    "prior": (["--given", "0.35,0.5,0.45"],
+              "79a13ac69c6ceaf6d11b02dc3e287da964355daed050e65cc1ce8f91175e4791",
+              "79ef68c94953b07d419dd2efb18530ecfbbad1bbec8e386434c05d321d5c5fb9"),
+    "fraction": (["--fractions", "0.5,1.0"],
+                 "568b9acae33cbb518974fdfa323ad84865ab13c8c1d815b8f30c94a584605d60",
+                 "909673f84674ef01382cc1467727c87d143d230c3c8eceb9c707c7a8a0661f9a"),
+    "correction": (["--corrections", "none,abs"],
+                   "dcced62dd41de3cb0256a44f169b132d3d26fdce5841428991afc20ce6916a19",
+                   "4a127c09c998ec86048d5c0e5725de27d422e2c900ee21268a02a6d0c73ed1fc"),
+}
+
+
+@pytest.mark.parametrize("kind", SWEEP_DIGESTS)
+def test_sweep_outputs_match_pinned_digests(tmp_path, capsys, kind):
+    flags, csv_digest, json_digest = SWEEP_DIGESTS[kind]
+    out, json_out = tmp_path / "s.csv", tmp_path / "s.json"
+    argv = ["sweep", "--kind", kind, "--pi", "0.4", "--seeds", "0,1", "--n-us", "40",
+            "--n-u", "60", "--batch", "50", "--epochs", "20", "--n-test", "500", *flags,
+            "--out", str(out), "--json-out", str(json_out)]
+    assert main(argv) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_digest
+    assert hashlib.sha256(json_out.read_bytes()).hexdigest() == json_digest
+    capsys.readouterr()
 
 
 def test_corrections_list_items_are_stripped(tmp_path, capsys, monkeypatch):

@@ -4,16 +4,9 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from trisim.core import ClassPrior, ConfigurationError, InvalidInputError, LabeledPool
-from trisim.evaluation import (
-    accuracy,
-    correction_sweep,
-    derive_seeds,
-    fraction_sweep,
-    prior_sweep,
-    supervised_run,
-    weak_run,
-)
+from trisim import evaluation
+from trisim.core import ConfigurationError, InvalidInputError, LabeledPool
+from trisim.evaluation import SWEEPS, accuracy, derive_seeds, supervised_run, sweep, weak_run
 from trisim.model import LinearModel
 from trisim.trainer import TrainConfig
 from trisim.verify import default_gaussian_spec
@@ -69,9 +62,7 @@ class TestRuns:
 
 class TestSweeps:
     def test_prior_sweep_rows_and_skip(self):
-        result = prior_sweep(
-            ClassPrior(0.4), [0.4, 0.5], [0, 1], SPEC, QUICK, 40, 60, n_test=100
-        )
+        result = sweep("prior", [0.4, 0.5], [0, 1], SPEC, QUICK, 40, 60, n_test=100)
         assert result.axis == "given_prior"
         by_setting = {r.setting: r for r in result.rows}
         assert by_setting["0.4"].n_seeds == 2
@@ -82,29 +73,39 @@ class TestSweeps:
 
     def test_fraction_sweep_validates_range(self):
         with pytest.raises(ConfigurationError):
-            fraction_sweep([0.0], [0], SPEC, QUICK, 40, 60, n_test=100)
+            sweep("fraction", [0.0], [0], SPEC, QUICK, 40, 60, n_test=100)
         with pytest.raises(ConfigurationError):
-            fraction_sweep([1.5], [0], SPEC, QUICK, 40, 60, n_test=100)
+            sweep("fraction", [1.5], [0], SPEC, QUICK, 40, 60, n_test=100)
 
     def test_fraction_sweep_rows(self):
-        result = fraction_sweep([0.5, 1.0], [0], SPEC, QUICK, 40, 60, n_test=100)
+        result = sweep("fraction", [0.5, 1.0], [0], SPEC, QUICK, 40, 60, n_test=100)
         assert [r.setting for r in result.rows] == ["0.5", "1.0"]
         # one seed: no std
         assert result.rows[0].std is None
 
     def test_correction_sweep_same_data_per_seed(self):
-        result = correction_sweep(
-            ["none", "abs"], [0, 1], SPEC, QUICK, 40, 60, n_test=100
-        )
+        result = sweep("correction", ["none", "abs"], [0, 1], SPEC, QUICK, 40, 60, n_test=100)
         assert [r.setting for r in result.rows] == ["none", "abs"]
         assert all(r.n_seeds == 2 for r in result.rows)
 
+    def test_unknown_kind_names_it(self):
+        with pytest.raises(ConfigurationError, match="unknown sweep kind 'bogus'"):
+            sweep("bogus", [0.5], [0], SPEC, QUICK, 40, 60)
+
+    @pytest.mark.parametrize("kind", SWEEPS)
+    def test_budget_below_one_raises_before_any_run(self, monkeypatch, kind):
+        monkeypatch.setattr(evaluation, "weak_run", lambda *a, **k: pytest.fail("ran"))
+        values = {"prior": [0.4], "fraction": [1.0], "correction": ["none"]}[kind]
+        for n_us, n_u, name in ((0, 60, "n_us"), (40, -1, "n_u")):
+            with pytest.raises(ConfigurationError, match=f"^{name} must be >= 1"):
+                sweep(kind, values, [0], SPEC, QUICK, n_us, n_u)
+
     def test_correction_sweep_unknown_name(self):
         with pytest.raises(ConfigurationError):
-            correction_sweep(["bogus"], [0], SPEC, QUICK, 40, 60)
+            sweep("correction", ["bogus"], [0], SPEC, QUICK, 40, 60)
 
     def test_to_dict_shape(self):
-        result = fraction_sweep([1.0], [0], SPEC, QUICK, 40, 60, n_test=100)
+        result = sweep("fraction", [1.0], [0], SPEC, QUICK, 40, 60, n_test=100)
         d = result.to_dict()
         assert d["axis"] == "fraction"
         assert isinstance(d["rows"][0]["per_seed"], list)
@@ -149,18 +150,17 @@ PINNED = {
 
 
 @pytest.mark.parametrize(
-    "kind,run",
+    "kind,values",
     [
-        ("prior", lambda: prior_sweep(ClassPrior(0.4), [0.35, 0.5, 0.45], [0, 1], SPEC, QUICK,
-                                      40, 60, n_test=100)),
-        ("fraction", lambda: fraction_sweep([0.5, 1.0], [0, 1], SPEC, QUICK, 40, 60, n_test=100)),
-        ("correction", lambda: correction_sweep(["none", "abs"], [0, 1], SPEC, QUICK, 40, 60,
-                                                n_test=100)),
+        ("prior", [0.35, 0.5, 0.45]),
+        ("fraction", [0.5, 1.0]),
+        ("correction", ["none", "abs"]),
     ],
     ids=["prior", "fraction", "correction"],
 )
-def test_sweep_matches_pinned_result(kind, run):
-    got, want = run().to_dict(), PINNED[kind]
+def test_sweep_matches_pinned_result(kind, values):
+    got = sweep(kind, values, [0, 1], SPEC, QUICK, 40, 60, n_test=100).to_dict()
+    want = PINNED[kind]
     for name in ("axis", "config"):
         assert got[name] == want[name]
     assert len(got["rows"]) == len(want["rows"])
