@@ -27,6 +27,7 @@ from .core import (
     ConfigurationError,
     CorrectionKind,
     InvalidInputError,
+    ShapeError,
     TrisimError,
 )
 from .dataio import (
@@ -174,12 +175,21 @@ def _train_config(args, prior: ClassPrior) -> TrainConfig:
     )
 
 
+def _read_test(path, dim: int, against: str):
+    """The labeled CSV at path, which must have the dim of what it is scored against."""
+    test = read_labeled_csv(path)
+    if test.x.shape[1] != dim:
+        raise ShapeError(f"{path}: the test set has {test.x.shape[1]} features, {against} {dim}")
+    return test
+
+
 def cmd_train(args) -> int:
     started = time.monotonic()
     prior = ClassPrior(args.pi)
     config = _train_config(args, prior)
     data = read_weak_dataset(args.us, args.u, prior, sampler_kind=args.sampler)
-    eval_set = read_labeled_csv(args.test) if args.test else None
+    width = data.triplets.shape[2]
+    eval_set = _read_test(args.test, width, "the weak data have") if args.test else None
     model, log = train(config, data, eval_set)
     write_model(args.out, model, config_echo=_flags(args))
     log_path = args.log or (args.out + ".log.csv")
@@ -194,7 +204,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     started = time.monotonic()
     model = read_model(args.model)
-    test = read_labeled_csv(args.test)
+    test = _read_test(args.test, model.dim, "the model takes")
     payload = json.dumps({"accuracy": accuracy(model, test)})
     print(payload)
     outputs = []

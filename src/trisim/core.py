@@ -100,9 +100,10 @@ class CorrectionKind(str, enum.Enum):
 @dataclass(frozen=True)
 class WeakDataset:
     """Training input: triplets stacked as (n_triplets, 3, d), unlabeled
-    points as (n_unlabeled, d), the prior used at generation time, and the
-    sampler that produced the triplets (the trainer's measure-matched
-    weighting depends on the sampling scheme's position marginals)."""
+    points as (n_unlabeled, d), a prior, and the sampler that produced the
+    triplets (the matched weights depend on it). make_weak_dataset stores the
+    generation prior, which weak.json records; read_weak_dataset stores the
+    prior its caller gives (train's --pi), unread: training uses TrainConfig.prior."""
 
     triplets: np.ndarray
     unlabeled: np.ndarray

@@ -1,26 +1,22 @@
-"""Risk machinery: mixing coefficients, the corrected losses, the empirical
-risk estimator with its gradient, and the exact discrete-domain
-reconstruction of the supervised risk.
+"""Risk machinery: the corrected losses, the empirical risk estimator with
+its gradient, the mixing coefficients read off that estimator, and the
+exact discrete-domain reconstruction of the supervised risk.
 
-The four coefficients (with w = pi_plus - pi_minus, q = 1 - pi_plus*pi_minus):
-
-    theta_us_plus  =  q / (2w)        theta_us_minus = -q / (2w)
-    theta_u_plus   = -2*pi_minus / (2w)
-    theta_u_minus  =  2*pi_plus  / (2w)
-
-They are the unique solution of the 4-equation matching system checked in
-trisim.verify, and they make the weighted class-conditional expectation of
-the corrected losses reproduce the supervised risk exactly.
-
-Under the square loss the theta combinations of the per-label losses
-(1 - z)^2 and (1 + z)^2 collapse to polynomials in the score z:
+Under the square loss both corrected losses are polynomials in the score z
+(with w = pi_plus - pi_minus, q = 1 - pi_plus*pi_minus):
 
     l_us(z) = -(2q/w) * z             l_u(z) = 1 + z^2 + 2z/w
 
 (the analytic squared-loss structure of SU learning, Bao, Niu and Sugiyama,
-ICML 2018). The estimator is written in this form. The per-label form
-survives only in square_loss, which the supervised oracle trains on and
-the identity oracle checks the polynomial against.
+ICML 2018). The estimator is written in this form, the one place the
+coefficients are derived. Each loss is also a mix
+theta_plus*(1 - z)^2 + theta_minus*(1 + z)^2 of the per-label losses;
+compute_thetas reads the four thetas off empirical_risk, and trisim.verify
+checks them against the 4-equation matching system whose unique solution
+makes the weighted class-conditional expectation of the corrected losses
+reproduce the supervised risk. The per-label form survives only in
+square_loss, which the supervised oracle trains on and the identity oracle
+checks the polynomial against.
 """
 from __future__ import annotations
 
@@ -37,21 +33,6 @@ class Thetas:
     theta_us_minus: float
     theta_u_plus: float
     theta_u_minus: float
-
-
-def compute_thetas(prior: ClassPrior) -> Thetas:
-    """Mixing coefficients for the similarity-side and unlabeled-side
-    corrected losses. Requires pi_plus != 0.5."""
-    prior.require_non_degenerate()
-    pp, pm = prior.pi_plus, prior.pi_minus
-    q = 1.0 - pp * pm
-    denom = 2.0 * (pp - pm)
-    return Thetas(
-        theta_us_plus=q / denom,
-        theta_us_minus=q / -denom,
-        theta_u_plus=-2.0 * pm / denom,
-        theta_u_minus=-2.0 * pp / -denom,
-    )
 
 
 # The similarity-side estimators, default first (see slot_weights).
@@ -198,6 +179,15 @@ def empirical_risk(
     *_, us_term, u_term = _side_terms(us_scores, u_scores, prior, us_weights, u_plus_coef)
     raw = us_term + u_term
     return RiskValue(us_term=us_term, u_term=u_term, raw=raw, corrected=correction.apply(raw))
+
+
+def compute_thetas(prior: ClassPrior) -> Thetas:
+    """The mixing coefficients, read off the risk the trainer computes: a
+    loss theta_plus*(1 - z)^2 + theta_minus*(1 + z)^2 is 4*theta_plus at
+    z = -1 and 4*theta_minus at z = 1, so the us_term and u_term of two
+    one-point empirical_risk calls give all four. Requires pi_plus != 0.5."""
+    plus, minus = (empirical_risk([z], [z], prior, CorrectionKind.NONE) for z in (-1.0, 1.0))
+    return Thetas(plus.us_term / 4, minus.us_term / 4, plus.u_term / 4, minus.u_term / 4)
 
 
 def empirical_risk_grad(

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import SAMPLERS, ClassPrior, CorrectionKind, InvalidInputError
+from .core import SAMPLERS, ClassPrior, ConfigurationError, CorrectionKind, InvalidInputError
 from .evaluation import sweep
 from .model import backward, forward, init_model
 from .risk import (
@@ -107,9 +107,12 @@ def default_prior_grid() -> list[float]:
 
 def check_theta_system(prior_grid: list[float] | None = None) -> VerifyReport:
     """Substitute the coefficients into the four matching equations; all
-    residuals must vanish to machine precision."""
+    residuals must vanish to machine precision. Only None selects the
+    default grid."""
+    if prior_grid is not None and len(prior_grid) == 0:
+        raise ConfigurationError("prior_grid is empty: pass None for the default grid")
     report = VerifyReport(suite="thetas")
-    for pi in prior_grid or default_prior_grid():
+    for pi in default_prior_grid() if prior_grid is None else prior_grid:
         prior = ClassPrior(pi)
         residual = max(abs(r) for r in theta_system_residuals(prior, compute_thetas(prior)))
         report.add(f"matching_residual_pi={pi}", 0.0, residual, 1e-12)
@@ -122,8 +125,7 @@ def theta_system_residuals(prior: ClassPrior, thetas: Thetas) -> tuple[float, fl
     must reproduce the prior-weighted per-label loss coefficients)."""
     pp, pm = prior.pi_plus, prior.pi_minus
     q = 1.0 - pp * pm
-    w_plus = 2.0 * pp**2 / q
-    w_minus = 2.0 * pm**2 / q
+    w_plus, w_minus = 2.0 * pp**2 / q, 2.0 * pm**2 / q
     return (
         w_plus * thetas.theta_us_plus + pp * thetas.theta_u_plus - pp,
         w_plus * thetas.theta_us_minus + pp * thetas.theta_u_minus - 0.0,
@@ -161,9 +163,12 @@ def check_acceptance_rate(
     priors: list[float] | None = None, n_draws: int = 100_000, seed: int = 0
 ) -> VerifyReport:
     """Monte Carlo acceptance fraction of the rejection sampler against the
-    closed form 1 - pi_plus*pi_minus, within 3 standard errors."""
+    closed form 1 - pi_plus*pi_minus, within 3 standard errors. Only None
+    selects the default priors."""
+    if priors is not None and len(priors) == 0:
+        raise ConfigurationError("priors is empty: pass None for the default priors")
     report = VerifyReport(suite="acceptance")
-    for i, pi in enumerate(priors or [0.2, 0.4, 0.6]):
+    for i, pi in enumerate([0.2, 0.4, 0.6] if priors is None else priors):
         prior = ClassPrior(pi)
         # featureless discrete domain: only the labels matter here
         domain = DiscreteDomainSpec(np.ones(1), np.ones(1), prior, np.zeros(1))
@@ -263,14 +268,8 @@ def measure_estimator_bias(
     report.add("enumeration_total_probability", 1.0, total_prob, 1e-12)
 
     supervised = supervised_risk_discrete(domain)
-    report.add(
-        "bias_delta",
-        None,
-        expectation - supervised,
-        None,
-        passed=True,
-        assertable=False,
-    )
+    delta = expectation - supervised
+    report.add("bias_delta", None, delta, None, passed=True, assertable=False)
 
     rng = np.random.default_rng(seed)
     if sampler_kind == "rejection":
@@ -281,24 +280,22 @@ def measure_estimator_bias(
     per_triplet = lus[triplets[:, :, 0].astype(int)].mean(axis=1)
     per_u = lu[sample_unlabeled(domain, n_mc, rng)[:, 0].astype(int)]
     mc = float(per_triplet.mean() + per_u.mean())
-    se = float(
-        np.sqrt(
-            per_triplet.var(ddof=1) / n_mc + per_u.var(ddof=1) / n_mc
-        )
-    )
+    se = float(np.sqrt(per_triplet.var(ddof=1) / n_mc + per_u.var(ddof=1) / n_mc))
     report.add("mc_vs_enumeration", expectation, mc, 3.0 * se)
     return report
 
 
 def constant_scorer_bias_closed_form(prior: ClassPrior, c: float) -> float:
-    """For a constant scorer both estimator terms collapse to the corrected
-    losses at c, giving a sampler-independent closed form for the bias."""
-    thetas = compute_thetas(prior)
-    lp = (1.0 - c) ** 2
-    lm = (1.0 + c) ** 2
-    coeff_plus = thetas.theta_us_plus + thetas.theta_u_plus - prior.pi_plus
-    coeff_minus = thetas.theta_us_minus + thetas.theta_u_minus - prior.pi_minus
-    return coeff_plus * lp + coeff_minus * lm
+    """The plain estimator's bias for a constant scorer z = c, from the prior
+    alone: a reference independent of the thetas and of the polynomial.
+    Under either sampler the estimate is l_us(c) + l_u(c) = 1 + c^2 + (a + b)c
+    (a = -2q/w, b = 2/w) and the supervised risk is 1 + c^2 - 2wc, so with
+    w^2 = 1 - 4pi+pi- the bias is (a + b + 2w)c = 2c(1 - 3pi+pi-)/w, -2.8c at
+    pi = 0.4."""
+    prior.require_non_degenerate()
+    w = prior.pi_plus - prior.pi_minus
+    # + 0.0 turns the -0.0 that c = 0 gives for w < 0 into 0.0
+    return 2.0 * c * (1.0 - 3.0 * prior.pi_plus * prior.pi_minus) / w + 0.0
 
 
 def run_bias_suite(seed: int = 0, n_mc: int = 50_000) -> VerifyReport:
@@ -423,9 +420,10 @@ def check_error_trend(
 ) -> VerifyReport:
     """More data should not hurt: on the default Gaussian source, the mean
     accuracy at the full budget must reach the smallest-fraction mean, with
-    a positive rank correlation between fraction and accuracy."""
-    fractions = sorted(fractions or [0.1, 0.25, 0.5, 1.0])
-    seeds = seeds or [0, 1, 2, 3, 4]
+    a positive rank correlation between fraction and accuracy. Only None
+    selects a default list; an empty one reaches sweep, which names it."""
+    fractions = sorted([0.1, 0.25, 0.5, 1.0] if fractions is None else fractions)
+    seeds = [0, 1, 2, 3, 4] if seeds is None else seeds
     source_spec = default_gaussian_spec()
     report = VerifyReport(suite="trend")
     result = sweep(

@@ -250,6 +250,50 @@ class TestTrainEval:
         assert len(err) == 1 and err[0].startswith(f"error: {name} must be finite"), err
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("epochs", ["0", "3"])
+    def test_train_rejects_a_test_set_of_the_wrong_width(self, tmp_path, capsys, epochs):
+        # d = 2 weak data, a d = 3 test set: fails right after reading, before
+        # any epoch, and writes neither the model nor its log
+        triplets, unlabeled = _weak(tmp_path, _synth(tmp_path))
+        wide = tmp_path / "t3.csv"
+        assert main(["synth", "--pi", "0.4", "--n", "50", "--dim", "3", "--out", str(wide)]) == 0
+        model = tmp_path / "m.json"
+        capsys.readouterr()
+        rc = main(
+            [
+                "train", "--us", str(triplets), "--u", str(unlabeled), "--pi", "0.4",
+                "--epochs", epochs, "--batch", "30", "--test", str(wide), "--out", str(model),
+            ]
+        )
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {wide}: the test set has 3 features, the weak data have 2"
+        ]
+        assert list(tmp_path.glob("m.json*")) == []
+
+    def test_eval_rejects_a_test_set_of_the_wrong_width(self, tmp_path, capsys):
+        triplets, unlabeled = _weak(tmp_path, _synth(tmp_path))
+        model = tmp_path / "m.json"
+        rc = main(
+            [
+                "train", "--us", str(triplets), "--u", str(unlabeled), "--pi", "0.4",
+                "--epochs", "1", "--batch", "30", "--out", str(model),
+            ]
+        )
+        assert rc == EXIT_OK
+        wide = tmp_path / "t3.csv"
+        assert main(["synth", "--pi", "0.4", "--n", "50", "--dim", "3", "--out", str(wide)]) == 0
+        out = tmp_path / "e.json"
+        capsys.readouterr()
+        rc = main(["eval", "--model", str(model), "--test", str(wide), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == EXIT_CONFIG
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: {wide}: the test set has 3 features, the model takes 2"
+        ]
+        assert list(tmp_path.glob("e.json*")) == []
+
 
 class TestMalformedInput:
     @pytest.mark.parametrize(

@@ -11,7 +11,8 @@ import pytest
 
 import trisim
 from trisim.cli import SUITES
-from trisim.core import SAMPLERS, ClassPrior, InvalidInputError
+from trisim import evaluation
+from trisim.core import SAMPLERS, ClassPrior, ConfigurationError, InvalidInputError
 from trisim.risk import (
     DiscreteDomainSpec,
     compute_thetas,
@@ -28,6 +29,7 @@ from trisim.verify import (
     _spearman,
     VerifyReport,
     check_acceptance_rate,
+    check_error_trend,
     check_gradients,
     check_matched_calibration,
     check_risk_identity,
@@ -127,6 +129,28 @@ class TestThetaSystem:
         wrong = compute_thetas(ClassPrior(0.3))
         worst = max(abs(r) for r in theta_system_residuals(prior, wrong))
         assert worst > 1e-3
+
+
+class TestEmptyLists:
+    # only None selects a suite's defaults; an empty list is an error that
+    # names the parameter, raised before any work
+    @pytest.mark.parametrize(
+        "run,name",
+        [
+            (lambda: check_theta_system(prior_grid=[]), "prior_grid"),
+            (lambda: check_acceptance_rate(priors=[]), "priors"),
+            (lambda: check_error_trend(fractions=[]), "fractions"),
+            (lambda: check_error_trend(seeds=[]), "seeds"),
+        ],
+        ids=["prior_grid", "priors", "fractions", "seeds"],
+    )
+    def test_empty_list_raises_naming_it(self, monkeypatch, run, name):
+        def no_run(*args, **kwargs):
+            raise AssertionError("weak_run called")
+
+        monkeypatch.setattr(evaluation, "weak_run", no_run)
+        with pytest.raises(ConfigurationError, match=rf"\b{name}\b"):
+            run()
 
 
 class TestIdentityAndAcceptance:
@@ -235,6 +259,20 @@ class TestBiasSuite:
             assert constant_scorer_bias_closed_form(prior, c) == pytest.approx(
                 -2.8 * c, abs=1e-12
             )
+
+    @pytest.mark.parametrize("pi", [0.1, 0.3, 0.45, 0.6, 0.85])
+    def test_constant_scorer_closed_form_matches_enumeration(self, pi):
+        # the prior-only closed form against the exact expectation of the
+        # plain estimator, away from the prior the bias suite uses
+        prior = ClassPrior(pi)
+        for c in (-1.5, -0.5, 0.25, 2.0):
+            domain = DiscreteDomainSpec(np.array([0.7, 0.3]), np.array([0.2, 0.8]), prior,
+                                        np.array([c, c]))
+            closed = constant_scorer_bias_closed_form(prior, c)
+            for kind in SAMPLERS:
+                expectation, _ = enumerate_estimator_expectation(domain, kind)
+                delta = expectation - supervised_risk_discrete(domain)
+                assert delta == pytest.approx(closed, abs=1e-10)
 
     def test_plain_estimator_bias_is_nonzero(self):
         # the headline fact: the pooled sample mean is NOT unbiased
