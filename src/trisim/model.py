@@ -8,6 +8,9 @@ parameter attribute is a view of it. backward returns the gradient in that
 layout and Adam updates theta as a single array, so both architectures
 share one optimizer and nothing holds a second copy of the parameters.
 The models are frozen: write into theta or a parameter view, never rebind.
+
+backward reads the upstream's finiteness off its sum, the output bias's
+gradient, and scans it only when that sum is not finite, to name the fault.
 """
 from __future__ import annotations
 
@@ -147,16 +150,17 @@ def backward(model: Model, x, upstream) -> np.ndarray:
     up = np.asarray(upstream, dtype=float)
     if up.shape != (arr.shape[0],):
         raise ShapeError(f"upstream shape {up.shape} does not match batch {arr.shape[0]}")
-    if np.count_nonzero(np.isfinite(up)) < up.size:
+    total = np.add.reduce(up, keepdims=True)  # the output bias's gradient
+    if not math.isfinite(total[0]) and np.count_nonzero(np.isfinite(up)) < up.size:
         raise InvalidInputError("upstream must be finite")
     if isinstance(model, LinearModel):
-        return np.concatenate((_over_rows(up, arr), np.add.reduce(up, keepdims=True)))
+        return np.concatenate((_over_rows(up, arr), total))
     pre = arr @ model.w1.T + model.b1
     h = np.maximum(pre, 0.0)
     act_mask = (pre > 0).astype(float)
     dh = np.outer(up, model.w2) * act_mask  # (n, h)
     # w1, b1, w2, b2: params() order
-    grads = (_over_rows(dh, arr), dh.sum(axis=0), _over_rows(up, h), [up.sum()])
+    grads = (_over_rows(dh, arr), dh.sum(axis=0), _over_rows(up, h), total)
     return np.concatenate(grads, axis=None)
 
 

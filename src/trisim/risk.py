@@ -17,9 +17,14 @@ makes the weighted class-conditional expectation of the corrected losses
 reproduce the supervised risk. The per-label form survives only in
 square_loss, which the supervised oracle trains on and the identity oracle
 checks the polynomial against.
+
+The estimator checks shapes and sizes up front, but reads finiteness off the
+sum of its two side means: a NaN or an infinity in any score or weight makes
+that sum non-finite, and only then are the arrays scanned, to name the fault.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,8 +128,6 @@ def _check_scores(scores, side: str) -> np.ndarray:
         raise InvalidInputError(f"{side} scores must be a 1-D array")
     if arr.size == 0:
         raise InsufficientDataError(f"{side} score list is empty")
-    if np.count_nonzero(np.isfinite(arr)) < arr.size:
-        raise InvalidInputError(f"{side} scores contain non-finite values")
     return arr
 
 
@@ -136,8 +139,6 @@ def _check_weights(us_weights, n: int) -> np.ndarray:
         raise InvalidInputError(
             f"us_weights must match the similarity score count {n}, got shape {w.shape}"
         )
-    if np.count_nonzero(np.isfinite(w)) < w.size:
-        raise InvalidInputError("us_weights contain non-finite values")
     return w
 
 
@@ -158,7 +159,12 @@ def _side_terms(us_scores, u_scores, prior, us_weights, u_plus_coef):
     us_term = _mean(w * (a * us))
     if u_plus_coef:
         us_term += u_plus_coef * _mean(a * u)
-    return us, u, w, a, b, us_term, _mean(1.0 + u * u + b * u)
+    u_term = _mean(1.0 + u * u + b * u)
+    if not math.isfinite(us_term + u_term):
+        for arr, name in ((us, "similarity scores"), (u, "unlabeled scores"), (w, "us_weights")):
+            if np.count_nonzero(np.isfinite(arr)) < arr.size:
+                raise InvalidInputError(f"{name} contain non-finite values")
+    return us, u, w, a, b, us_term, u_term
 
 
 def empirical_risk(

@@ -236,14 +236,15 @@ def train(
     row_weights = np.concatenate((np.tile(weights, data.n_triplets), np.zeros(pool_sizes[1])))
     us_weights = row_weights[: pool_sizes[0]]
     upstream = np.empty_like(row_weights)
+    prior, correction = config.prior, config.correction
 
     def batch_upstream(model, x, split, w):
         up = upstream[: x.shape[0]]
         up[:split], up[split:] = empirical_risk_grad(
             forward(model, x[:split]),
             forward(model, x[split:]),
-            config.prior,
-            config.correction,
+            prior,
+            correction,
             us_weights=w[:split],
             u_plus_coef=u_plus_coef,
         )

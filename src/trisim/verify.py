@@ -420,9 +420,12 @@ def check_error_trend(
 ) -> VerifyReport:
     """More data should not hurt: on the default Gaussian source, the mean
     accuracy at the full budget must reach the smallest-fraction mean, with
-    a positive rank correlation between fraction and accuracy. Only None
-    selects a default list; an empty one reaches sweep, which names it."""
+    a positive rank correlation between fraction and accuracy, which is
+    recorded as null and failed when every mean ties. Only None selects a
+    default list; fewer than two distinct fractions raise."""
     fractions = sorted([0.1, 0.25, 0.5, 1.0] if fractions is None else fractions)
+    if len(set(fractions)) < 2:
+        raise ConfigurationError(f"fractions need two distinct values or more, got {fractions}")
     seeds = [0, 1, 2, 3, 4] if seeds is None else seeds
     source_spec = default_gaussian_spec()
     report = VerifyReport(suite="trend")
@@ -437,6 +440,6 @@ def check_error_trend(
         None,
         passed=means[-1] >= means[0],
     )
-    rho = _spearman(fractions, means)
-    report.add("spearman_rank_correlation", None, rho, None, passed=rho > 0)
+    rho = _spearman(fractions, means) if len(set(means)) > 1 else None
+    report.add("spearman_rank_correlation", None, rho, None, passed=rho is not None and rho > 0)
     return report

@@ -1,9 +1,11 @@
 """Unit tests for the verification oracles themselves: the report
 container, the enumeration machinery, and the individual suites."""
 import itertools
+import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -151,6 +153,31 @@ class TestEmptyLists:
         monkeypatch.setattr(evaluation, "weak_run", no_run)
         with pytest.raises(ConfigurationError, match=rf"\b{name}\b"):
             run()
+
+
+class TestTrendNeedsTwoFractions:
+    # a rank correlation over fewer than two distinct fractions is undefined
+    @pytest.mark.parametrize("fractions", [[0.5, 0.5], [1.0]])
+    def test_raises_naming_fractions_before_training(self, monkeypatch, fractions):
+        def no_run(*args, **kwargs):
+            raise AssertionError("weak_run called")
+
+        monkeypatch.setattr(evaluation, "weak_run", no_run)
+        with pytest.raises(ConfigurationError, match=r"\bfractions\b"):
+            check_error_trend(fractions=fractions)
+
+    def test_tied_means_record_a_null_failed_correlation(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "weak_run", lambda *a, **k: 0.9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = check_error_trend(fractions=[0.5, 1.0], seeds=[0, 1], n_us=40, n_u=60)
+        rho = report.checks[-1]
+        assert (rho.name, rho.observed, rho.passed) == ("spearman_rank_correlation", None, False)
+
+        def no_constant(name):
+            raise AssertionError(f"bare {name} in the report")
+
+        json.loads(report.to_json(), parse_constant=no_constant)
 
 
 class TestIdentityAndAcceptance:
