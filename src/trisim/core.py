@@ -138,7 +138,7 @@ class WeakDataset:
 @dataclass(frozen=True)
 class LabeledPool:
     """Fully labeled examples; used to materialize weak supervision and as
-    the reference for the supervised training oracle."""
+    the test set that accuracy is measured on."""
 
     x: np.ndarray
     y: np.ndarray

@@ -14,7 +14,7 @@ import numpy as np
 from .core import ClassPrior, ConfigurationError, CorrectionKind
 from .model import accuracy
 from .sampler import GaussianSourceSpec, make_weak_dataset, synth_gaussian_labeled
-from .trainer import TrainConfig, _batch_plan, train, train_supervised_oracle
+from .trainer import TrainConfig, _batch_plan, train
 
 
 @dataclass(frozen=True)
@@ -67,22 +67,6 @@ def weak_run(
     return accuracy(model, test)
 
 
-def supervised_run(
-    source_spec: GaussianSourceSpec,
-    config: TrainConfig,
-    n_labeled: int,
-    seed: int,
-    n_test: int = 2000,
-) -> float:
-    """Supervised-oracle counterpart of weak_run on the same source."""
-    data_seed, test_seed = derive_seeds(seed, 2)
-    pool = synth_gaussian_labeled(source_spec, n_labeled, data_seed)
-    test = synth_gaussian_labeled(source_spec, n_test, test_seed)
-    batch = min(config.batch_size, n_labeled)
-    model, _ = train_supervised_oracle(replace(config, seed=seed, batch_size=batch), pool)
-    return accuracy(model, test)
-
-
 # each sweep kind and the axis its values are settings of
 SWEEPS = {"prior": "given_prior", "fraction": "fraction", "correction": "correction"}
 
@@ -119,8 +103,9 @@ def sweep(
     scales both budgets by each fraction in (0, 1], at least one point per
     pool. A correction sweep trains with each named correction. Data depend
     only on the seed and the budgets, so in a prior or correction sweep every
-    value sees the same data per seed. The budgets, every value and every
-    cell's clamped batch plan are checked before the first run.
+    value sees the same data per seed. The budgets, every value (each at
+    most once) and every cell's clamped batch plan are checked before the
+    first run.
     """
     axis = SWEEPS.get(kind)
     if axis is None:
@@ -129,9 +114,12 @@ def sweep(
     for name, listed in ((axis.replace("_", " ") + "s", values), ("seeds", seeds)):
         if len(listed) == 0:
             raise ConfigurationError(f"no {name} to sweep: the list is empty")
-    for name, n in (("n_us", n_us), ("n_u", n_u)):
-        if n < 1:
-            raise ConfigurationError(f"{name} must be >= 1, got {n}")
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigurationError(f"{axis} {value} is listed more than once")
+    for name, n, least in (("n_us", n_us, 1), ("n_u", n_u, 1), ("n_test", n_test, 2)):
+        if n < least:
+            raise ConfigurationError(f"{name} must be >= {least}, got {n}")
     cells = [(f"{v}", _cell(kind, v, config, n_us, n_u)) for v in values]
     for label, cell in cells:
         if cell is None:

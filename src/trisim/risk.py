@@ -15,8 +15,8 @@ compute_thetas reads the four thetas off empirical_risk, and trisim.verify
 checks them against the 4-equation matching system whose unique solution
 makes the weighted class-conditional expectation of the corrected losses
 reproduce the supervised risk. The per-label form survives only in
-square_loss, which the supervised oracle trains on and the identity oracle
-checks the polynomial against.
+square_loss, off the training path: supervised_risk_discrete sums it, the
+reference the identity, matched and bias oracles hold the estimator to.
 
 The estimator checks shapes and sizes up front, but reads finiteness off the
 sum of its two side means: a NaN or an infinity in any score or weight makes

@@ -9,13 +9,9 @@ estimator has no value. Batch b holds chunk b of every pool's permutation
 under np.array_split, pools in order, so each batch is one contiguous slice
 of the buffer: its similarity rows, then its unlabeled rows.
 
-The pools are stacked in one array, and the rows' side values (the slot
-weights, or the supervised labels) in one vector, so each epoch is one
-gather of each. Adam updates the model's parameter vector, model.theta, as
-a single array.
-
-The weak trainer and the supervised oracle share the loop and differ only
-in the per-batch upstream gradient and the per-epoch risk they plug in.
+The two pools are stacked in one array, and the rows' slot weights in one
+vector, so each epoch is one gather of each. Adam updates the model's
+parameter vector, model.theta, as a single array.
 """
 from __future__ import annotations
 
@@ -40,7 +36,6 @@ from .risk import (
     empirical_risk,
     empirical_risk_grad,
     slot_weights,
-    square_loss,
 )
 from .sampler import disassemble
 
@@ -145,66 +140,6 @@ def _epoch_layout(pool_sizes, n_batches):
     return offsets, np.concatenate(gather), bounds
 
 
-def _fit(config, model, rows, row_values, pool_sizes, batch_upstream, epoch_risk, eval_set):
-    """Shared loop over the pools stacked in rows, in pool order, with one
-    side value per row in row_values. Each epoch draws one permutation per
-    pool, in pool order, and gathers rows and values once into the epoch
-    buffers, batch by batch (see _epoch_layout). Per batch,
-    batch_upstream(model, x, split, values) gets the batch's rows, the
-    count of them from the first pool and their values, and returns the
-    gradient of the batch objective with respect to their scores; one
-    backward pass and one Adam step on model.theta follow.
-    After the epoch's last step, epoch_risk(model) gives the full-pool risk
-    for the log.
-
-    A floating-point overflow or invalid operation, or an epoch that ends
-    past DIVERGENCE_LIMIT, stops the run with TrainingDivergedError naming
-    the epoch."""
-    n_batches = _batch_plan(pool_sizes, config.batch_size)
-    offsets, gather, bounds = _epoch_layout(pool_sizes, n_batches)
-    x_buf, v_buf = np.empty_like(rows, order="C"), np.empty_like(row_values)
-    batches = [(x_buf[i:k], j - i, v_buf[i:k]) for i, j, k in bounds]
-    # shuffling an arange slice draws rng.permutation(n) + offset
-    ranks = np.arange(rows.shape[0])
-    perm, order = np.empty_like(ranks), np.empty_like(ranks)
-    pools = [perm[o : o + n] for o, n in zip(offsets, pool_sizes)]
-    _, ss_shuffle = np.random.SeedSequence(config.seed).spawn(2)
-    rng = np.random.default_rng(ss_shuffle)
-    state = AdamState.for_theta(model.theta, lr=config.lr, weight_decay=config.weight_decay)
-    log = TrainLog()
-    with np.errstate(over="raise", divide="raise", invalid="raise"):
-        for epoch in range(1, config.epochs + 1):
-            try:
-                perm[...] = ranks
-                for pool in pools:
-                    rng.shuffle(pool)
-                # mode="clip" writes straight into out; the default "raise" buffers
-                np.take(perm, gather, out=order, mode="clip")
-                np.take(rows, order, axis=0, out=x_buf, mode="clip")
-                np.take(row_values, order, out=v_buf, mode="clip")
-                for x, split, values in batches:
-                    grad = backward(model, x, batch_upstream(model, x, split, values))
-                    adam_step(model.theta, grad, state)
-                rv = epoch_risk(model)
-                reason = _divergence(rv, model)
-                acc = _accuracy(model, eval_set) if eval_set is not None and not reason else None
-            except FloatingPointError as exc:
-                reason = str(exc)
-            if reason:
-                raise TrainingDivergedError(f"training diverged at epoch {epoch}: {reason}")
-            log.records.append(
-                EpochRecord(
-                    epoch=epoch,
-                    raw_risk=rv.raw,
-                    corrected_risk=rv.corrected,
-                    us_term=rv.us_term,
-                    u_term=rv.u_term,
-                    test_accuracy=acc,
-                )
-            )
-    return model, log
-
-
 def train(
     config: TrainConfig,
     data: WeakDataset,
@@ -219,6 +154,16 @@ def train(
     unnormalized similarity integral of the risk reconstruction; "plain"
     gives the uniform sample mean, whose calibration deficit makes the
     minimizer degenerate (see trisim.verify's bias suite).
+
+    Each epoch draws one permutation per pool, in pool order, and gathers
+    rows and weights once into the epoch buffers, batch by batch (see
+    _epoch_layout). Per batch, the scores of its similarity rows and of its
+    unlabeled rows give empirical_risk_grad the gradient with respect to
+    each score; one backward pass and one Adam step on model.theta follow.
+    After the epoch's last step, empirical_risk over both pools gives the
+    risk for the log. A floating-point overflow or invalid operation, or an
+    epoch that ends past DIVERGENCE_LIMIT, stops the run with
+    TrainingDivergedError naming the epoch.
     """
     if data.n_triplets < 1 or data.n_unlabeled < 1:
         raise InsufficientDataError(
@@ -237,56 +182,61 @@ def train(
     us_weights = row_weights[: pool_sizes[0]]
     upstream = np.empty_like(row_weights)
     prior, correction = config.prior, config.correction
-
-    def batch_upstream(model, x, split, w):
-        up = upstream[: x.shape[0]]
-        up[:split], up[split:] = empirical_risk_grad(
-            forward(model, x[:split]),
-            forward(model, x[split:]),
-            prior,
-            correction,
-            us_weights=w[:split],
-            u_plus_coef=u_plus_coef,
-        )
-        return up
-
-    def epoch_risk(model):
-        return empirical_risk(
-            forward(model, us_pool),
-            forward(model, u_pool),
-            config.prior,
-            config.correction,
-            us_weights=us_weights,
-            u_plus_coef=u_plus_coef,
-        )
-
-    return _fit(config, model, rows, row_weights, pool_sizes, batch_upstream, epoch_risk, eval_set)
-
-
-def train_supervised_oracle(
-    config: TrainConfig,
-    labeled: LabeledPool,
-    eval_set: LabeledPool | None = None,
-) -> tuple[Model, TrainLog]:
-    """The same loop minimizing the plain supervised empirical risk; the
-    upper-reference model for acceptance comparisons."""
-    if len(labeled) < 1:
-        raise InsufficientDataError("supervised training needs a non-empty pool")
-    model = init_model(
-        config.model_kind, labeled.x.shape[1], config.hidden, seed=config.seed
-    )
-    if config.epochs == 0:
-        return model, TrainLog()
-
-    def batch_upstream(model, x, split, y):
-        _, dloss = square_loss(forward(model, x), y)
-        return dloss / x.shape[0]
-
-    def epoch_risk(model):
-        loss, _ = square_loss(forward(model, labeled.x), labeled.y)
-        risk = float(np.mean(loss))
-        return RiskValue(us_term=risk, u_term=0.0, raw=risk, corrected=risk)
-
-    return _fit(
-        config, model, labeled.x, labeled.y, (len(labeled),), batch_upstream, epoch_risk, eval_set
-    )
+    n_batches = _batch_plan(pool_sizes, config.batch_size)
+    offsets, gather, bounds = _epoch_layout(pool_sizes, n_batches)
+    x_buf, w_buf = np.empty_like(rows, order="C"), np.empty_like(row_weights)
+    batches = [(x_buf[i:k], j - i, w_buf[i:j]) for i, j, k in bounds]
+    # shuffling an arange slice draws rng.permutation(n) + offset
+    ranks = np.arange(rows.shape[0])
+    perm, order = np.empty_like(ranks), np.empty_like(ranks)
+    pools = [perm[o : o + n] for o, n in zip(offsets, pool_sizes)]
+    _, ss_shuffle = np.random.SeedSequence(config.seed).spawn(2)
+    rng = np.random.default_rng(ss_shuffle)
+    state = AdamState.for_theta(model.theta, lr=config.lr, weight_decay=config.weight_decay)
+    log = TrainLog()
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        for epoch in range(1, config.epochs + 1):
+            try:
+                perm[...] = ranks
+                for pool in pools:
+                    rng.shuffle(pool)
+                # mode="clip" writes straight into out; the default "raise" buffers
+                np.take(perm, gather, out=order, mode="clip")
+                np.take(rows, order, axis=0, out=x_buf, mode="clip")
+                np.take(row_weights, order, out=w_buf, mode="clip")
+                for x, split, w in batches:
+                    up = upstream[: x.shape[0]]
+                    up[:split], up[split:] = empirical_risk_grad(
+                        forward(model, x[:split]),
+                        forward(model, x[split:]),
+                        prior,
+                        correction,
+                        us_weights=w,
+                        u_plus_coef=u_plus_coef,
+                    )
+                    adam_step(model.theta, backward(model, x, up), state)
+                rv = empirical_risk(
+                    forward(model, us_pool),
+                    forward(model, u_pool),
+                    prior,
+                    correction,
+                    us_weights=us_weights,
+                    u_plus_coef=u_plus_coef,
+                )
+                reason = _divergence(rv, model)
+                acc = _accuracy(model, eval_set) if eval_set is not None and not reason else None
+            except FloatingPointError as exc:
+                reason = str(exc)
+            if reason:
+                raise TrainingDivergedError(f"training diverged at epoch {epoch}: {reason}")
+            log.records.append(
+                EpochRecord(
+                    epoch=epoch,
+                    raw_risk=rv.raw,
+                    corrected_risk=rv.corrected,
+                    us_term=rv.us_term,
+                    u_term=rv.u_term,
+                    test_accuracy=acc,
+                )
+            )
+    return model, log

@@ -15,8 +15,9 @@ from pathlib import Path
 import numpy as np
 
 import trisim
+from reference import supervised_accuracy
 from trisim.core import ClassPrior, CorrectionKind
-from trisim.evaluation import supervised_run, sweep, weak_run
+from trisim.evaluation import sweep, weak_run
 from trisim.risk import DiscreteDomainSpec
 from trisim.trainer import TrainConfig
 from trisim.verify import (
@@ -142,7 +143,7 @@ def test_criterion_6_end_to_end_learning():
             prior=spec.prior, correction=CorrectionKind.ABS, model_kind="linear"
         )
         weak = [weak_run(spec, cfg, 2000, 2000, seed) for seed in range(5)]
-        sup = [supervised_run(spec, cfg, 4000, seed) for seed in range(5)]
+        sup = [supervised_accuracy(spec, cfg, 4000, seed) for seed in range(5)]
         w_med = statistics.median(weak)
         s_med = statistics.median(sup)
         this_ok = w_med >= 0.95 and s_med - w_med <= 0.04

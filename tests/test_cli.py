@@ -567,9 +567,19 @@ class TestSweepValidatesFirst:
             (["--kind", "fraction", "--fractions", "0.01", "--epochs", "0", "--n-us", "40",
               "--n-u", "60", "--batch", "30"],
              "fraction 0.01: batch_size must be >= 2, got 1"),
+            # a test set of one point once failed inside the first run
+            (["--kind", "correction", "--n-test", "1"], "n_test must be >= 2, got 1"),
+            # a repeated value once trained its cells again and wrote the row twice
+            (["--kind", "fraction", "--fractions", "0.5,1.0,0.50"],
+             "fraction 0.5 is listed more than once"),
+            (["--kind", "correction", "--corrections", "abs,none,abs"],
+             "correction abs is listed more than once"),
+            (["--kind", "prior", "--given", "0.35,0.35"],
+             "given_prior 0.35 is listed more than once"),
         ],
         ids=["fraction", "prior", "fraction-batch-plan", "correction-batch-plan",
-             "zero-epoch-batch"],
+             "zero-epoch-batch", "n-test", "repeated-fraction", "repeated-correction",
+             "repeated-prior"],
     )
     def test_bad_late_setting_exits_before_any_run(self, tmp_path, capsys, monkeypatch,
                                                    flags, message):

@@ -2,11 +2,10 @@
 since their statistical behavior is covered by the acceptance checks."""
 import numpy as np
 import pytest
-from dataclasses import replace
 
 from trisim import evaluation
 from trisim.core import ConfigurationError, InvalidInputError, LabeledPool
-from trisim.evaluation import SWEEPS, accuracy, derive_seeds, supervised_run, sweep, weak_run
+from trisim.evaluation import SWEEPS, accuracy, derive_seeds, sweep, weak_run
 from trisim.model import LinearModel
 from trisim.trainer import TrainConfig
 from trisim.verify import default_gaussian_spec
@@ -53,11 +52,6 @@ class TestRuns:
         # rather than error
         acc = weak_run(SPEC, QUICK, 40, 20, seed=0, n_test=100)
         assert 0.0 <= acc <= 1.0
-
-    def test_supervised_run_learns(self):
-        cfg = replace(QUICK, epochs=40, batch_size=100)
-        acc = supervised_run(SPEC, cfg, 400, seed=0, n_test=500)
-        assert acc > 0.9
 
 
 class TestSweeps:

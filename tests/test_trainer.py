@@ -24,7 +24,6 @@ from trisim.trainer import (
     TrainConfig,
     _batch_plan,
     train,
-    train_supervised_oracle,
 )
 
 
@@ -179,8 +178,12 @@ class TestTrain:
             train(_config(), empty)
 
     def test_oversized_batch_raises_with_hint(self):
-        with pytest.raises(ConfigurationError, match="reduce --batch"):
+        with pytest.raises(ConfigurationError) as exc:
             train(_config(batch_size=1000), _data(n_us=10, n_u=10))
+        assert str(exc.value) == (
+            "batch_size 1000 exceeds a pool size (pool sizes 30, 10); "
+            "reduce --batch or supply more data"
+        )
 
     @pytest.mark.parametrize("kind", ["linear", "mlp"])
     def test_divergence_names_the_epoch(self, kind):
@@ -195,42 +198,6 @@ class TestTrain:
             train(cfg, _data())
         assert str(exc.value).startswith("training diverged at epoch 1: ")
         assert f"exceeds {DIVERGENCE_LIMIT:g} in magnitude" in str(exc.value)
-
-
-class TestSupervisedOracle:
-    def test_learns_separated_gaussians(self):
-        pool = synth_gaussian_labeled(_spec(), 500, seed=0)
-        test = synth_gaussian_labeled(_spec(), 500, seed=1)
-        cfg = _config(epochs=250, batch_size=100)
-        model, log = train_supervised_oracle(cfg, pool, eval_set=test)
-        assert log.records[-1].test_accuracy > 0.9
-
-    def test_deterministic(self):
-        pool = synth_gaussian_labeled(_spec(), 100, seed=0)
-        cfg = _config(epochs=3, batch_size=50)
-        m1, _ = train_supervised_oracle(cfg, pool)
-        m2, _ = train_supervised_oracle(cfg, pool)
-        np.testing.assert_array_equal(m1.weights, m2.weights)
-
-    def test_risk_decreases(self):
-        pool = synth_gaussian_labeled(_spec(), 300, seed=2)
-        cfg = _config(epochs=30, batch_size=100)
-        _, log = train_supervised_oracle(cfg, pool)
-        assert log.records[-1].raw_risk < log.records[0].raw_risk
-
-    def test_batch_exceeding_pool_raises(self):
-        pool = synth_gaussian_labeled(_spec(), 20, seed=0)
-        with pytest.raises(ConfigurationError):
-            train_supervised_oracle(_config(batch_size=50), pool)
-
-    def test_batch_error_shares_the_weak_plan_text(self):
-        pool = synth_gaussian_labeled(_spec(), 20, seed=0)
-        with pytest.raises(ConfigurationError) as exc:
-            train_supervised_oracle(_config(batch_size=50), pool)
-        assert str(exc.value) == (
-            "batch_size 50 exceeds a pool size (pool sizes 20); "
-            "reduce --batch or supply more data"
-        )
 
 
 # The names trisim.trainer looks up at call time, which the benchmark wraps
@@ -254,26 +221,21 @@ class TestCallContract:
     """Per batch and per epoch, the loop makes exactly the calls the
     benchmark's counters and epoch marks rely on, in this order."""
 
-    def test_weak_run(self, monkeypatch):
+    @pytest.mark.parametrize("with_eval_set", [True, False], ids=["eval_set", "no_eval_set"])
+    def test_weak_run(self, monkeypatch, with_eval_set):
         data = _data(n_us=40, n_u=90)  # 120 similarity rows, 90 unlabeled
+        eval_set = synth_gaussian_labeled(_spec(), 50, seed=2) if with_eval_set else None
         calls = _record_calls(monkeypatch)
-        train(_config(epochs=3, batch_size=60), data, synth_gaussian_labeled(_spec(), 50, seed=2))
+        train(_config(epochs=3, batch_size=60), data, eval_set)
         # 4 batches: the pools split 30/30/30/30 and 23/23/22/22
         batch = lambda us, u: [
             ("forward", us), ("forward", u), ("empirical_risk_grad", None),
             ("backward", us + u), ("adam_step", None),
         ]
         epoch = (batch(30, 23) + batch(30, 23) + batch(30, 22) + batch(30, 22)
-                 + [("forward", 120), ("forward", 90), ("empirical_risk", None), ("_accuracy", None)])
+                 + [("forward", 120), ("forward", 90), ("empirical_risk", None)]
+                 + [("_accuracy", None)] * with_eval_set)
         assert calls == 3 * epoch
-
-    def test_supervised_oracle(self, monkeypatch):
-        pool = synth_gaussian_labeled(_spec(), 130, seed=1)
-        calls = _record_calls(monkeypatch)
-        train_supervised_oracle(_config(epochs=2, batch_size=50), pool, pool)
-        batch = lambda n: [("forward", n), ("backward", n), ("adam_step", None)]
-        epoch = batch(44) + batch(43) + batch(43) + [("forward", 130), ("_accuracy", None)]
-        assert calls == 2 * epoch
 
 
 _THREADS_SCRIPT = """

@@ -1,17 +1,18 @@
-"""Golden values for both training loops.
+"""Golden values for the trainer and the supervised oracle.
 
 A tiny fixed configuration for each (sampler, model, correction) of the weak
-trainer and each model of the supervised oracle, with the final parameters
-and the last log row pinned. Any change to the RNG draw order, the batch
+trainer and each model of the supervised oracle (tests/reference.py), with
+the final parameters and the last log row pinned. Any change to the RNG draw order, the batch
 split or the update order moves these values far beyond rtol=1e-9; a change
 in the last bits of the risk arithmetic does not.
 """
 import numpy as np
 import pytest
 
+from reference import reference_supervised
 from trisim.core import ClassPrior, CorrectionKind
 from trisim.sampler import GaussianSourceSpec, make_weak_dataset, synth_gaussian_labeled
-from trisim.trainer import TrainConfig, train, train_supervised_oracle
+from trisim.trainer import TrainConfig, train
 
 RTOL = 1e-9
 
@@ -125,20 +126,16 @@ def _config(model_kind, correction="abs"):
     )
 
 
-def _check(model, log, expected):
+def _check(model, last, expected):
+    """last is the last log row: (epoch, raw_risk, corrected_risk, us_term,
+    u_term, test_accuracy)."""
     params, row = expected
     got = model.params()
     assert sorted(got) == sorted(params)
     for name, values in params.items():
         np.testing.assert_allclose(got[name].ravel(), values, rtol=RTOL, atol=0)
-    last = log.records[-1]
-    assert last.epoch == 4
-    np.testing.assert_allclose(
-        (last.raw_risk, last.corrected_risk, last.us_term, last.u_term, last.test_accuracy),
-        row,
-        rtol=RTOL,
-        atol=0,
-    )
+    assert last[0] == 4
+    np.testing.assert_allclose(last[1:], row, rtol=RTOL, atol=0)
 
 
 @pytest.mark.parametrize("sampler,model_kind,correction", sorted(WEAK))
@@ -146,12 +143,15 @@ def test_weak_train_golden(sampler, model_kind, correction):
     data = make_weak_dataset(SPEC, 20, 30, sampler, 3)
     test = synth_gaussian_labeled(SPEC, 40, seed=5)
     model, log = train(_config(model_kind, correction), data, test)
-    _check(model, log, WEAK[sampler, model_kind, correction])
+    last = log.records[-1]
+    row = (last.epoch, last.raw_risk, last.corrected_risk, last.us_term, last.u_term,
+           last.test_accuracy)
+    _check(model, row, WEAK[sampler, model_kind, correction])
 
 
 @pytest.mark.parametrize("model_kind", sorted(SUPERVISED))
 def test_supervised_oracle_golden(model_kind):
     pool = synth_gaussian_labeled(SPEC, 50, seed=4)
     test = synth_gaussian_labeled(SPEC, 40, seed=5)
-    model, log = train_supervised_oracle(_config(model_kind), pool, test)
-    _check(model, log, SUPERVISED[model_kind])
+    model, rows = reference_supervised(_config(model_kind), pool, test)
+    _check(model, rows[-1], SUPERVISED[model_kind])

@@ -166,6 +166,15 @@ class TestTrendNeedsTwoFractions:
         with pytest.raises(ConfigurationError, match=r"\bfractions\b"):
             check_error_trend(fractions=fractions)
 
+    def test_repeated_fraction_raises_before_training(self, monkeypatch):
+        # it once ran 6 trainings for 4 distinct (fraction, seed) cells
+        def no_run(*args, **kwargs):
+            raise AssertionError("weak_run called")
+
+        monkeypatch.setattr(evaluation, "weak_run", no_run)
+        with pytest.raises(ConfigurationError, match=r"^fraction 0\.5 is listed more than once$"):
+            check_error_trend(fractions=[0.5, 0.5, 1.0], seeds=[0, 1])
+
     def test_tied_means_record_a_null_failed_correlation(self, monkeypatch):
         monkeypatch.setattr(evaluation, "weak_run", lambda *a, **k: 0.9)
         with warnings.catch_warnings():
