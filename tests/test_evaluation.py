@@ -1,5 +1,7 @@
 """Unit tests for metrics and sweeps; the sweeps run at tiny desk scale
 since their statistical behavior is covered by the acceptance checks."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from trisim.evaluation import SWEEPS, accuracy, derive_seeds, sweep, weak_run
 from trisim.model import LinearModel
 from trisim.trainer import TrainConfig
 from trisim.verify import default_gaussian_spec
+
+from reference import supervised_accuracy
 
 SPEC = default_gaussian_spec()
 QUICK = TrainConfig(prior=SPEC.prior, epochs=3, batch_size=50)
@@ -52,6 +56,12 @@ class TestRuns:
         # rather than error
         acc = weak_run(SPEC, QUICK, 40, 20, seed=0, n_test=100)
         assert 0.0 <= acc <= 1.0
+
+    def test_supervised_run_learns(self):
+        # criterion 6's supervised counterpart of weak_run (tests/reference.py)
+        cfg = replace(QUICK, epochs=40, batch_size=100)
+        acc = supervised_accuracy(SPEC, cfg, 400, seed=0, n_test=500)
+        assert acc > 0.9
 
 
 class TestSweeps:

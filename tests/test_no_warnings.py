@@ -1,6 +1,7 @@
 """On valid data the package warns about nothing. With every warning raised
-as an error, the fast verify suites at seed 0 and the trainer under both
-samplers, every correction and both model kinds all run to the end."""
+as an error, the fast verify suites at seed 0, the trainer under both
+samplers, every correction and both model kinds, and the tests' supervised
+oracle (tests/reference.py) all run to the end."""
 import warnings
 
 import numpy as np
@@ -10,6 +11,8 @@ from trisim.cli import SUITES
 from trisim.core import SAMPLERS, ClassPrior, CorrectionKind
 from trisim.sampler import GaussianSourceSpec, make_weak_dataset, synth_gaussian_labeled
 from trisim.trainer import TrainConfig, train
+
+from reference import reference_supervised
 
 SPEC = GaussianSourceSpec(2, np.array([2.0, 0.0]), np.array([-2.0, 0.0]), 1.0, ClassPrior(0.4))
 
@@ -36,3 +39,9 @@ def test_train(sampler_kind, correction, model_kind):
     _, log = train(config, data, synth_gaussian_labeled(SPEC, 100, seed=4))
     assert len(log.records) == 15
 
+
+
+def test_supervised_oracle():
+    pool = synth_gaussian_labeled(SPEC, 130, seed=5)
+    _, rows = reference_supervised(TrainConfig(SPEC.prior, epochs=15, batch_size=50), pool, pool)
+    assert len(rows) == 15

@@ -26,6 +26,8 @@ from trisim.trainer import (
     train,
 )
 
+from reference import reference_supervised
+
 
 def _spec(pi=0.4):
     return GaussianSourceSpec(
@@ -198,6 +200,32 @@ class TestTrain:
             train(cfg, _data())
         assert str(exc.value).startswith("training diverged at epoch 1: ")
         assert f"exceeds {DIVERGENCE_LIMIT:g} in magnitude" in str(exc.value)
+
+
+class TestSupervisedOracle:
+    """The supervised upper reference of criterion 6 lives in
+    tests/reference.py; these pin that it learns, repeats itself and
+    lowers its risk, as the acceptance suite assumes."""
+
+    def test_learns_separated_gaussians(self):
+        pool = synth_gaussian_labeled(_spec(), 500, seed=0)
+        test = synth_gaussian_labeled(_spec(), 500, seed=1)
+        cfg = _config(epochs=250, batch_size=100)
+        _, rows = reference_supervised(cfg, pool, test)
+        assert rows[-1][5] > 0.9
+
+    def test_deterministic(self):
+        pool = synth_gaussian_labeled(_spec(), 100, seed=0)
+        cfg = _config(epochs=3, batch_size=50)
+        m1, _ = reference_supervised(cfg, pool, None)
+        m2, _ = reference_supervised(cfg, pool, None)
+        np.testing.assert_array_equal(m1.weights, m2.weights)
+
+    def test_risk_decreases(self):
+        pool = synth_gaussian_labeled(_spec(), 300, seed=2)
+        cfg = _config(epochs=30, batch_size=100)
+        _, rows = reference_supervised(cfg, pool, None)
+        assert rows[-1][1] < rows[0][1]
 
 
 # The names trisim.trainer looks up at call time, which the benchmark wraps
