@@ -148,7 +148,7 @@ class LabeledPool:
         y = np.asarray(self.y, dtype=int)
         if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
             raise ShapeError("x must be (n, d) and y must be (n,)")
-        if x.shape[0] and not np.all(np.isin(y, (1, -1))):
+        if x.shape[0] and not ((y == 1) | (y == -1)).all():
             raise InvalidInputError("labels must be +1 or -1")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)

@@ -103,9 +103,9 @@ def sweep(
     scales both budgets by each fraction in (0, 1], at least one point per
     pool. A correction sweep trains with each named correction. Data depend
     only on the seed and the budgets, so in a prior or correction sweep every
-    value sees the same data per seed. The budgets, every value (each at
-    most once) and every cell's clamped batch plan are checked before the
-    first run.
+    value sees the same data per seed. The budgets, every value and seed
+    (each at most once) and every cell's clamped batch plan are checked
+    before the first run.
     """
     axis = SWEEPS.get(kind)
     if axis is None:
@@ -114,9 +114,10 @@ def sweep(
     for name, listed in ((axis.replace("_", " ") + "s", values), ("seeds", seeds)):
         if len(listed) == 0:
             raise ConfigurationError(f"no {name} to sweep: the list is empty")
-    for i, value in enumerate(values):
-        if value in values[:i]:
-            raise ConfigurationError(f"{axis} {value} is listed more than once")
+    for name, listed in ((axis, values), ("seed", seeds)):
+        for i, value in enumerate(listed):
+            if value in listed[:i]:
+                raise ConfigurationError(f"{name} {value} is listed more than once")
     for name, n, least in (("n_us", n_us, 1), ("n_u", n_u, 1), ("n_test", n_test, 2)):
         if n < least:
             raise ConfigurationError(f"{name} must be >= {least}, got {n}")

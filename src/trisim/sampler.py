@@ -3,8 +3,14 @@ unlabeled pools, and triplet disassembly.
 
 A source is anything with a ``prior`` (a ClassPrior) and a
 ``draw_class(rng, label, n)`` that returns n feature rows of one class.
-Every labeled draw goes through ``draw_labeled``, so the labels of triplet
-members and unlabeled points alike follow the source's prior.
+Sampling relies on one contract of draw_class: n rows drawn in consecutive
+blocks, joined, equal one draw of n rows, and leave the generator in the
+same state (so a draw of 0 rows takes no randomness). numpy's
+``Generator.random``, ``standard_normal``, ``choice`` and ``integers`` fill
+sequentially, so the three sources here keep it. Every labeled row is drawn
+by ``_draw_rows``, in blocks of BLOCK mask entries, straight into the array
+that returns it; so the labels of triplet members and unlabeled points alike
+follow the source's prior, and no class draw is held whole.
 
 Two triplet samplers ship because the generative definition (draw three
 i.i.d. labeled points, reject when the two companions share a class the
@@ -30,27 +36,71 @@ from .core import (
 )
 
 
+# mask entries per block of a labeled draw: a block's draws and temporaries
+# are all a draw holds beyond its output
+BLOCK = 2**15
+
+
 def _put(dst: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
-    """dst[rows] = values for a boolean mask over dst's first axis. A mask of
-    dst's full shape assigns in place, where a row mask would first build an
-    int64 index of the selected rows."""
-    full = np.broadcast_to(rows.reshape((-1,) + (1,) * (dst.ndim - 1)), dst.shape)
-    dst[full] = values.ravel()
+    """dst[rows] = values for a boolean mask over dst's leading axes. A mask
+    of dst's full shape assigns in place, where a row mask would first build
+    an int64 index of the selected rows."""
+    full = rows.reshape(rows.shape + (1,) * (dst.ndim - rows.ndim))
+    dst[np.broadcast_to(full, dst.shape)] = values.ravel()
+
+
+def _draw_mask(source, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n class labels from the source's prior, as a mask True where positive."""
+    positive = np.empty(n, dtype=bool)
+    for start in range(0, n, BLOCK):
+        block = positive[start : start + BLOCK]
+        np.less(rng.random(block.size), source.prior.pi_plus, out=block)
+    return positive
+
+
+def _width(source, rng: np.random.Generator) -> int:
+    """The source's feature width, read off a draw of 0 rows."""
+    return source.draw_class(rng, 1, 0).shape[1]
+
+
+def _draw_rows(
+    source, rng: np.random.Generator, positive: np.ndarray, out: np.ndarray,
+    keep: np.ndarray | None = None,
+) -> None:
+    """Draw a row of its class for every entry of the class mask positive:
+    every positive entry, then every negative one, in row-major order and in
+    blocks of about BLOCK entries, each block stored into out as it comes.
+    out has positive's shape plus the feature axis. With keep, a mask over
+    positive's first axis, out holds only the kept entries, packed; the
+    others are drawn all the same, so the generator ends where it would
+    without keep."""
+    step = max(1, BLOCK // int(np.prod(positive.shape[1:])))
+    for label in (1, -1):
+        filled = 0
+        # one pass even when positive is empty, so a class the source lacks still raises
+        for start in range(0, max(len(positive), 1), step):
+            in_class = positive[start : start + step]
+            if label == -1:
+                in_class = ~in_class
+            rows = source.draw_class(rng, label, int(np.count_nonzero(in_class)))
+            if keep is not None:
+                # np.compress, as boolean indexing is several times slower here
+                kept = keep[start : start + step]
+                kept_entries = in_class & kept.reshape(kept.shape + (1,) * (in_class.ndim - 1))
+                kept_rows = np.compress(in_class.ravel(), kept_entries.ravel())
+                rows = np.compress(kept_rows, rows, axis=0)
+                in_class = np.compress(kept, in_class, axis=0)
+            _put(out[filled : filled + len(in_class)], in_class, rows)
+            filled += len(in_class)
 
 
 def draw_labeled(source, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
     """n labeled draws from a source and their class mask (True where
     positive): first the mask from its prior, then the positives, then the
     negatives."""
-    positive = rng.random(n) < source.prior.pi_plus
-    n_pos = int(np.count_nonzero(positive))
-    x_pos = source.draw_class(rng, 1, n_pos)
-    x_neg = source.draw_class(rng, -1, n - n_pos)
-    # x is allocated after both draws, so it never coexists with a draw's temporaries
-    x = np.empty((n, x_pos.shape[1]))
-    _put(x, positive, x_pos)
-    del x_pos
-    _put(x, ~positive, x_neg)
+    positive = _draw_mask(source, rng, n)
+    x = np.empty((n, _width(source, rng)))
+    _draw_rows(source, rng, positive, x)
     return x, positive
 
 
@@ -155,22 +205,45 @@ def sample_triplets_rejection(
     """
     if n < 1:
         raise InvalidInputError(f"triplet count must be >= 1, got {n}")
-    out = []
-    n_raw = 0
-    remaining = n
-    while remaining > 0:
-        # oversample to amortize the redraw loop
-        chunk = max(remaining * 2, 16)
-        x, positive = draw_labeled(source, rng, 3 * chunk)
-        anchor, first, second = positive.reshape(chunk, 3).T
-        accepted = np.flatnonzero((first != second) | (first == anchor))[:remaining]
-        # count raw draws only up to the point the quota was filled
-        n_raw += chunk if accepted.size < remaining else int(accepted[-1]) + 1
-        out.append(x.reshape(chunk, 3, -1)[accepted])
-        remaining -= accepted.size
-    triplets = out[0] if len(out) == 1 else np.concatenate(out)
+    triplets = np.empty((n, 3, _width(source, rng)))
+    filled = n_raw = 0
+    while filled < n:
+        chunk_raw, chunk_accepted = _rejection_chunk(source, rng, triplets[filled:])
+        n_raw += chunk_raw
+        filled += chunk_accepted
     _swap_companions(triplets, rng.random(n) < 0.5)
     return triplets, RejectionStats(n_raw=n_raw, n_accepted=n)
+
+
+def _rejection_chunk(source, rng: np.random.Generator, out: np.ndarray) -> tuple[int, int]:
+    """Draw a chunk of raw triplets, twice as many as out has room for (at
+    least 16), decide acceptance from their labels alone, and store accepted
+    triplets into out until it is full. Features are drawn for every raw
+    triplet but stored only for the accepted ones. Returns the raw draws up
+    to the point out was filled (the whole chunk if it was not) and the
+    number of triplets stored."""
+    # oversample to amortize the redraw loop
+    chunk = max(2 * len(out), 16)
+    positive = _draw_mask(source, rng, 3 * chunk).reshape(chunk, 3)
+    anchor, first, second = positive.T
+    accept = (first != second) | (first == anchor)
+    end = _quota_end(accept, len(out))
+    accept[end:] = False
+    n_accepted = int(np.count_nonzero(accept))
+    _draw_rows(source, rng, positive, out[:n_accepted], keep=accept)
+    return end, n_accepted
+
+
+def _quota_end(accept: np.ndarray, quota: int) -> int:
+    """The index just past accept's quota-th True, or its length when it
+    holds fewer; counted block by block, with no index of every True."""
+    for start in range(0, len(accept), BLOCK):
+        block = accept[start : start + BLOCK]
+        count = int(np.count_nonzero(block))
+        if count >= quota:
+            return start + int(np.flatnonzero(block)[quota - 1]) + 1
+        quota -= count
+    return len(accept)
 
 
 def _swap_companions(triplets: np.ndarray, swap: np.ndarray) -> None:
@@ -201,13 +274,9 @@ def sample_triplets_paper_case(
     tied_positive, tied_with_first = cases % 2 == 0, cases < 2
     del cases
 
-    third = draw_labeled(source, rng, n)[0]
-    triplets = np.empty((n, 3, third.shape[1]))
-    triplets[:, 2] = third
-    del third
-    n_pos = int(np.count_nonzero(tied_positive))
-    _put(triplets[:, :2], tied_positive, source.draw_class(rng, 1, 2 * n_pos))
-    _put(triplets[:, :2], ~tied_positive, source.draw_class(rng, -1, 2 * (n - n_pos)))
+    triplets = np.empty((n, 3, _width(source, rng)))
+    _draw_rows(source, rng, _draw_mask(source, rng, n), triplets[:, 2])
+    _draw_rows(source, rng, np.broadcast_to(tied_positive[:, None], (n, 2)), triplets[:, :2])
     # the slots now hold (tied, tied, third); cases 2 and 3 tie the anchor to
     # the second companion, and the closing 1/2 swap flips the companions again
     _swap_companions(triplets, tied_with_first == (rng.random(n) < 0.5))

@@ -576,10 +576,12 @@ class TestSweepValidatesFirst:
              "correction abs is listed more than once"),
             (["--kind", "prior", "--given", "0.35,0.35"],
              "given_prior 0.35 is listed more than once"),
+            (["--kind", "fraction", "--fractions", "1.0", "--seeds", "0,0"],
+             "seed 0 is listed more than once"),
         ],
         ids=["fraction", "prior", "fraction-batch-plan", "correction-batch-plan",
              "zero-epoch-batch", "n-test", "repeated-fraction", "repeated-correction",
-             "repeated-prior"],
+             "repeated-prior", "repeated-seed"],
     )
     def test_bad_late_setting_exits_before_any_run(self, tmp_path, capsys, monkeypatch,
                                                    flags, message):

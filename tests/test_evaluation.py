@@ -104,6 +104,16 @@ class TestSweeps:
             with pytest.raises(ConfigurationError, match=f"^{name} must be >= 1"):
                 sweep(kind, values, [0], SPEC, QUICK, n_us, n_u)
 
+    @pytest.mark.parametrize("kind", SWEEPS)
+    def test_repeated_seed_raises_before_any_run(self, monkeypatch, kind):
+        # a repeated seed once ran its cells again and wrote n_seeds=2, std=0.0
+        calls = []
+        monkeypatch.setattr(evaluation, "weak_run", lambda *a, **k: calls.append(a) or 0.9)
+        values = {"prior": [0.4], "fraction": [1.0], "correction": ["none"]}[kind]
+        with pytest.raises(ConfigurationError, match="^seed 0 is listed more than once$"):
+            sweep(kind, values, [0, 1, 0], SPEC, QUICK, 40, 60)
+        assert calls == []
+
     def test_correction_sweep_unknown_name(self):
         with pytest.raises(ConfigurationError):
             sweep("correction", ["bogus"], [0], SPEC, QUICK, 40, 60)

@@ -2,7 +2,8 @@
 `trisim` commands writes, run manifests aside, pinned in tests/ledger.sha256.
 
 The chain covers synth at d = 2 and 3, make-weak under both samplers with
-and without --pi, train (linear abs, none, plain and no weight decay, an MLP
+and without --pi (plus one rejection draw large enough to span several of
+the sampler's blocks), train (linear abs, none, plain and no weight decay, an MLP
 with max_zero, and zero epochs), eval, and the fast verify suites at four
 seeds. A change that keeps the bytes leaves every digest as it is. A change
 that moves bytes on purpose rewrites the ledger with
@@ -45,6 +46,9 @@ COMMANDS = [
      "--seed", "5", "--out-dir", "case"],
     ["make-weak", "--in", "d3.csv", "--sampler", "paper_case", "--pi", "0.7", "--n-us", "60",
      "--n-u", "100", "--seed", "6", "--out-dir", "case-pi"],
+    # 72k raw rows and 40k unlabeled points: every draw spans several blocks
+    ["make-weak", "--in", "d2.csv", "--n-us", "12000", "--n-u", "40000", "--seed", "8",
+     "--out-dir", "blocks"],
     ["train", *_REJ, *_TRAIN, "--test", "d2.csv", "--out", "abs.json"],
     ["train", *_REJ, *_TRAIN, "--correction", "none", "--out", "none.json"],
     ["train", "--us", "case/triplets.jsonl", "--u", "case/unlabeled.jsonl", "--pi", "0.4",

@@ -1,11 +1,11 @@
 """Unit tests for data generation: sources, the two triplet samplers,
 unlabeled pools, and disassembly.
 
-The samplers select rows by class mask and by index, to hold little more
-than they return. Plain label-array versions are kept below as
-``reference_*``: on every source, the samplers must return the same bits
-and leave the generator in the same state, so every seeded output stays the
-same."""
+The samplers draw rows block by block straight into what they return, to
+hold little more than that. Plain whole-array versions are kept below as
+``reference_*``: on every source and at any block size, the samplers must
+return the same bits and leave the generator in the same state, so every
+seeded output stays the same."""
 import tracemalloc
 
 import numpy as np
@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trisim import sampler
 from trisim.core import ClassPrior, InsufficientDataError, InvalidInputError, LabeledPool, ShapeError
 from trisim.risk import DiscreteDomainSpec
 from trisim.sampler import (
@@ -266,6 +267,23 @@ def _assert_bits_equal(a, b):
     assert a.tobytes() == b.tobytes()
 
 
+class TestBlockContract:
+    """The source contract the samplers' block draws rely on: n rows drawn
+    in consecutive blocks, joined, equal one draw of n rows and leave the
+    generator in the same state. Odd blocks cover the 32-bit halves that
+    the pool source's integer draws buffer in the generator."""
+
+    @pytest.mark.parametrize("label", [1, -1])
+    @pytest.mark.parametrize("kind", ["gaussian", "pool", "discrete"])
+    def test_blocks_join_to_one_draw(self, kind, label):
+        src = _source(kind, 0.4)
+        sizes = [0, 1, 7, 3, 64, 0, 182]
+        whole, blocks = np.random.default_rng(11), np.random.default_rng(11)
+        x = src.draw_class(whole, label, sum(sizes))
+        _assert_bits_equal(x, np.concatenate([src.draw_class(blocks, label, m) for m in sizes]))
+        assert whole.bit_generator.state == blocks.bit_generator.state
+
+
 class TestStreamIdentity:
     """Each sampler against its reference_* copy: same bits, same labels,
     same n_raw, and the generator left in the same state."""
@@ -316,6 +334,19 @@ class TestStreamIdentity:
         _assert_bits_equal(pool.y, y_ref)
 
 
+@pytest.fixture(scope="class", params=[1, 7])
+def small_blocks(request):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sampler, "BLOCK", request.param)
+        yield
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestStreamIdentityInSmallBlocks(TestStreamIdentity):
+    """TestStreamIdentity with blocks of 1 and of 7 mask entries, so every
+    draw crosses block boundaries."""
+
+
 def _traced_peak_mb(fn):
     fn()  # first call outside the trace: numpy's lazy set-up is not the sampler's
     tracemalloc.start()
@@ -328,22 +359,29 @@ def _traced_peak_mb(fn):
 
 class TestPeakMemory:
     """Traced peaks of sampling at 100k triplets, deterministic under the
-    seed. The rejection sampler kept as reference_* peaked at 19.4 MB on the
-    featureless domain (the acceptance oracle at 20.9 MB); this one peaks at
-    10.2 MB there, and paper_case at 4.9 MB. Each bound is the measured peak
-    plus a small margin."""
+    seed. Drawing whole class arrays and copying the accepted rows out, the
+    rejection sampler peaked at 10.4 MB on the featureless domain (as did the
+    acceptance oracle) and at 19.8 MB on a pool; paper_case peaked at
+    4.9 MB. Drawn block by block into the rows they keep, they peak at
+    3.9 MB, 6.9 MB and 3.9 MB, of which the returned triplets are 2.4, 4.8
+    and 2.4 MB. Each bound is the measured peak plus a small margin."""
 
     def test_rejection_on_featureless_domain(self):
         domain = DiscreteDomainSpec(np.ones(1), np.ones(1), ClassPrior(0.2), np.zeros(1))
         peak = _traced_peak_mb(lambda: sample_triplets_rejection(domain, 100_000, np.random.default_rng(0)))
-        assert peak < 10.5
+        assert peak < 4.2
+
+    def test_rejection_on_pool(self):
+        src = _source("pool", 0.4)
+        peak = _traced_peak_mb(lambda: sample_triplets_rejection(src, 100_000, np.random.default_rng(0)))
+        assert peak < 7.2
 
     def test_paper_case_frees_cases_and_third_member(self):
-        # 8.3 MB for the reference; keeping `cases` or `third` alive adds 0.8 MB
+        # 8.3 MB for the reference; keeping `cases` alive adds 0.8 MB
         domain = DiscreteDomainSpec(np.array([0.5, 0.5]), np.array([0.2, 0.8]), ClassPrior(0.4), np.zeros(2))
         peak = _traced_peak_mb(lambda: sample_triplets_paper_case(domain, 100_000, np.random.default_rng(0)))
-        assert peak < 5.2
+        assert peak < 4.2
 
     def test_acceptance_oracle_keeps_no_triplets(self):
         # one prior's triplets alive through the next prior's draw add 2.4 MB
-        assert _traced_peak_mb(lambda: check_acceptance_rate(seed=0)) < 10.5
+        assert _traced_peak_mb(lambda: check_acceptance_rate(seed=0)) < 4.2
