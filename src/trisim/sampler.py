@@ -71,25 +71,20 @@ def _draw_rows(
     every positive entry, then every negative one, in row-major order and in
     blocks of about BLOCK entries, each block stored into out as it comes.
     out has positive's shape plus the feature axis. With keep, a mask over
-    positive's first axis, out holds only the kept entries, packed; the
-    others are drawn all the same, so the generator ends where it would
-    without keep."""
+    positive's first axis, rows are drawn for the kept entries alone, and out
+    holds them packed."""
     step = max(1, BLOCK // int(np.prod(positive.shape[1:])))
     for label in (1, -1):
         filled = 0
         # one pass even when positive is empty, so a class the source lacks still raises
         for start in range(0, max(len(positive), 1), step):
             in_class = positive[start : start + step]
+            if keep is not None:
+                # np.compress, as boolean indexing is several times slower here
+                in_class = np.compress(keep[start : start + step], in_class, axis=0)
             if label == -1:
                 in_class = ~in_class
             rows = source.draw_class(rng, label, int(np.count_nonzero(in_class)))
-            if keep is not None:
-                # np.compress, as boolean indexing is several times slower here
-                kept = keep[start : start + step]
-                kept_entries = in_class & kept.reshape(kept.shape + (1,) * (in_class.ndim - 1))
-                kept_rows = np.compress(in_class.ravel(), kept_entries.ravel())
-                rows = np.compress(kept_rows, rows, axis=0)
-                in_class = np.compress(kept, in_class, axis=0)
             _put(out[filled : filled + len(in_class)], in_class, rows)
             filled += len(in_class)
 
@@ -199,9 +194,9 @@ def sample_triplets_rejection(
     """Draw n triplets by i.i.d. draw-and-reject.
 
     Each raw draw takes three labeled points; the draw is rejected exactly
-    when the two companions share a class different from the anchor's.
-    Returns the accepted triplets (labels discarded, companion order
-    shuffled) and the raw-draw statistics.
+    when the two companions share a class different from the anchor's, a
+    rule symmetric in the companions. Returns the accepted triplets (labels
+    discarded) and the raw-draw statistics.
     """
     if n < 1:
         raise InvalidInputError(f"triplet count must be >= 1, got {n}")
@@ -211,17 +206,15 @@ def sample_triplets_rejection(
         chunk_raw, chunk_accepted = _rejection_chunk(source, rng, triplets[filled:])
         n_raw += chunk_raw
         filled += chunk_accepted
-    _swap_companions(triplets, rng.random(n) < 0.5)
     return triplets, RejectionStats(n_raw=n_raw, n_accepted=n)
 
 
 def _rejection_chunk(source, rng: np.random.Generator, out: np.ndarray) -> tuple[int, int]:
     """Draw a chunk of raw triplets, twice as many as out has room for (at
-    least 16), decide acceptance from their labels alone, and store accepted
-    triplets into out until it is full. Features are drawn for every raw
-    triplet but stored only for the accepted ones. Returns the raw draws up
-    to the point out was filled (the whole chunk if it was not) and the
-    number of triplets stored."""
+    least 16), decide acceptance from their labels alone, and draw the
+    features of accepted triplets into out until it is full. Returns the raw
+    draws up to the point out was filled (the whole chunk if it was not) and
+    the number of triplets stored."""
     # oversample to amortize the redraw loop
     chunk = max(2 * len(out), 16)
     positive = _draw_mask(source, rng, 3 * chunk).reshape(chunk, 3)
@@ -246,12 +239,6 @@ def _quota_end(accept: np.ndarray, quota: int) -> int:
     return len(accept)
 
 
-def _swap_companions(triplets: np.ndarray, swap: np.ndarray) -> None:
-    """Exchange the two companions of the triplets where swap is True, in place."""
-    rows = np.flatnonzero(swap)
-    triplets[rows, 1:] = triplets[rows, :0:-1]
-
-
 def paper_case_weights(prior: ClassPrior) -> np.ndarray:
     """Probabilities of the four tied-pair cases
     (anchor+first positive, anchor+first negative, anchor+second positive,
@@ -271,15 +258,16 @@ def sample_triplets_paper_case(
         raise InvalidInputError(f"triplet count must be >= 1, got {n}")
     weights = paper_case_weights(source.prior)
     cases = rng.choice(4, size=n, p=weights)
-    tied_positive, tied_with_first = cases % 2 == 0, cases < 2
+    tied_positive, tied_with_second = cases % 2 == 0, cases >= 2
     del cases
 
     triplets = np.empty((n, 3, _width(source, rng)))
     _draw_rows(source, rng, _draw_mask(source, rng, n), triplets[:, 2])
     _draw_rows(source, rng, np.broadcast_to(tied_positive[:, None], (n, 2)), triplets[:, :2])
-    # the slots now hold (tied, tied, third); cases 2 and 3 tie the anchor to
-    # the second companion, and the closing 1/2 swap flips the companions again
-    _swap_companions(triplets, tied_with_first == (rng.random(n) < 0.5))
+    # the slots hold (tied, tied, third); cases 2 and 3 tie the anchor to the
+    # second companion, so their companions trade places
+    rows = np.flatnonzero(tied_with_second)
+    triplets[rows, 1:] = triplets[rows, :0:-1]
     return triplets
 
 

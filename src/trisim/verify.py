@@ -159,6 +159,17 @@ def check_risk_identity(n_trials: int = 100, seed: int = 0) -> VerifyReport:
     return report
 
 
+@dataclass(frozen=True)
+class _LabelsOnly:
+    """A source of class labels alone: rows of no features, so the rejection
+    sampler draws the labels its accept rule reads and nothing else."""
+
+    prior: ClassPrior
+
+    def draw_class(self, rng: np.random.Generator, label: int, n: int) -> np.ndarray:
+        return np.empty((n, 0))
+
+
 def check_acceptance_rate(
     priors: list[float] | None = None, n_draws: int = 100_000, seed: int = 0
 ) -> VerifyReport:
@@ -170,11 +181,8 @@ def check_acceptance_rate(
     report = VerifyReport(suite="acceptance")
     for i, pi in enumerate([0.2, 0.4, 0.6] if priors is None else priors):
         prior = ClassPrior(pi)
-        # featureless discrete domain: only the labels matter here
-        domain = DiscreteDomainSpec(np.ones(1), np.ones(1), prior, np.zeros(1))
         rng = np.random.default_rng([seed, i])
-        # the stats only, so no prior's triplets live through the next draw
-        stats = sample_triplets_rejection(domain, n_draws, rng)[1]
+        stats = sample_triplets_rejection(_LabelsOnly(prior), n_draws, rng)[1]
         p = 1.0 - prior.pi_plus * prior.pi_minus
         se = np.sqrt(p * (1.0 - p) / stats.n_raw)
         report.add(f"acceptance_rate_pi={pi}", p, stats.acceptance_rate, 3.0 * se)

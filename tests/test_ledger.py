@@ -63,7 +63,7 @@ COMMANDS = [
     ["eval", "--model", "abs.json", "--test", "d2.csv", "--out", "eval-abs.json"],
     ["eval", "--model", "mlp.json", "--test", "d2.csv", "--out", "eval-mlp.json"],
     *(["verify", "--suite", suite, "--seed", str(seed), "--out", f"verify-{suite}-{seed}.json"]
-      for seed in (0, 1, 2, 156) for suite in SUITES if suite != "trend"),
+      for seed in (0, 1, 2, 79) for suite in SUITES if suite != "trend"),
 ]
 
 
@@ -75,7 +75,7 @@ def run_commands(directory: Path) -> dict[str, str]:
     try:
         for argv in COMMANDS:
             with contextlib.redirect_stdout(io.StringIO()):
-                # the bias suite fails at seed 156 by chance; the report's
+                # the bias suite fails at seed 79 by chance; the report's
                 # bytes pin each verdict
                 assert main(argv) in (EXIT_OK, EXIT_VERIFY), argv
     finally:

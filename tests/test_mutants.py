@@ -77,6 +77,23 @@ def _unlabeled_positives_only(original):
     return mutant
 
 
+def _rejection_first_companion_must_match(original):
+    # rejection also rejects every raw triplet whose first companion's class
+    # differs from the anchor's
+    def mutant(source, rng, out):
+        chunk = max(2 * len(out), 16)
+        positive = sampler._draw_mask(source, rng, 3 * chunk).reshape(chunk, 3)
+        anchor, first, _ = positive.T
+        accept = first == anchor
+        end = sampler._quota_end(accept, len(out))
+        accept[end:] = False
+        n_accepted = int(np.count_nonzero(accept))
+        sampler._draw_rows(source, rng, positive, out[:n_accepted], keep=accept)
+        return end, n_accepted
+
+    return mutant
+
+
 MUTANTS = {
     "polynomial_b_2w": (risk, "_polynomial", _polynomial_b_2w,
                         {"thetas", "identity", "bias", "matched"}),
@@ -86,6 +103,8 @@ MUTANTS = {
                                      _case_weights_linear_in_prior, {"matched"}),
     "unlabeled_positives_only": (verify, "sample_unlabeled", _unlabeled_positives_only,
                                  {"bias"}),
+    "rejection_first_companion_must_match": (sampler, "_rejection_chunk",
+                                             _rejection_first_companion_must_match, {"acceptance"}),
 }
 
 

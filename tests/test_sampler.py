@@ -31,14 +31,19 @@ from trisim.sampler import (
 from trisim.verify import check_acceptance_rate
 
 
-def reference_draw_labeled(source, rng, n):
-    y = np.where(rng.random(n) < source.prior.pi_plus, 1, -1)
+def reference_draw_rows(source, rng, y):
+    """A row of its class for every label of y, positives first."""
     pos = y == 1
     x_pos = source.draw_class(rng, 1, int(pos.sum()))
-    x = np.empty((n, x_pos.shape[1]))
+    x = np.empty(y.shape + x_pos.shape[1:])
     x[pos] = x_pos
     x[~pos] = source.draw_class(rng, -1, int((~pos).sum()))
-    return x, y
+    return x
+
+
+def reference_draw_labeled(source, rng, n):
+    y = np.where(rng.random(n) < source.prior.pi_plus, 1, -1)
+    return reference_draw_rows(source, rng, y), y
 
 
 def reference_sample_triplets_rejection(source, n, rng):
@@ -47,41 +52,29 @@ def reference_sample_triplets_rejection(source, n, rng):
     remaining = n
     while remaining > 0:
         chunk = max(remaining * 2, 16)
-        x, y = reference_draw_labeled(source, rng, 3 * chunk)
-        x = x.reshape(chunk, 3, -1)
-        y = y.reshape(chunk, 3)
+        y = np.where(rng.random(3 * chunk) < source.prior.pi_plus, 1, -1).reshape(chunk, 3)
         accept = ~((y[:, 1] == y[:, 2]) & (y[:, 1] != y[:, 0]))
-        accepted = x[accept]
-        if accepted.shape[0] >= remaining:
-            cutoff = np.searchsorted(np.cumsum(accept), remaining) + 1
-            n_raw += int(cutoff)
-            out.append(accepted[:remaining])
-            remaining = 0
-        else:
-            n_raw += chunk
-            out.append(accepted)
-            remaining -= accepted.shape[0]
-    triplets = np.concatenate(out, axis=0)
-    swap = rng.random(n) < 0.5
-    triplets[swap] = triplets[swap][:, [0, 2, 1]]
-    return triplets, n_raw
+        cutoff = chunk
+        if accept.sum() >= remaining:
+            cutoff = int(np.searchsorted(np.cumsum(accept), remaining)) + 1
+        accepted = y[:cutoff][accept[:cutoff]]
+        out.append(reference_draw_rows(source, rng, accepted))
+        n_raw += cutoff
+        remaining -= len(accepted)
+    return np.concatenate(out, axis=0), n_raw
 
 
 def reference_sample_triplets_paper_case(source, n, rng):
     weights = paper_case_weights(source.prior)
     cases = rng.choice(4, size=n, p=weights)
     tied_label = np.where(cases % 2 == 0, 1, -1)
-    tied_with_first = cases < 2
 
     third, _ = reference_draw_labeled(source, rng, n)
-    d = third.shape[1]
-    triplets = np.empty((n, 3, d))
-    pos = tied_label == 1
-    triplets[pos, :2] = source.draw_class(rng, 1, 2 * int(pos.sum())).reshape(-1, 2, d)
-    triplets[~pos, :2] = source.draw_class(rng, -1, 2 * int((~pos).sum())).reshape(-1, 2, d)
+    triplets = np.empty((n, 3, third.shape[1]))
+    triplets[:, :2] = reference_draw_rows(source, rng, np.repeat(tied_label[:, None], 2, axis=1))
     triplets[:, 2] = third
-    flip = tied_with_first == (rng.random(n) < 0.5)
-    triplets[flip] = triplets[flip][:, [0, 2, 1]]
+    swap = cases >= 2
+    triplets[swap] = triplets[swap][:, [0, 2, 1]]
     return triplets
 
 
@@ -191,8 +184,8 @@ class TestPaperCaseSampler:
         np.testing.assert_array_equal(t1, t2)
 
     def test_companion_symmetry(self):
-        # after the swap randomization the two companion slots have the same
-        # marginal, so their mean features agree
+        # cases 2 and 3 mirror cases 0 and 1, so the two companion slots have
+        # the same marginal and their mean features agree
         src = _spec()
         t = sample_triplets_paper_case(src, 20_000, np.random.default_rng(4))
         gap = t[:, 1, 0].mean() - t[:, 2, 0].mean()
@@ -323,7 +316,7 @@ class TestStreamIdentity:
         new, ref = np.random.default_rng(324), np.random.default_rng(324)
         triplets, stats = sample_triplets_rejection(src, 9, new)
         triplets_ref, n_raw_ref = reference_sample_triplets_rejection(src, 9, ref)
-        assert stats.n_raw == n_raw_ref == 21
+        assert stats.n_raw == n_raw_ref == 19
         _assert_bits_equal(triplets, triplets_ref)
         assert new.bit_generator.state == ref.bit_generator.state
 
@@ -347,6 +340,30 @@ class TestStreamIdentityInSmallBlocks(TestStreamIdentity):
     draw crosses block boundaries."""
 
 
+class _CountingSource:
+    """A source that counts the rows its draw_class hands out."""
+
+    def __init__(self, source):
+        self.source, self.prior, self.rows = source, source.prior, 0
+
+    def draw_class(self, rng, label, n):
+        self.rows += n
+        return self.source.draw_class(rng, label, n)
+
+
+@pytest.mark.parametrize("n", [1, 9, 1000])
+@pytest.mark.parametrize("kind", ["gaussian", "pool", "discrete"])
+def test_samplers_draw_only_the_rows_they_return(kind, n):
+    # at seed 324 the rejection sampler's first chunk is too short for 9
+    # triplets, so a second chunk is drawn
+    src, rng = _CountingSource(_source(kind, 0.5001)), np.random.default_rng(324)
+    for sample, rows in ((sample_triplets_rejection, 3 * n), (sample_triplets_paper_case, 3 * n),
+                         (sample_unlabeled, n)):
+        src.rows = 0
+        sample(src, n, rng)
+        assert src.rows == rows, sample.__name__
+
+
 def _traced_peak_mb(fn):
     fn()  # first call outside the trace: numpy's lazy set-up is not the sampler's
     tracemalloc.start()
@@ -362,9 +379,11 @@ class TestPeakMemory:
     seed. Drawing whole class arrays and copying the accepted rows out, the
     rejection sampler peaked at 10.4 MB on the featureless domain (as did the
     acceptance oracle) and at 19.8 MB on a pool; paper_case peaked at
-    4.9 MB. Drawn block by block into the rows they keep, they peak at
-    3.9 MB, 6.9 MB and 3.9 MB, of which the returned triplets are 2.4, 4.8
-    and 2.4 MB. Each bound is the measured peak plus a small margin."""
+    4.9 MB. Drawn block by block into the rows they keep, they peaked at
+    3.9 MB, 6.9 MB and 3.9 MB; drawing features for the kept triplets alone,
+    at 3.8, 6.3 and 3.8 MB, of which the returned triplets are 2.4, 4.8 and
+    2.4 MB. The acceptance oracle, sampling labels alone, peaks at 1.2 MB.
+    Each bound is the measured peak plus a small margin."""
 
     def test_rejection_on_featureless_domain(self):
         domain = DiscreteDomainSpec(np.ones(1), np.ones(1), ClassPrior(0.2), np.zeros(1))
@@ -374,7 +393,7 @@ class TestPeakMemory:
     def test_rejection_on_pool(self):
         src = _source("pool", 0.4)
         peak = _traced_peak_mb(lambda: sample_triplets_rejection(src, 100_000, np.random.default_rng(0)))
-        assert peak < 7.2
+        assert peak < 6.6
 
     def test_paper_case_frees_cases_and_third_member(self):
         # 8.3 MB for the reference; keeping `cases` alive adds 0.8 MB
@@ -383,5 +402,5 @@ class TestPeakMemory:
         assert peak < 4.2
 
     def test_acceptance_oracle_keeps_no_triplets(self):
-        # one prior's triplets alive through the next prior's draw add 2.4 MB
-        assert _traced_peak_mb(lambda: check_acceptance_rate(seed=0)) < 4.2
+        # a source with features would add 2.4 MB of triplets per prior
+        assert _traced_peak_mb(lambda: check_acceptance_rate(seed=0)) < 1.5

@@ -29,67 +29,67 @@ SPEC = GaussianSourceSpec(
 WEAK = {
     ("rejection", "linear", "abs"): (
         {
-            "weights": [-0.09492957874694141, -0.09685733976459597],
-            "bias": [0.09273370080480811],
+            "weights": [-0.0833647387090299, -0.16665248534130137],
+            "bias": [-0.11284533096945315],
         },
-        (1.159297239796428, 1.159297239796428, 1.9124227028875853, -0.7531254630911574, 0.15),
+        (0.12168555841491935, 0.12168555841491935, -0.7444494215066669, 0.8661349799215863, 0.15),
     ),
     ("rejection", "linear", "none"): (
         {
-            "weights": [0.6012262820750895, 0.04525331977576181],
-            "bias": [0.06216060855606065],
+            "weights": [0.2627085568755206, -0.14273196936617466],
+            "bias": [0.033260841601096734],
         },
-        (-1.6808333816563734, -1.6808333816563734, -4.526376317221561, 2.8455429355651876, 0.925),
+        (-0.5929512144129124, -0.5929512144129124, -1.1779374407263938, 0.5849862263134814, 0.825),
     ),
     ("rejection", "mlp", "abs"): (
         {
-            "w1": [0.4062293877345793, 0.22539321435336085, 0.5595898484209678, -0.2032434377313478, 0.15261164128606347, 0.6725419919759391],
-            "b1": [-0.4045914476641755, 0.06674825065707479, -0.27067284076968445],
-            "w2": [-0.2277243969776422, 0.3498625349685538, 0.23667505612532505],
-            "b2": [-0.04774108087366811],
+            "w1": [-0.024753324467043595, 0.5839031925372044, 0.08554389127759215, -0.04814853376754182, -0.2805897901959574, 0.22780029206253646],
+            "b1": [-0.17050457556933069, -0.19784614889749, -0.08419185868960614],
+            "w2": [-0.46833344799286103, -0.06554430907393272, 0.13643110792097843],
+            "b2": [0.010132407467463453],
         },
-        (0.2909331396274413, 0.2909331396274413, -0.17297076882595652, 0.4639039084533978, 0.825),
+        (0.6147530754189336, 0.6147530754189336, -0.34285043784588626, 0.9576035132648199, 0.275),
     ),
     ("rejection", "mlp", "none"): (
         {
-            "w1": [-0.28689040261666393, 0.9316649007051802, 0.4857239078379389, -0.6443576581280159, 0.1564326551304318, 0.20082849403784556],
-            "b1": [0.3802568401435974, 0.5517927207973503, -0.37074120190866294],
-            "w2": [-0.9580890279645224, 0.8004750006730877, -0.06896366487236053],
-            "b2": [-0.16706889170168365],
+            "w1": [-0.2067345273946834, 1.1044910578547475, 0.2825726119815046, -0.7187257154529065, 0.20304895172591347, 0.1622183449562137],
+            "b1": [0.421174417054727, -0.23922401203782648, -0.34894241034320106],
+            "w2": [-1.0971391763796683, 0.549786982559997, -0.0685449834045942],
+            "b2": [-0.07090106090618443],
         },
-        (-5.783443999274675, -5.783443999274675, -5.24183344649601, -0.5416105527786649, 0.5),
+        (-5.1613320425076115, -5.1613320425076115, -8.699136605864654, 3.5378045633570423, 0.45),
     ),
     ("paper_case", "linear", "abs"): (
         {
-            "weights": [-0.026264418909074886, -0.21770898000439057],
-            "bias": [-0.09209436957540211],
+            "weights": [-0.2123059807619377, -0.16295513671315154],
+            "bias": [-0.10079678643220465],
         },
-        (-0.33743751696245095, 0.33743751696245095, -0.8329607229560698, 0.4955232059936189, 0.25),
+        (-0.29578210389207993, 0.29578210389207993, -0.7720004700655332, 0.47621836617345326, 0.075),
     ),
     ("paper_case", "linear", "none"): (
         {
-            "weights": [-0.08326864225162212, -0.16344411186566815],
-            "bias": [-0.2035578566829111],
+            "weights": [-0.11074014033325158, -0.19658803711397],
+            "bias": [-0.22190249358719355],
         },
-        (-0.1642131672896623, -0.1642131672896623, -1.9629716269811892, 1.798758459691527, 0.225),
+        (-0.4017407085116007, -0.4017407085116007, -2.1124729494740406, 1.71073224096244, 0.2),
     ),
     ("paper_case", "mlp", "abs"): (
         {
-            "w1": [0.12099878214541993, 0.4178190124203294, 0.1265613679480623, -0.5346462877070705, 0.019293039389084193, 0.6414420057529051],
-            "b1": [-0.1184043724521427, -0.40538141206053246, -0.08827451204791298],
-            "w2": [-0.38801681600590426, 0.19474298827550646, 0.26509462168753445],
-            "b2": [-0.20015948782270784],
+            "w1": [-0.24358175024583256, 0.5204119593497383, 0.374832824489685, -0.05079537647691446, -0.21144225007251727, 0.30114383392203026],
+            "b1": [-0.09611017148036766, -0.2681820003162254, 0.13524956266643048],
+            "w2": [-0.3902992473710478, 0.08243171702838274, 0.0918761430270933],
+            "b2": [-0.06931394479714399],
         },
-        (0.6336661620617883, 0.6336661620617883, -2.0511448044210785, 2.6848109664828668, 0.575),
+        (0.6661286117072638, 0.6661286117072638, -1.1220651174911533, 1.7881937291984171, 0.6),
     ),
     ("paper_case", "mlp", "none"): (
         {
-            "w1": [0.6964770540501407, 1.2607838882108022, 0.13588593947031857, -1.048141165665424, -0.3426027168859719, 0.012987298302179179],
-            "b1": [0.5155328526477709, 0.09428443854369255, -0.3760711582706141],
-            "w2": [-1.2833192047595756, 0.6651389477601799, -0.2434466829910077],
-            "b2": [-0.22077619160015885],
+            "w1": [0.6730745568993329, 1.262164979555935, 0.08578283020669075, -1.0231379062294248, -0.09375038649358451, 0.4196532891120568],
+            "b1": [0.5308670457001163, 0.1491347077188175, -0.28198825761746615],
+            "w2": [-1.3152154087872185, 0.696497795696095, -0.3447161600962429],
+            "b2": [-0.2736173527709509],
         },
-        (-10.611388037160278, -10.611388037160278, -13.592961909975187, 2.9815738728149084, 0.25),
+        (-10.876074620679338, -10.876074620679338, -14.058946476003957, 3.1828718553246187, 0.225),
     ),
 }
 

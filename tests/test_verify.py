@@ -367,15 +367,15 @@ class TestSeededSuites:
                 t if t is None else pytest.approx(t, rel=1e-2) for t in tolerances
             ], name
 
-    def test_seed_156_fails_one_monte_carlo_check(self):
+    def test_seed_79_fails_one_monte_carlo_check(self):
         # Five Monte Carlo checks are 3-SE tests, so some seeds fail one by
-        # chance: 24 of seeds 0-1599, the lowest 156. Pinning that false alarm
+        # chance: 19 of seeds 0-1599, the lowest 79. Pinning that false alarm
         # pins every random stream and float the seeded suites consume.
         seeded = ("identity", "acceptance", "bias", "matched", "gradients")
-        report = VerifyReport.merge([SUITES[name](156) for name in seeded])
+        report = VerifyReport.merge([SUITES[name](79) for name in seeded])
         failed = [(c.name, c.expected, c.observed) for c in report.checks if not c.passed]
         assert failed == [
-            ("bias.paper_case_mc_vs_enumeration", 2.7469796524948005, 2.540702312709296)
+            ("bias.rejection_mc_vs_enumeration", 2.194000009876335, 2.056533594083267)
         ]
 
 
