@@ -2,11 +2,15 @@
 kinds in SWEEPS: robustness to a misspecified training prior,
 accuracy-vs-data-fraction curves, and the correction-function comparison.
 
-Each (setting, seed) cell is an independent weak run; results are
-assembled deterministically ordered by setting then seed.
+Each (setting, seed) cell is an independent weak run, seeded on its own, so
+the cells run on every CPU this process may use and the rows do not depend
+on how many there are; results are assembled ordered by setting then seed.
 """
 from __future__ import annotations
 
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -67,6 +71,89 @@ def weak_run(
     return accuracy(model, test)
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on; 1 where the platform cannot say."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else 1
+
+
+def _lane(run, cells) -> tuple[list, tuple[int, Exception] | None]:
+    """run(i) for each cell i in order, up to the first that raises; returns
+    the results and that cell's (index, exception), or None."""
+    done = []
+    for i in cells:
+        try:
+            done.append(run(i))
+        except Exception as exc:
+            return done, (i, exc)
+    return done, None
+
+
+def _run_cells(run, n: int) -> list:
+    """[run(i) for i in range(n)] on k = min(n, CPUs) lanes, at least one:
+    cell i runs in lane i mod k. The caller runs lane 0 itself and a forked
+    child runs each other lane, sending its results back through a pipe; one
+    lane is a plain loop with no fork. Each lane stops at its first failing
+    cell, and the failure with the lowest cell index is raised, the one a
+    single lane would raise. A child that ends without sending its results
+    raises ChildProcessError. Every child is reaped before this returns or
+    raises."""
+    k = max(1, min(n, _cpus()))  # a sweep of skipped rows has no cells
+    children: list[tuple[int, int]] = []  # (pid, read end) of lanes 1 .. k-1
+    outcomes, statuses = [], []
+    try:
+        for lane in range(1, k):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:  # the child never returns into the caller's frames
+                status = 1
+                try:
+                    # hold no read end, so a write fails, not blocks, if the caller dies
+                    for fd in (r, *(fd for _, fd in children)):
+                        os.close(fd)
+                    data = pickle.dumps(_lane(run, range(lane, n, k)))
+                    with open(w, "wb") as fh:
+                        fh.write(data)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(w)
+            children.append((pid, r))
+        outcomes.append(_lane(run, range(0, n, k)))
+        for _, fd in children:
+            with open(fd, "rb", closefd=False) as fh:
+                outcomes.append(fh.read())
+    finally:
+        for pid, fd in children:
+            os.close(fd)
+            if len(outcomes) < k:  # the caller is leaving early: stop the lanes
+                os.kill(pid, signal.SIGKILL)
+            statuses.append(os.waitpid(pid, 0)[1])
+    results, failures = [None] * n, []
+    for lane, outcome in enumerate(outcomes):
+        if lane:
+            try:
+                outcome = pickle.loads(outcome)
+            except Exception:
+                code = os.waitstatus_to_exitcode(statuses[lane - 1])
+                ended = f"exit status {code}" if code >= 0 else f"signal {-code}"
+                raise ChildProcessError(
+                    f"sweep lane {lane} of {k} ended ({ended}) without sending its results"
+                ) from None
+        done, failure = outcome
+        results[lane : lane + k * len(done) : k] = done
+        if failure:
+            failures.append(failure)
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    return results
+
+
 # each sweep kind and the axis its values are settings of
 SWEEPS = {"prior": "given_prior", "fraction": "fraction", "correction": "correction"}
 
@@ -96,7 +183,8 @@ def sweep(
     n_test: int = 2000,
     sampler_kind: str = "paper_case",
 ) -> SweepResult:
-    """One weak run per (value, seed), in that order; a row per value.
+    """One weak run per (value, seed), in that order; a row per value. The
+    runs are spread over the CPUs as _run_cells says, with the same rows.
 
     A prior sweep draws data under the source's prior and trains under each
     given prior; a given prior of 0.5 gets a skipped row. A fraction sweep
@@ -135,12 +223,15 @@ def sweep(
     summary = {"n_us": n_us, "n_u": n_u}
     if kind == "prior":
         summary = {"true_prior": source_spec.prior.pi_plus, **summary}
+    runs = [(cell, seed) for _, cell in cells if cell is not None for seed in seeds]
+    done = iter(_run_cells(
+        lambda i: weak_run(source_spec, *runs[i][0], runs[i][1], n_test, sampler_kind), len(runs)))
     result = SweepResult(axis=axis, config=summary)
     for label, cell in cells:
         if cell is None:
             result.rows.append(SweepRow(label, None, None, 0, error="degenerate prior 0.5 skipped"))
             continue
-        accs = [weak_run(source_spec, *cell, seed, n_test, sampler_kind) for seed in seeds]
+        accs = [next(done) for _ in seeds]
         std = float(np.std(accs, ddof=1)) if len(accs) >= 2 else None
         result.rows.append(SweepRow(label, float(np.mean(accs)), std, len(accs), tuple(accs)))
     return result

@@ -624,6 +624,8 @@ def test_sweep_outputs_match_pinned_digests(tmp_path, capsys, kind):
 
 
 def test_corrections_list_items_are_stripped(tmp_path, capsys, monkeypatch):
+    # one lane: a forked lane's weak_run calls are not seen by this process
+    monkeypatch.setattr(evaluation, "_cpus", lambda: 1)
     calls = []
     monkeypatch.setattr(evaluation, "weak_run", lambda *a, **k: calls.append(a) or 0.9)
     out = tmp_path / "s.csv"
