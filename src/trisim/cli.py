@@ -44,7 +44,6 @@ from .dataio import (
     write_weak_meta,
 )
 from .evaluation import SWEEPS, accuracy, sweep
-from .risk import ESTIMATORS
 from .sampler import (
     GaussianSourceSpec,
     PoolSource,
@@ -164,7 +163,6 @@ def _train_config(args, prior: ClassPrior) -> TrainConfig:
     return TrainConfig(
         prior=prior,
         correction=CorrectionKind(args.correction),
-        estimator=args.estimator,
         epochs=args.epochs,
         batch_size=args.batch,
         lr=args.lr,
@@ -274,12 +272,6 @@ def _add_train_flags(p):
     p.add_argument("--model", choices=("linear", "mlp"), default="linear")
     p.add_argument("--hidden", type=int, default=64)
     p.add_argument("--correction", choices=[c.value for c in CorrectionKind], default="abs")
-    p.add_argument(
-        "--estimator",
-        choices=ESTIMATORS,
-        default="matched",
-        help="similarity-term weighting: measure-matched or plain sample mean",
-    )
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--weight-decay", type=float, default=1e-5)
     p.add_argument("--epochs", type=int, default=600)

@@ -40,30 +40,26 @@ class Thetas:
     theta_u_minus: float
 
 
-# The similarity-side estimators, default first (see slot_weights).
-ESTIMATORS = ("matched", "plain")
-
-
-def slot_weights(prior: ClassPrior, sampler_kind: str, estimator: str) -> tuple[np.ndarray, float]:
-    """The estimator as a table of weights: per-slot similarity weights in
-    (anchor, companion, companion) order, plus the coefficient on the
-    unlabeled pool's mean similarity loss. With q = 1 - pi+pi- and
+def slot_weights(prior: ClassPrior, sampler_kind: str) -> tuple[np.ndarray, float]:
+    """The matched estimator as a table of weights: per-slot similarity
+    weights in (anchor, companion, companion) order, plus the coefficient on
+    the unlabeled pool's mean similarity loss. With q = 1 - pi+pi- and
     mu = 2(pi+^2 + pi-^2) / q:
 
-        estimator  sampler     slot weights            unlabeled coefficient
-        plain      either      (1, 1, 1)               0
-        matched    rejection   (6, 0, 0)               -2 pi+ pi- / q
-        matched    paper_case  (1.5mu, 1.5mu, 1.5mu)   -mu / 2
+        sampler     slot weights            unlabeled coefficient
+        rejection   (6, 0, 0)               -2 pi+ pi- / q
+        paper_case  (1.5mu, 1.5mu, 1.5mu)   -mu / 2
 
     The similarity-side estimate is mean(weights * l_us) over the pooled
     (3n,) triplet points plus the coefficient times the unlabeled mean of
-    l_us. The matched rows make it an exactly unbiased estimate of the
+    l_us. Each row makes it an exactly unbiased estimate of the
     unnormalized similarity integral w_plus*E_{P+}[l_us] +
     w_minus*E_{P-}[l_us], whose total mass is mu. mu exceeds 1 for every
-    valid prior, so the plain pooled mean systematically underweights the
-    similarity term by exactly that factor.
+    valid prior, so the pooled mean (weights (1, 1, 1), coefficient 0)
+    systematically underweights the similarity term by exactly that
+    factor; trisim.verify's bias suite measures it.
 
-    The matched rows use only each slot's label marginal, which
+    The rows use only each slot's label marginal, which
     trisim.verify.label_patterns writes down per sampler; given its label, a
     slot holds a class-conditional draw. Under rejection both companions
     are marginal-P draws like the unlabeled pool, so unbiasedness fixes only
@@ -72,10 +68,6 @@ def slot_weights(prior: ClassPrior, sampler_kind: str, estimator: str) -> tuple[
     each sampler gives the closed forms above; trisim.verify checks the
     resulting expectation against the reconstruction integral exactly.
     """
-    if estimator == "plain":
-        return np.ones(3), 0.0
-    if estimator != "matched":
-        raise InvalidInputError(f"unknown estimator {estimator!r}")
     prior.require_non_degenerate()
     pp, pm = prior.pi_plus, prior.pi_minus
     q = 1.0 - pp * pm
@@ -156,9 +148,7 @@ def _side_terms(us_scores, u_scores, prior, us_weights, u_plus_coef):
     u = _check_scores(u_scores, "unlabeled")
     w = _check_weights(us_weights, us.size)
     a, b = _polynomial(prior)
-    us_term = _mean(w * (a * us))
-    if u_plus_coef:
-        us_term += u_plus_coef * _mean(a * u)
+    us_term = _mean(w * (a * us)) + u_plus_coef * _mean(a * u)
     u_term = _mean(1.0 + u * u + b * u)
     if not math.isfinite(us_term + u_term):
         for arr, name in ((us, "similarity scores"), (u, "unlabeled scores"), (w, "us_weights")):
@@ -177,7 +167,7 @@ def empirical_risk(
 ) -> RiskValue:
     """Mean corrected loss on each side, summed, then passed through g.
 
-    With the default arguments both sides are plain sample means. Optional
+    With the default arguments both sides are unweighted sample means. Optional
     per-point similarity weights and a coefficient on the unlabeled pool's
     mean similarity loss support the measure-matched estimate the trainer
     uses (see slot_weights); those extra pieces are folded into us_term.

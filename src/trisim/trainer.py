@@ -30,13 +30,7 @@ from .core import (
 )
 from .model import AdamState, Model, adam_step, backward, forward, init_model
 from .model import accuracy as _accuracy
-from .risk import (
-    ESTIMATORS,
-    RiskValue,
-    empirical_risk,
-    empirical_risk_grad,
-    slot_weights,
-)
+from .risk import RiskValue, empirical_risk, empirical_risk_grad, slot_weights
 from .sampler import disassemble
 
 # A run whose risk or any parameter exceeds this magnitude after an epoch has
@@ -53,7 +47,6 @@ class TrainConfig:
 
     prior: ClassPrior
     correction: CorrectionKind = CorrectionKind.ABS
-    estimator: str = "matched"
     epochs: int = 600
     batch_size: int = 2000
     lr: float = 1e-3
@@ -63,10 +56,6 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.estimator not in ESTIMATORS:
-            raise ConfigurationError(
-                f"estimator must be one of {', '.join(ESTIMATORS)}, got {self.estimator!r}"
-            )
         if self.epochs < 0:
             raise ConfigurationError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 2:
@@ -149,11 +138,9 @@ def train(
     and one log record per epoch. epochs = 0 returns the initialized model
     untouched.
 
-    The estimator's slot_weights are tiled over the triplets. "matched"
-    (default) gives position-dependent weights whose expectation equals the
-    unnormalized similarity integral of the risk reconstruction; "plain"
-    gives the uniform sample mean, whose calibration deficit makes the
-    minimizer degenerate (see trisim.verify's bias suite).
+    The sampler's slot_weights are tiled over the triplets, so the weighted
+    similarity term is an unbiased estimate of the unnormalized similarity
+    integral of the risk reconstruction.
 
     Each epoch draws one permutation per pool, in pool order, and gathers
     rows and weights once into the epoch buffers, batch by batch (see
@@ -176,7 +163,7 @@ def train(
     pool_sizes = (us_rows.shape[0], data.n_unlabeled)
     rows = np.concatenate((us_rows, data.unlabeled))
     us_pool, u_pool = rows[: pool_sizes[0]], rows[pool_sizes[0] :]
-    weights, u_plus_coef = slot_weights(config.prior, data.sampler_kind, config.estimator)
+    weights, u_plus_coef = slot_weights(config.prior, data.sampler_kind)
     # an unlabeled row's value is never read
     row_weights = np.concatenate((np.tile(weights, data.n_triplets), np.zeros(pool_sizes[1])))
     us_weights = row_weights[: pool_sizes[0]]

@@ -1,9 +1,10 @@
 """Brute-force and analytic oracles for every algebraic claim the risk
 machinery rests on, plus a quantified (never asserted-away) measurement of
-the pointwise estimator's bias.
+the bias of the pooled mean, the similarity-side average with no slot
+weights.
 
 The bias suite sums over each sampler's 8 label patterns on a small
-discrete domain, so the expected value of the estimator is computed with no
+discrete domain, so the expected value of that mean is computed with no
 sampling error at all; Monte Carlo through the real samplers then has to
 agree with that enumeration within standard error.
 """
@@ -214,13 +215,18 @@ def label_patterns(prior: ClassPrior, sampler_kind: str) -> np.ndarray:
     raise InvalidInputError(f"unknown sampler kind {sampler_kind!r}")
 
 
+# The pooled mean as a slot_weights row: every slot weighted 1 and no
+# unlabeled coefficient. No trainer uses it; the bias suite measures it.
+POOLED_ROW = (np.ones(3), 0.0)
+
+
 def enumerate_estimator_expectation(
-    domain: DiscreteDomainSpec, sampler_kind: str, estimator: str = "plain"
+    domain: DiscreteDomainSpec, sampler_kind: str, row: tuple[np.ndarray, float]
 ) -> tuple[float, float]:
-    """Exact E[estimator] under the chosen sampler: the mean of the three
-    slot-weighted slot expectations of l_us, plus the estimator's
-    unlabeled-pool coefficient times the marginal expectation of l_us, plus
-    the marginal expectation of l_u.
+    """Exact E[estimator] under the chosen sampler for the slot_weights row
+    (weights, c_u): the mean of the three slot-weighted slot expectations
+    of l_us, plus c_u times the marginal expectation of l_us, plus the
+    marginal expectation of l_u.
 
     Given its label, each triplet member is a class-conditional draw, so a
     slot's expectation is its label marginal from label_patterns times the
@@ -230,7 +236,7 @@ def enumerate_estimator_expectation(
     latter must be 1 up to rounding.
     """
     lus, lu = corrected_losses(domain.scores, domain.prior)
-    weights, c_u = slot_weights(domain.prior, sampler_kind, estimator)
+    weights, c_u = row
     table = label_patterns(domain.prior, sampler_kind)
     slot_labels = [table.sum(axis=(1, 2)), table.sum(axis=(0, 2)), table.sum(axis=(0, 1))]
     e_pos = np.array(slot_labels) @ [domain.p_plus @ lus, domain.p_minus @ lus]
@@ -242,7 +248,7 @@ def check_matched_calibration(n_trials: int = 50, seed: int = 0) -> VerifyReport
     """The measure-matched similarity weighting must make the expected raw
     estimate equal the supervised risk exactly, for both samplers, on random
     discrete domains. This is the constructive counterpart of the bias
-    suite: the plain pooled mean is biased, the matched combination is not."""
+    suite: the pooled mean is biased, the matched combination is not."""
     report = VerifyReport(suite="matched")
     rng = np.random.default_rng(seed)
     worst = dict.fromkeys(SAMPLERS, 0.0)
@@ -250,7 +256,8 @@ def check_matched_calibration(n_trials: int = 50, seed: int = 0) -> VerifyReport
         domain = random_domain(rng)
         supervised = supervised_risk_discrete(domain)
         for kind in worst:
-            expected_raw, _ = enumerate_estimator_expectation(domain, kind, "matched")
+            row = slot_weights(domain.prior, kind)
+            expected_raw, _ = enumerate_estimator_expectation(domain, kind, row)
             worst[kind] = max(worst[kind], abs(expected_raw - supervised))
     for kind, gap in worst.items():
         report.add(f"matched_raw_equals_supervised_{kind}", 0.0, gap, 1e-10)
@@ -263,7 +270,7 @@ def measure_estimator_bias(
     n_mc: int = 50_000,
     seed: int = 0,
 ) -> VerifyReport:
-    """Quantify E[estimator] - supervised risk.
+    """Quantify E[pooled mean] - supervised risk.
 
     The bias is reported, never asserted to be zero: the pooled triplet
     measure the similarity-side average is taken under does not normalize,
@@ -272,7 +279,7 @@ def measure_estimator_bias(
     self-consistency.
     """
     report = VerifyReport(suite="bias")
-    expectation, total_prob = enumerate_estimator_expectation(domain, sampler_kind)
+    expectation, total_prob = enumerate_estimator_expectation(domain, sampler_kind, POOLED_ROW)
     report.add("enumeration_total_probability", 1.0, total_prob, 1e-12)
 
     supervised = supervised_risk_discrete(domain)
@@ -294,7 +301,7 @@ def measure_estimator_bias(
 
 
 def constant_scorer_bias_closed_form(prior: ClassPrior, c: float) -> float:
-    """The plain estimator's bias for a constant scorer z = c, from the prior
+    """The pooled mean's bias for a constant scorer z = c, from the prior
     alone: a reference independent of the thetas and of the polynomial.
     Under either sampler the estimate is l_us(c) + l_u(c) = 1 + c^2 + (a + b)c
     (a = -2q/w, b = 2/w) and the supervised risk is 1 + c^2 - 2wc, so with
@@ -321,7 +328,7 @@ def run_bias_suite(seed: int = 0, n_mc: int = 50_000) -> VerifyReport:
         )
         closed = constant_scorer_bias_closed_form(prior, c)
         for kind in SAMPLERS:
-            expectation, _ = enumerate_estimator_expectation(domain, kind)
+            expectation, _ = enumerate_estimator_expectation(domain, kind, POOLED_ROW)
             delta = expectation - supervised_risk_discrete(domain)
             report.add(f"constant_scorer_c={c}_{kind}", closed, delta, 1e-10)
 
@@ -359,8 +366,8 @@ def check_gradients(n_trials: int = 50, seed: int = 0) -> VerifyReport:
         theta += 0.3 * rng.standard_normal(theta.shape)
         x_us = rng.uniform(-1.5, 1.5, size=(int(rng.integers(3, 9)) * 3, dim))
         x_u = rng.uniform(-1.5, 1.5, size=(int(rng.integers(2, 7)), dim))
-        # alternate between the plain estimator and a weighted similarity
-        # term of the kind the matched trainer uses
+        # alternate between the unweighted terms compute_thetas reads and a
+        # weighted similarity term of the kind the trainer uses
         if trial % 2 == 1:
             us_weights = rng.uniform(-2.0, 3.0, size=x_us.shape[0])
             u_plus_coef = float(rng.uniform(-1.0, 1.0))

@@ -64,7 +64,7 @@ def reference_train(config, data, eval_set):
     """The weak trainer's objective through reference_loop."""
     us_pool = data.triplets.reshape(-1, data.triplets.shape[2])
     u_pool = data.unlabeled
-    weights, u_plus_coef = slot_weights(config.prior, data.sampler_kind, config.estimator)
+    weights, u_plus_coef = slot_weights(config.prior, data.sampler_kind)
     us_weights = np.tile(weights, data.n_triplets)
     model = init_model(config.model_kind, us_pool.shape[1], config.hidden, seed=config.seed)
 

@@ -21,6 +21,7 @@ from trisim.evaluation import sweep, weak_run
 from trisim.risk import DiscreteDomainSpec
 from trisim.trainer import TrainConfig
 from trisim.verify import (
+    POOLED_ROW,
     check_acceptance_rate,
     check_error_trend,
     check_gradients,
@@ -88,7 +89,7 @@ def test_criterion_4_estimator_bias_oracle():
         closed = constant_scorer_bias_closed_form(prior, c)
         assert abs(closed - (-2.8 * c)) < 1e-12  # closed form is -2.8c at pi=0.4
         for kind in ("rejection", "paper_case"):
-            expectation, total = enumerate_estimator_expectation(domain, kind)
+            expectation, total = enumerate_estimator_expectation(domain, kind, POOLED_ROW)
             assert abs(total - 1.0) < 1e-12
             delta = expectation - supervised_risk_discrete(domain)
             worst_closed = max(worst_closed, abs(delta - closed))

@@ -665,6 +665,25 @@ def test_negative_seed_exits_usage(tmp_path, capsys, monkeypatch, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "source,value", [("flag", "plain"), ("config", "matched")], ids=["flag", "config"]
+)
+def test_estimator_is_not_an_option(tmp_path, capsys, source, value):
+    # the matched estimator is not an option: no --estimator flag, no config key
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"estimator={value}\n")
+    extra = ["--estimator", value] if source == "flag" else ["--config", str(cfg)]
+    out = tmp_path / "m.json"
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--us", "t.jsonl", "--u", "u.jsonl", "--pi", "0.4", *extra,
+              "--out", str(out)])
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == f"trisim: error: unrecognized arguments: --estimator {value}"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]  # no model, no manifest
+
+
 class TestConfigInjection:
     def test_flags_win_over_config_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -3,8 +3,8 @@
 
 The chain covers synth at d = 2 and 3, make-weak under both samplers with
 and without --pi (plus one rejection draw large enough to span several of
-the sampler's blocks), train (linear abs, none, plain and no weight decay, an MLP
-with max_zero, and zero epochs), eval, and the fast verify suites at four
+the sampler's blocks), train (linear abs, none and no weight decay, an MLP with
+max_zero, and zero epochs), eval, and the fast verify suites at four
 seeds. A change that keeps the bytes leaves every digest as it is. A change
 that moves bytes on purpose rewrites the ledger with
 
@@ -51,8 +51,6 @@ COMMANDS = [
      "--out-dir", "blocks"],
     ["train", *_REJ, *_TRAIN, "--test", "d2.csv", "--out", "abs.json"],
     ["train", *_REJ, *_TRAIN, "--correction", "none", "--out", "none.json"],
-    ["train", "--us", "case/triplets.jsonl", "--u", "case/unlabeled.jsonl", "--pi", "0.4",
-     "--sampler", "paper_case", "--estimator", "plain", *_TRAIN, "--out", "plain.json"],
     ["train", "--us", "case-pi/triplets.jsonl", "--u", "case-pi/unlabeled.jsonl", "--pi", "0.7",
      "--sampler", "paper_case", "--weight-decay", "0", *_TRAIN, "--seed", "7",
      "--out", "wd0.json"],

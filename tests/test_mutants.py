@@ -51,9 +51,9 @@ def _side_terms_u_plus_one(original):
 
 def _rejection_c_u_without_q(original):
     # matched rejection's unlabeled coefficient -2 pi+ pi- in place of -2 pi+ pi- / q
-    def mutant(prior, sampler_kind, estimator):
-        weights, c_u = original(prior, sampler_kind, estimator)
-        if sampler_kind == "rejection" and estimator == "matched":
+    def mutant(prior, sampler_kind):
+        weights, c_u = original(prior, sampler_kind)
+        if sampler_kind == "rejection":
             c_u *= 1.0 - prior.pi_plus * prior.pi_minus
         return weights, c_u
 

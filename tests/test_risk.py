@@ -1,6 +1,6 @@
 """Unit tests for the risk machinery: coefficients, corrected losses, the
-empirical estimator (plain and measure-matched), and the discrete-domain
-reconstruction identity."""
+empirical estimator (unweighted and measure-matched), the matched risk as
+the UU risk, and the discrete-domain reconstruction identity."""
 import numpy as np
 import pytest
 
@@ -21,7 +21,7 @@ from trisim.risk import (
     slot_weights,
     supervised_risk_discrete,
 )
-from trisim.verify import default_prior_grid
+from trisim.verify import default_prior_grid, label_patterns
 
 PRIOR = ClassPrior(0.4)
 
@@ -184,7 +184,7 @@ def _matched_coefficients(prior, kind):
     """(c_anchor, c_companion, c_unlabeled) read off the matched row: the
     anchor mean's weight, the weight on the mean over both companions, and
     the unlabeled coefficient."""
-    weights, c_u = slot_weights(prior, kind, "matched")
+    weights, c_u = slot_weights(prior, kind)
     return weights[0] / 3.0, (weights[1] + weights[2]) / 3.0, c_u
 
 
@@ -202,7 +202,7 @@ class TestMatchedCoefficients:
             assert mass == pytest.approx(1.04 / 0.76)
 
     def test_rejection_coefficients(self):
-        weights, c_u = slot_weights(ClassPrior(0.4), "rejection", "matched")
+        weights, c_u = slot_weights(ClassPrior(0.4), "rejection")
         np.testing.assert_array_equal(weights, [6.0, 0.0, 0.0])
         c_a, c_c, c_u = _matched_coefficients(ClassPrior(0.4), "rejection")
         assert c_a == pytest.approx(2.0)
@@ -219,7 +219,7 @@ class TestMatchedCoefficients:
 
     def test_unknown_sampler_raises(self):
         with pytest.raises(InvalidInputError):
-            slot_weights(ClassPrior(0.4), "other", "matched")
+            slot_weights(ClassPrior(0.4), "other")
 
     def test_point_weights_reproduce_position_means(self):
         prior = ClassPrior(0.3)
@@ -228,7 +228,7 @@ class TestMatchedCoefficients:
         for kind in ("rejection", "paper_case"):
             c_a, c_c, c_u = table[kind]
             n = 4
-            weights, u_coef = slot_weights(prior, kind, "matched")
+            weights, u_coef = slot_weights(prior, kind)
             w = np.tile(weights, n)
             assert w.shape == (3 * n,)
             assert u_coef == pytest.approx(c_u)
@@ -239,6 +239,42 @@ class TestMatchedCoefficients:
             assert float(np.mean(w * losses)) == pytest.approx(
                 c_a * anchors.mean() + c_c * companions.mean()
             )
+
+
+def _square(z):
+    return (1.0 - z) ** 2
+
+
+@pytest.mark.parametrize("kind", ["rejection", "paper_case"])
+@pytest.mark.parametrize("pi", [0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 0.9])
+def test_matched_risk_is_the_uu_risk(kind, pi):
+    # Learning from two unlabeled sets (Lu, Niu, Menon, Sugiyama, ICLR 2019):
+    # set A is the slots with nonzero weight, whose class prior theta is the
+    # mean positive marginal of those slots, and set U is the unlabeled pool.
+    # With K = pi+ pi- / (theta - pi+), the matched risk is
+    # K mean_A(l(z) - l(-z)) + mean_U(l(z) - (theta / pi+) K (l(z) - l(-z))).
+    prior = ClassPrior(pi)
+    pp, pm = prior.pi_plus, prior.pi_minus
+    weights, c_u = slot_weights(prior, kind)
+    table = label_patterns(prior, kind)
+    positive = np.array([table[0].sum(), table[:, 0].sum(), table[:, :, 0].sum()])
+    in_a = weights != 0
+    theta = positive[in_a].mean()
+    k = pp * pm / (theta - pp)
+    w = pp - pm
+    closed = (1.0 - pp * pm) / w if kind == "rejection" else 1.5 * (pp * pp + pm * pm) / w
+    assert k == pytest.approx(closed, abs=1e-12, rel=0)
+    rng = np.random.default_rng([int(10 * pi), len(kind)])
+    for _ in range(20):
+        us = rng.normal(scale=2.0, size=(7, 3))
+        u = rng.normal(scale=2.0, size=11)
+        got = empirical_risk(
+            us.ravel(), u, prior, CorrectionKind.NONE, np.tile(weights, 7), c_u
+        ).raw
+        a = us[:, in_a]
+        odd_a, odd_u = _square(a) - _square(-a), _square(u) - _square(-u)
+        uu = k * odd_a.mean() + np.mean(_square(u) - theta / pp * k * odd_u)
+        assert got == pytest.approx(uu, abs=1e-12, rel=0)
 
 
 class TestDiscreteDomain:

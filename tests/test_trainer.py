@@ -58,10 +58,6 @@ class TestTrainConfig:
         with pytest.raises(ConfigurationError):
             _config(batch_size=1)
 
-    def test_rejects_unknown_estimator(self):
-        with pytest.raises(ConfigurationError):
-            _config(estimator="exotic")
-
     @pytest.mark.parametrize(
         "rates", [dict(lr=np.nan), dict(lr=np.inf), dict(lr=0.0), dict(lr=-1.0),
                   dict(weight_decay=-5.0), dict(weight_decay=np.nan), dict(weight_decay=np.inf)]
@@ -81,7 +77,6 @@ class TestTrainConfig:
     def test_defaults(self):
         cfg = TrainConfig(prior=ClassPrior(0.4))
         assert cfg.correction is CorrectionKind.ABS
-        assert cfg.estimator == "matched"
         assert cfg.model_kind == "linear"
 
 
@@ -150,13 +145,6 @@ class TestTrain:
         assert all(r.test_accuracy is not None for r in log.records)
         _, log = train(_config(), _data())
         assert all(r.test_accuracy is None for r in log.records)
-
-    def test_plain_estimator_differs_from_matched(self):
-        data = _data()
-        m_matched, _ = train(_config(), data)
-        m_plain, _ = train(_config(estimator="plain"), data)
-        diff = np.max(np.abs(m_matched.weights - m_plain.weights))
-        assert diff > 0
 
     @pytest.mark.parametrize("kind", ["rejection", "paper_case"])
     def test_runs_for_both_samplers(self, kind):

@@ -29,6 +29,7 @@ from trisim.sampler import (
 )
 from trisim.verify import (
     _spearman,
+    POOLED_ROW,
     VerifyReport,
     check_acceptance_rate,
     check_error_trend,
@@ -210,7 +211,7 @@ class TestIdentityAndAcceptance:
 class TestEnumeration:
     def test_total_probability_is_one(self):
         for kind in ("rejection", "paper_case"):
-            _, total = enumerate_estimator_expectation(_domain(), kind)
+            _, total = enumerate_estimator_expectation(_domain(), kind, POOLED_ROW)
             assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_label_patterns_sum_to_one(self):
@@ -229,18 +230,20 @@ class TestEnumeration:
         rng = np.random.default_rng(7)
         for _ in range(300):
             d = random_domain(rng)
-            for kind, estimator in itertools.product(SAMPLERS, ("plain", "matched")):
-                lus, lu = corrected_losses(d.scores, d.prior)
-                weights, c_u = slot_weights(d.prior, kind, estimator)
+            lus, lu = corrected_losses(d.scores, d.prior)
+            for kind in SAMPLERS:
                 e_pos, total = reference_position_expectations(d, kind, lus)
-                expected = (
-                    float(np.mean(weights * e_pos))
-                    + c_u * float(np.sum(d.p_marginal * lus))
-                    + float(np.sum(d.p_marginal * lu))
-                )
-                got, got_total = enumerate_estimator_expectation(d, kind, estimator)
-                assert got == pytest.approx(expected, abs=1e-13, rel=0)
-                assert got_total == pytest.approx(total, abs=1e-13, rel=0)
+                # the pooled row the bias suite measures, then the matched row
+                for row in (POOLED_ROW, slot_weights(d.prior, kind)):
+                    weights, c_u = row
+                    expected = (
+                        float(np.mean(weights * e_pos))
+                        + c_u * float(np.sum(d.p_marginal * lus))
+                        + float(np.sum(d.p_marginal * lu))
+                    )
+                    got, got_total = enumerate_estimator_expectation(d, kind, row)
+                    assert got == pytest.approx(expected, abs=1e-13, rel=0)
+                    assert got_total == pytest.approx(total, abs=1e-13, rel=0)
 
     def test_matched_unbiased_beyond_the_old_cap(self):
         # far past support 8, where a K^3 joint refused to enumerate
@@ -253,7 +256,7 @@ class TestEnumeration:
                 scores=rng.uniform(-2.0, 2.0, size=64),
             )
             for kind in SAMPLERS:
-                got, total = enumerate_estimator_expectation(d, kind, "matched")
+                got, total = enumerate_estimator_expectation(d, kind, slot_weights(d.prior, kind))
                 assert got == pytest.approx(supervised_risk_discrete(d), abs=1e-10, rel=0)
                 assert total == pytest.approx(1.0, abs=1e-12)
 
@@ -282,7 +285,7 @@ class TestEnumeration:
 
     def test_unknown_kind_raises(self):
         with pytest.raises(ValueError):
-            enumerate_estimator_expectation(_domain(), "other")
+            enumerate_estimator_expectation(_domain(), "other", POOLED_ROW)
         with pytest.raises(InvalidInputError):
             label_patterns(ClassPrior(0.4), "other")
 
@@ -299,20 +302,20 @@ class TestBiasSuite:
     @pytest.mark.parametrize("pi", [0.1, 0.3, 0.45, 0.6, 0.85])
     def test_constant_scorer_closed_form_matches_enumeration(self, pi):
         # the prior-only closed form against the exact expectation of the
-        # plain estimator, away from the prior the bias suite uses
+        # pooled mean, away from the prior the bias suite uses
         prior = ClassPrior(pi)
         for c in (-1.5, -0.5, 0.25, 2.0):
             domain = DiscreteDomainSpec(np.array([0.7, 0.3]), np.array([0.2, 0.8]), prior,
                                         np.array([c, c]))
             closed = constant_scorer_bias_closed_form(prior, c)
             for kind in SAMPLERS:
-                expectation, _ = enumerate_estimator_expectation(domain, kind)
+                expectation, _ = enumerate_estimator_expectation(domain, kind, POOLED_ROW)
                 delta = expectation - supervised_risk_discrete(domain)
                 assert delta == pytest.approx(closed, abs=1e-10)
 
     def test_plain_estimator_bias_is_nonzero(self):
         # the headline fact: the pooled sample mean is NOT unbiased
-        expectation, _ = enumerate_estimator_expectation(_domain(), "rejection")
+        expectation, _ = enumerate_estimator_expectation(_domain(), "rejection", POOLED_ROW)
         bias = expectation - supervised_risk_discrete(_domain())
         assert abs(bias) > 1e-3
 
