@@ -76,7 +76,7 @@ def _digest(path) -> str:
 
 def _flags(args) -> dict:
     """The resolved flags, sorted by name, for manifests and model files."""
-    return {k: v for k, v in sorted(vars(args).items()) if k != "func"}
+    return {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "parser")}
 
 
 def _write_manifest(subcommand, args, inputs, outputs, started) -> dict:
@@ -152,7 +152,7 @@ def cmd_make_weak(args) -> int:
     unlabeled_path = out_dir / "unlabeled.jsonl"
     write_triplets_jsonl(triplets_path, data.triplets)
     write_unlabeled_jsonl(unlabeled_path, data.unlabeled)
-    meta_path = write_weak_meta(out_dir, data)
+    meta_path = write_weak_meta(out_dir, data, source.prior)
     _write_manifest(
         "make-weak", args, [args.input], [triplets_path, unlabeled_path, meta_path], started
     )
@@ -183,9 +183,8 @@ def _read_test(path, dim: int, against: str):
 
 def cmd_train(args) -> int:
     started = time.monotonic()
-    prior = ClassPrior(args.pi)
-    config = _train_config(args, prior)
-    data = read_weak_dataset(args.us, args.u, prior, sampler_kind=args.sampler)
+    config = _train_config(args, ClassPrior(args.pi))
+    data = read_weak_dataset(args.us, args.u, sampler_kind=args.sampler)
     width = data.triplets.shape[2]
     eval_set = _read_test(args.test, width, "the weak data have") if args.test else None
     model, log = train(config, data, eval_set)
@@ -193,8 +192,8 @@ def cmd_train(args) -> int:
     log_path = args.log or (args.out + ".log.csv")
     write_train_log_csv(log_path, log)
     inputs = [args.us, args.u] + ([args.test] if args.test else [])
-    if eval_set is not None and log.records:
-        print(f"final test accuracy: {log.records[-1].test_accuracy}")
+    if eval_set is not None and log:
+        print(f"final test accuracy: {log[-1].test_accuracy}")
     _write_manifest("train", args, inputs, [args.out, log_path], started)
     return EXIT_OK
 
@@ -357,6 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for p in sub.choices.values():
         p.add_argument("--config", help="key=value config file, given at most once; flags win")
+        p.set_defaults(parser=p)  # a leftover argument is the subcommand's usage error
     return parser
 
 
@@ -404,7 +404,9 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(_inject_config(argv))
+        args, extra = parser.parse_known_args(_inject_config(argv))
+        if extra:
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
         return args.func(args)
     except TrisimError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -100,14 +100,12 @@ class CorrectionKind(str, enum.Enum):
 @dataclass(frozen=True)
 class WeakDataset:
     """Training input: triplets stacked as (n_triplets, 3, d), unlabeled
-    points as (n_unlabeled, d), a prior, and the sampler that produced the
-    triplets (the matched weights depend on it). make_weak_dataset stores the
-    generation prior, which weak.json records; read_weak_dataset stores the
-    prior its caller gives (train's --pi), unread: training uses TrainConfig.prior."""
+    points as (n_unlabeled, d), and the sampler that produced the triplets
+    (the matched weights depend on it). The prior is not part of the data:
+    training takes it from TrainConfig.prior."""
 
     triplets: np.ndarray
     unlabeled: np.ndarray
-    prior: ClassPrior
     sampler_kind: str = "rejection"
 
     def __post_init__(self):

@@ -20,7 +20,7 @@ import numpy as np
 from .core import ClassPrior, InvalidInputError, LabeledPool, WeakDataset
 from .evaluation import SweepResult
 from .model import Model, deserialize_model, serialize_model
-from .trainer import EpochRecord, TrainLog
+from .trainer import EpochRecord
 
 TRIPLET_KEYS = ("anchor", "c1", "c2")
 WEAK_META = "weak.json"  # beside the two JSONL files: how the weak data was made
@@ -185,12 +185,13 @@ def read_unlabeled_jsonl(path) -> np.ndarray:
     return _read_jsonl(path, ("x",), "unlabeled points")[:, 0]
 
 
-def write_weak_meta(out_dir, data: WeakDataset) -> Path:
-    """Write WEAK_META into out_dir: the sampler, the prior used, d and the
-    two counts. Returns its path."""
+def write_weak_meta(out_dir, data: WeakDataset, prior: ClassPrior) -> Path:
+    """Write WEAK_META into out_dir: the sampler, the prior the data were
+    drawn under (the caller's source prior), d and the two counts. Returns
+    its path."""
     meta = {
         "sampler": data.sampler_kind,
-        "pi_plus": data.prior.pi_plus,
+        "pi_plus": prior.pi_plus,
         "d": data.triplets.shape[2],
         "n_us": data.n_triplets,
         "n_u": data.n_unlabeled,
@@ -220,17 +221,14 @@ def _check_weak_meta(path, data: WeakDataset, triplets_path, unlabeled_path) -> 
             raise InvalidInputError(f"{path}: {key} is {meta[key]!r}, but {where} {value!r}")
 
 
-def read_weak_dataset(
-    triplets_path, unlabeled_path, prior: ClassPrior, sampler_kind: str = "rejection"
-) -> WeakDataset:
+def read_weak_dataset(triplets_path, unlabeled_path, sampler_kind: str = "rejection") -> WeakDataset:
     """The two JSONL files as a WeakDataset. When WEAK_META sits beside the
     triplets file, its sampler, d and counts must match sampler_kind and
-    the files; its prior is not compared, because training under a
-    misspecified prior is studied on purpose."""
+    the files; its prior is not read, because training takes the prior it
+    is given, and training under a misspecified prior is studied on purpose."""
     data = WeakDataset(
         triplets=read_triplets_jsonl(triplets_path),
         unlabeled=read_unlabeled_jsonl(unlabeled_path),
-        prior=prior,
         sampler_kind=sampler_kind,
     )
     meta_path = Path(triplets_path).with_name(WEAK_META)
@@ -259,14 +257,14 @@ def read_model(path) -> Model:
         raise InvalidInputError(f"{path}: {exc}") from None
 
 
-def write_train_log_csv(path, log: TrainLog) -> None:
+def write_train_log_csv(path, log: list[EpochRecord]) -> None:
     """One row per EpochRecord, its fields in order, values in repr form and
     a missing test accuracy as an empty cell."""
     names = [f.name for f in fields(EpochRecord)]
     line = ",".join(["%s"] * len(names)) + "\r\n"
-    values = (getattr(record, name) for record in log.records for name in names)
+    values = (getattr(record, name) for record in log for name in names)
     cells = ["" if v is None else repr(v) for v in values]
-    Path(path).write_text(line % tuple(names) + line * len(log.records) % tuple(cells), newline="")
+    Path(path).write_text(line % tuple(names) + line * len(log) % tuple(cells), newline="")
 
 
 def write_sweep_csv(path, result: SweepResult) -> None:

@@ -79,11 +79,10 @@ def slot_weights(prior: ClassPrior, sampler_kind: str) -> tuple[np.ndarray, floa
     raise InvalidInputError(f"unknown sampler kind {sampler_kind!r}")
 
 
-def square_loss(scores, labels) -> tuple[np.ndarray, np.ndarray]:
-    """Per-label square loss (1 - y*z)^2 and its derivative in z, for
-    labels y in {+1, -1} broadcast against the scores."""
-    margin = 1.0 - labels * np.asarray(scores, dtype=float)
-    return margin**2, -2.0 * labels * margin
+def square_loss(scores, labels) -> np.ndarray:
+    """Per-label square loss (1 - y*z)^2, for labels y in {+1, -1}
+    broadcast against the scores."""
+    return (1.0 - labels * np.asarray(scores, dtype=float)) ** 2
 
 
 def _polynomial(prior: ClassPrior) -> tuple[float, float]:
@@ -252,8 +251,8 @@ class DiscreteDomainSpec:
 def supervised_risk_discrete(domain: DiscreteDomainSpec) -> float:
     """Prior-weighted class-conditional expectation of the per-label losses,
     taken as an exact sum over the support."""
-    pos = float(np.sum(domain.p_plus * square_loss(domain.scores, 1)[0]))
-    neg = float(np.sum(domain.p_minus * square_loss(domain.scores, -1)[0]))
+    pos = float(np.sum(domain.p_plus * square_loss(domain.scores, 1)))
+    neg = float(np.sum(domain.p_minus * square_loss(domain.scores, -1)))
     return domain.prior.pi_plus * pos + domain.prior.pi_minus * neg
 
 

@@ -1,5 +1,5 @@
-"""Weak-supervision generation: labeled sources, the two triplet samplers,
-unlabeled pools, and triplet disassembly.
+"""Weak-supervision generation: labeled sources, the two triplet samplers
+and unlabeled pools.
 
 A source is anything with a ``prior`` (a ClassPrior) and a
 ``draw_class(rng, label, n)`` that returns n feature rows of one class.
@@ -292,21 +292,7 @@ def make_weak_dataset(
     else:
         triplets = sample_triplets_paper_case(source, n_us, rng_us)
     unlabeled = sample_unlabeled(source, n_u, np.random.default_rng(ss_u))
-    return WeakDataset(
-        triplets=triplets,
-        unlabeled=unlabeled,
-        prior=source.prior,
-        sampler_kind=sampler_kind,
-    )
-
-
-def disassemble(triplets: np.ndarray) -> np.ndarray:
-    """Flatten (n, 3, d) triplets to the 3n pointwise instances, in order
-    (anchor, first companion, second companion) per triplet."""
-    t = np.asarray(triplets, dtype=float)
-    if t.ndim != 3 or t.shape[1] != 3:
-        raise ShapeError(f"expected shape (n, 3, d), got {t.shape}")
-    return t.reshape(3 * len(t), t.shape[2])
+    return WeakDataset(triplets=triplets, unlabeled=unlabeled, sampler_kind=sampler_kind)
 
 
 def synth_gaussian_labeled(spec: GaussianSourceSpec, n: int, seed: int) -> LabeledPool:

@@ -15,7 +15,7 @@ parameter vector, model.theta, as a single array.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .core import (
 from .model import AdamState, Model, adam_step, backward, forward, init_model
 from .model import accuracy as _accuracy
 from .risk import RiskValue, empirical_risk, empirical_risk_grad, slot_weights
-from .sampler import disassemble
 
 # A run whose risk or any parameter exceeds this magnitude after an epoch has
 # diverged. Converging runs stay many orders of magnitude below it, and a
@@ -75,11 +74,6 @@ class EpochRecord:
     us_term: float
     u_term: float
     test_accuracy: float | None = None
-
-
-@dataclass
-class TrainLog:
-    records: list[EpochRecord] = field(default_factory=list)
 
 
 def _batch_plan(pool_sizes: tuple[int, ...], batch_size: int) -> int:
@@ -133,14 +127,15 @@ def train(
     config: TrainConfig,
     data: WeakDataset,
     eval_set: LabeledPool | None = None,
-) -> tuple[Model, TrainLog]:
+) -> tuple[Model, list[EpochRecord]]:
     """Minimize the corrected weak-supervision risk; returns the final model
-    and one log record per epoch. epochs = 0 returns the initialized model
-    untouched.
+    and the log, one EpochRecord per epoch. epochs = 0 returns the
+    initialized model untouched and an empty log.
 
-    The sampler's slot_weights are tiled over the triplets, so the weighted
-    similarity term is an unbiased estimate of the unnormalized similarity
-    integral of the risk reconstruction.
+    The triplets are flattened to 3n similarity rows, (anchor, c1, c2) per
+    triplet, and the sampler's slot_weights are tiled over them, so the
+    weighted similarity term is an unbiased estimate of the unnormalized
+    similarity integral of the risk reconstruction.
 
     Each epoch draws one permutation per pool, in pool order, and gathers
     rows and weights once into the epoch buffers, batch by batch (see
@@ -156,10 +151,11 @@ def train(
         raise InsufficientDataError(
             "training needs at least one triplet and one unlabeled point"
         )
-    us_rows = disassemble(data.triplets)
-    model = init_model(config.model_kind, us_rows.shape[1], config.hidden, seed=config.seed)
+    n, _, d = data.triplets.shape  # -1 in place of 3n would fail at d = 0
+    us_rows = data.triplets.reshape(3 * n, d)
+    model = init_model(config.model_kind, d, config.hidden, seed=config.seed)
     if config.epochs == 0:
-        return model, TrainLog()
+        return model, []
     pool_sizes = (us_rows.shape[0], data.n_unlabeled)
     rows = np.concatenate((us_rows, data.unlabeled))
     us_pool, u_pool = rows[: pool_sizes[0]], rows[pool_sizes[0] :]
@@ -180,7 +176,7 @@ def train(
     _, ss_shuffle = np.random.SeedSequence(config.seed).spawn(2)
     rng = np.random.default_rng(ss_shuffle)
     state = AdamState.for_theta(model.theta, lr=config.lr, weight_decay=config.weight_decay)
-    log = TrainLog()
+    log = []
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         for epoch in range(1, config.epochs + 1):
             try:
@@ -216,7 +212,7 @@ def train(
                 reason = str(exc)
             if reason:
                 raise TrainingDivergedError(f"training diverged at epoch {epoch}: {reason}")
-            log.records.append(
+            log.append(
                 EpochRecord(
                     epoch=epoch,
                     raw_risk=rv.raw,

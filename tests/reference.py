@@ -12,7 +12,9 @@ optimizer bookkeeping.
 
 reference_supervised runs the same loop on the plain supervised square
 risk; it is the one implementation of the supervised upper reference
-(criterion 6), and tests/test_trainer_golden.py pins its bits.
+(criterion 6), and tests/test_trainer_golden.py pins its bits. The
+derivative of the square loss, which only this oracle needs, is
+square_loss_grad.
 
 pytest does not collect this module; the test modules import it.
 """
@@ -24,6 +26,11 @@ from trisim.evaluation import derive_seeds
 from trisim.model import accuracy, backward, forward, init_model
 from trisim.risk import RiskValue, empirical_risk, empirical_risk_grad, slot_weights, square_loss
 from trisim.sampler import synth_gaussian_labeled
+
+
+def square_loss_grad(scores, labels):
+    """d/dz of risk.square_loss, (1 - y*z)^2, for labels y in {+1, -1}."""
+    return -2.0 * labels * (1.0 - labels * np.asarray(scores, dtype=float))
 
 
 def reference_loop(config, model, pool_sizes, batch_upstream, epoch_risk, eval_set):
@@ -93,12 +100,10 @@ def reference_supervised(config, labeled, eval_set):
 
     def batch_upstream(model, idx):
         x = labeled.x[idx]
-        _, dloss = square_loss(forward(model, x), labeled.y[idx])
-        return x, dloss / idx.size
+        return x, square_loss_grad(forward(model, x), labeled.y[idx]) / idx.size
 
     def epoch_risk(model):
-        loss, _ = square_loss(forward(model, labeled.x), labeled.y)
-        risk = float(np.mean(loss))
+        risk = float(np.mean(square_loss(forward(model, labeled.x), labeled.y)))
         return RiskValue(us_term=risk, u_term=0.0, raw=risk, corrected=risk)
 
     return reference_loop(config, model, (len(labeled),), batch_upstream, epoch_risk, eval_set)

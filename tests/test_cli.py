@@ -18,7 +18,7 @@ from trisim.cli import (
     _inject_config,
     main,
 )
-from trisim.dataio import read_triplets_jsonl, read_unlabeled_jsonl
+from trisim.dataio import read_labeled_csv, read_triplets_jsonl, read_unlabeled_jsonl
 
 
 def _synth(tmp_path, name="data.csv", n=200, seed=1):
@@ -443,6 +443,19 @@ class TestWeakMeta:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"error: {out_dir / 'weak.json'}: n_us is 40, but {triplets} holds 39"]
 
+    @pytest.mark.parametrize("pi", [["--pi", "0.3"], []], ids=["given", "label-counts"])
+    @pytest.mark.parametrize("sampler", ["rejection", "paper_case"])
+    def test_records_the_prior_the_data_were_drawn_under(self, tmp_path, capsys, sampler, pi):
+        data = _synth(tmp_path, n=201)  # 80 positives: a frequency other than synth's --pi
+        out_dir = tmp_path / "weak"
+        rc = main(["make-weak", "--in", str(data), "--n-us", "40", "--n-u", "60",
+                   "--sampler", sampler, *pi, "--out-dir", str(out_dir)])
+        assert rc == EXIT_OK
+        capsys.readouterr()
+        # without --pi the pool is drawn under its own label frequency
+        want = 0.3 if pi else float(np.mean(read_labeled_csv(data).y == 1))
+        assert json.loads((out_dir / "weak.json").read_text())["pi_plus"] == want
+
     def test_no_sidecar_trains_as_asked(self, tmp_path, capsys):
         out_dir = self._paper_case_weak(tmp_path)
         (out_dir / "weak.json").unlink()
@@ -666,22 +679,33 @@ def test_negative_seed_exits_usage(tmp_path, capsys, monkeypatch, argv):
 
 
 @pytest.mark.parametrize(
-    "source,value", [("flag", "plain"), ("config", "matched")], ids=["flag", "config"]
+    "subcommand,source,value",
+    [
+        ("train", "flag", "plain"),
+        ("train", "config", "matched"),
+        ("sweep", "flag", "plain"),
+        ("sweep", "config", "matched"),
+    ],
+    ids=["flag", "config", "sweep-flag", "sweep-config"],
 )
-def test_estimator_is_not_an_option(tmp_path, capsys, source, value):
-    # the matched estimator is not an option: no --estimator flag, no config key
+def test_estimator_is_not_an_option(tmp_path, capsys, subcommand, source, value):
+    # the matched estimator is not an option: no --estimator flag, no config
+    # key; the usage error names the subcommand whose flags were expected
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"estimator={value}\n")
     extra = ["--estimator", value] if source == "flag" else ["--config", str(cfg)]
-    out = tmp_path / "m.json"
+    required = {
+        "train": ["--us", "t.jsonl", "--u", "u.jsonl", "--pi", "0.4"],
+        "sweep": ["--kind", "fraction", "--pi", "0.4"],
+    }
     capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
-        main(["train", "--us", "t.jsonl", "--u", "u.jsonl", "--pi", "0.4", *extra,
-              "--out", str(out)])
+        main([subcommand, *required[subcommand], *extra, "--out", str(tmp_path / "out")])
     assert exc.value.code == EXIT_USAGE
     err = capsys.readouterr().err.splitlines()
-    assert err[-1] == f"trisim: error: unrecognized arguments: --estimator {value}"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]  # no model, no manifest
+    assert err[0].startswith(f"usage: trisim {subcommand} [-h] ")
+    assert err[-1] == f"trisim {subcommand}: error: unrecognized arguments: --estimator {value}"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]  # no output, no manifest
 
 
 class TestConfigInjection:

@@ -14,6 +14,8 @@ from trisim.core import (
 )
 from trisim.risk import square_loss
 
+from reference import square_loss_grad
+
 
 class TestClassPrior:
     def test_pi_minus_complements(self):
@@ -34,19 +36,20 @@ class TestClassPrior:
 
 class TestSquareLoss:
     def test_pinned_values(self):
-        assert square_loss(0.0, 1)[0] == pytest.approx(1.0)
-        assert square_loss(1.0, 1)[0] == pytest.approx(0.0)
-        assert square_loss(1.0, -1)[0] == pytest.approx(4.0)
-        assert square_loss(-0.5, -1)[0] == pytest.approx(0.25)
+        assert square_loss(0.0, 1) == pytest.approx(1.0)
+        assert square_loss(1.0, 1) == pytest.approx(0.0)
+        assert square_loss(1.0, -1) == pytest.approx(4.0)
+        assert square_loss(-0.5, -1) == pytest.approx(0.25)
 
     def test_gradient_matches_finite_difference(self):
+        # the derivative lives with the supervised oracle, its one reader
         rng = np.random.default_rng(0)
         eps = 1e-6
         for _ in range(20):
             z = float(rng.uniform(-2, 2))
             y = int(rng.choice([1, -1]))
-            fd = (square_loss(z + eps, y)[0] - square_loss(z - eps, y)[0]) / (2 * eps)
-            assert square_loss(z, y)[1] == pytest.approx(fd, abs=1e-6)
+            fd = (square_loss(z + eps, y) - square_loss(z - eps, y)) / (2 * eps)
+            assert square_loss_grad(z, y) == pytest.approx(fd, abs=1e-6)
 
 
 class TestCorrectionKind:
@@ -78,7 +81,6 @@ class TestContainers:
         data = WeakDataset(
             triplets=np.zeros((4, 3, 2)),
             unlabeled=np.zeros((7, 2)),
-            prior=ClassPrior(0.4),
         )
         assert data.n_triplets == 4
         assert data.n_unlabeled == 7
@@ -89,15 +91,18 @@ class TestContainers:
             WeakDataset(
                 triplets=np.zeros((4, 3, 2)),
                 unlabeled=np.zeros((7, 3)),
-                prior=ClassPrior(0.4),
             )
+
+    @pytest.mark.parametrize("shape", [(4, 2, 2), (4, 6), (4, 3, 1, 2)])
+    def test_weak_dataset_rejects_non_triplet_shape(self, shape):
+        with pytest.raises(ShapeError):
+            WeakDataset(triplets=np.zeros(shape), unlabeled=np.zeros((7, 2)))
 
     def test_weak_dataset_rejects_unknown_sampler(self):
         with pytest.raises(InvalidInputError):
             WeakDataset(
                 triplets=np.zeros((1, 3, 2)),
                 unlabeled=np.zeros((1, 2)),
-                prior=ClassPrior(0.4),
                 sampler_kind="mystery",
             )
 

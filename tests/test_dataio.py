@@ -31,7 +31,7 @@ from trisim.dataio import (
 )
 from trisim.evaluation import SweepResult, SweepRow
 from trisim.model import init_model
-from trisim.trainer import EpochRecord, TrainLog
+from trisim.trainer import EpochRecord
 
 
 def _pool():
@@ -106,7 +106,7 @@ class TestJsonl:
         rng = np.random.default_rng(3)
         write_triplets_jsonl(tp, rng.normal(size=(4, 3, 2)))
         write_unlabeled_jsonl(up, rng.normal(size=(6, 2)))
-        data = read_weak_dataset(tp, up, ClassPrior(0.4), sampler_kind="paper_case")
+        data = read_weak_dataset(tp, up, sampler_kind="paper_case")
         assert data.n_triplets == 4
         assert data.n_unlabeled == 6
         assert data.sampler_kind == "paper_case"
@@ -115,13 +115,11 @@ class TestJsonl:
 class TestWeakMeta:
     def _write(self, tmp_path, sampler="paper_case"):
         rng = np.random.default_rng(3)
-        data = WeakDataset(
-            rng.normal(size=(4, 3, 2)), rng.normal(size=(6, 2)), ClassPrior(0.3), sampler
-        )
+        data = WeakDataset(rng.normal(size=(4, 3, 2)), rng.normal(size=(6, 2)), sampler)
         tp, up = tmp_path / "triplets.jsonl", tmp_path / "unlabeled.jsonl"
         write_triplets_jsonl(tp, data.triplets)
         write_unlabeled_jsonl(up, data.unlabeled)
-        return tp, up, write_weak_meta(tmp_path, data)
+        return tp, up, write_weak_meta(tmp_path, data, ClassPrior(0.3))
 
     def test_records_how_the_data_was_made(self, tmp_path):
         _, _, meta = self._write(tmp_path)
@@ -132,14 +130,14 @@ class TestWeakMeta:
 
     def test_matching_request_reads(self, tmp_path):
         tp, up, _ = self._write(tmp_path)
-        # a different prior is allowed: misspecification is studied on purpose
-        data = read_weak_dataset(tp, up, ClassPrior(0.45), sampler_kind="paper_case")
+        # the recorded prior is not read: misspecification is studied on purpose
+        data = read_weak_dataset(tp, up, sampler_kind="paper_case")
         assert data.n_triplets == 4
 
     def test_other_sampler_raises(self, tmp_path):
         tp, up, meta = self._write(tmp_path)
         with pytest.raises(InvalidInputError) as exc:
-            read_weak_dataset(tp, up, ClassPrior(0.3), sampler_kind="rejection")
+            read_weak_dataset(tp, up, sampler_kind="rejection")
         assert str(exc.value) == f"{meta}: sampler is 'paper_case', but training uses 'rejection'"
 
     @pytest.mark.parametrize(
@@ -155,7 +153,7 @@ class TestWeakMeta:
         tp, up, meta = self._write(tmp_path)
         meta.write_text(json.dumps({**json.loads(meta.read_text()), **edit}))
         with pytest.raises(InvalidInputError) as exc:
-            read_weak_dataset(tp, up, ClassPrior(0.3), sampler_kind="paper_case")
+            read_weak_dataset(tp, up, sampler_kind="paper_case")
         assert str(exc.value).startswith(f"{meta}: {message}")
 
     @pytest.mark.parametrize("text", [
@@ -166,7 +164,7 @@ class TestWeakMeta:
         tp, up, meta = self._write(tmp_path)
         meta.write_bytes(text if isinstance(text, bytes) else text.encode())
         with pytest.raises(InvalidInputError) as exc:
-            read_weak_dataset(tp, up, ClassPrior(0.3), sampler_kind="paper_case")
+            read_weak_dataset(tp, up, sampler_kind="paper_case")
         assert str(exc.value).startswith(f"{meta}: ")
 
 
@@ -305,12 +303,10 @@ class TestModelFile:
 class TestLogsAndSweeps:
     def test_train_log_csv(self, tmp_path):
         path = tmp_path / "log.csv"
-        log = TrainLog(
-            records=[
-                EpochRecord(1, 0.5, 0.5, 0.2, 0.3, 0.9),
-                EpochRecord(2, -0.1, 0.1, -0.2, 0.1, None),
-            ]
-        )
+        log = [
+            EpochRecord(1, 0.5, 0.5, 0.2, 0.3, 0.9),
+            EpochRecord(2, -0.1, 0.1, -0.2, 0.1, None),
+        ]
         write_train_log_csv(path, log)
         lines = path.read_text().splitlines()
         assert lines[0].startswith("epoch,raw_risk")
@@ -358,7 +354,7 @@ def reference_train_log_csv(path, log):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(names)
-        for record in log.records:
+        for record in log:
             values = (getattr(record, name) for name in names)
             writer.writerow(["" if v is None else repr(v) for v in values])
 
@@ -437,7 +433,7 @@ class TestWriterBytes:
             )
             for i in range(1, 601)
         ]
-        for log in (TrainLog(records), TrainLog([])):
+        for log in (records, []):
             assert _same_bytes(tmp_path, write_train_log_csv, reference_train_log_csv, log)
 
     def test_sweep_csv(self, tmp_path):

@@ -37,7 +37,7 @@ def test_train(sampler_kind, correction, model_kind):
     config = TrainConfig(SPEC.prior, correction, epochs=15, batch_size=50, lr=0.01,
                          model_kind=model_kind, hidden=8, seed=1)
     _, log = train(config, data, synth_gaussian_labeled(SPEC, 100, seed=4))
-    assert len(log.records) == 15
+    assert len(log) == 15
 
 
 

@@ -1,5 +1,5 @@
-"""Unit tests for data generation: sources, the two triplet samplers,
-unlabeled pools, and disassembly.
+"""Unit tests for data generation: sources, the two triplet samplers and
+unlabeled pools.
 
 The samplers draw rows block by block straight into what they return, to
 hold little more than that. Plain whole-array versions are kept below as
@@ -19,7 +19,6 @@ from trisim.risk import DiscreteDomainSpec
 from trisim.sampler import (
     GaussianSourceSpec,
     PoolSource,
-    disassemble,
     draw_labeled,
     make_weak_dataset,
     paper_case_weights,
@@ -203,7 +202,6 @@ class TestDatasetAssembly:
         assert data.sampler_kind == kind
         assert data.n_triplets == 20
         assert data.n_unlabeled == 30
-        assert data.prior.pi_plus == 0.4
 
     @pytest.mark.parametrize("kind", ["rejection", "paper_case"])
     def test_make_weak_dataset_follows_declared_pool_prior(self, kind):
@@ -225,17 +223,6 @@ class TestDatasetAssembly:
         b = make_weak_dataset(_spec(), 10, 10, seed=3)
         np.testing.assert_array_equal(a.triplets, b.triplets)
         np.testing.assert_array_equal(a.unlabeled, b.unlabeled)
-
-    def test_disassemble_order(self):
-        t = np.arange(12, dtype=float).reshape(2, 3, 2)
-        flat = disassemble(t)
-        assert flat.shape == (6, 2)
-        np.testing.assert_array_equal(flat[0], t[0, 0])
-        np.testing.assert_array_equal(flat[3], t[1, 0])
-
-    def test_disassemble_rejects_bad_shape(self):
-        with pytest.raises(ShapeError):
-            disassemble(np.zeros((4, 2, 2)))
 
     def test_synth_gaussian_labeled(self):
         pool = synth_gaussian_labeled(_spec(), 100, seed=0)

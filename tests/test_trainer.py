@@ -103,7 +103,7 @@ class TestTrain:
     def test_zero_epochs_returns_init_model(self):
         data = _data()
         model, log = train(_config(epochs=0), data)
-        assert log.records == []
+        assert log == []
         # untouched init: bias is exactly zero
         np.testing.assert_array_equal(model.bias, [0.0])
 
@@ -113,19 +113,19 @@ class TestTrain:
         m2, log2 = train(cfg, _data())
         for k in m1.params():
             np.testing.assert_array_equal(m1.params()[k], m2.params()[k])
-        assert [r.raw_risk for r in log1.records] == [r.raw_risk for r in log2.records]
+        assert [r.raw_risk for r in log1] == [r.raw_risk for r in log2]
 
     def test_one_record_per_epoch(self):
         _, log = train(_config(epochs=4), _data())
-        assert [r.epoch for r in log.records] == [1, 2, 3, 4]
+        assert [r.epoch for r in log] == [1, 2, 3, 4]
 
     def test_abs_correction_logs_nonnegative_corrected(self):
         _, log = train(_config(correction=CorrectionKind.ABS), _data())
-        assert all(r.corrected_risk >= 0 for r in log.records)
+        assert all(r.corrected_risk >= 0 for r in log)
 
     def test_corrected_matches_raw_relation(self):
         _, log = train(_config(correction=CorrectionKind.MAX_ZERO), _data())
-        for r in log.records:
+        for r in log:
             assert r.corrected_risk == pytest.approx(max(0.0, r.raw_risk))
             assert r.raw_risk == pytest.approx(r.us_term + r.u_term)
 
@@ -135,35 +135,31 @@ class TestTrain:
             data = _data(seed=seed)
             cfg = _config(correction=CorrectionKind.NONE, epochs=20, seed=seed)
             _, log = train(cfg, data)
-            if log.records[-1].raw_risk < log.records[0].raw_risk:
+            if log[-1].raw_risk < log[0].raw_risk:
                 improved += 1
         assert improved >= 4
 
     def test_eval_set_fills_accuracy(self):
         test = synth_gaussian_labeled(_spec(), 200, seed=9)
         _, log = train(_config(), _data(), eval_set=test)
-        assert all(r.test_accuracy is not None for r in log.records)
+        assert all(r.test_accuracy is not None for r in log)
         _, log = train(_config(), _data())
-        assert all(r.test_accuracy is None for r in log.records)
+        assert all(r.test_accuracy is None for r in log)
 
     @pytest.mark.parametrize("kind", ["rejection", "paper_case"])
     def test_runs_for_both_samplers(self, kind):
         model, log = train(_config(epochs=2), _data(sampler_kind=kind))
-        assert len(log.records) == 2
+        assert len(log) == 2
         assert np.all(np.isfinite(model.weights))
 
     def test_mlp_model_trains(self):
         model, log = train(_config(model_kind="mlp", hidden=8, epochs=3), _data())
         assert model.kind == "mlp"
-        assert len(log.records) == 3
+        assert len(log) == 3
 
     def test_empty_data_raises(self):
         data = _data()
-        empty = WeakDataset(
-            triplets=np.zeros((0, 3, 2)),
-            unlabeled=data.unlabeled,
-            prior=ClassPrior(0.4),
-        )
+        empty = WeakDataset(triplets=np.zeros((0, 3, 2)), unlabeled=data.unlabeled)
         with pytest.raises(InsufficientDataError):
             train(_config(), empty)
 
@@ -266,7 +262,7 @@ data = make_weak_dataset(GaussianSourceSpec(50, mu, -mu, 1.0, ClassPrior(0.4)), 
 for kind, batch in (("linear", 20000), ("mlp", 20000), ("mlp", 2000)):
     config = TrainConfig(ClassPrior(0.4), epochs=2, batch_size=batch, lr=0.01, model_kind=kind, hidden=32)
     model, log = train(config, data)
-    print(kind, batch, hashlib.sha256(model.theta.tobytes() + repr(log.records).encode()).hexdigest())
+    print(kind, batch, hashlib.sha256(model.theta.tobytes() + repr(log).encode()).hexdigest())
 """
 
 

@@ -143,7 +143,7 @@ def test_weak_train_golden(sampler, model_kind, correction):
     data = make_weak_dataset(SPEC, 20, 30, sampler, 3)
     test = synth_gaussian_labeled(SPEC, 40, seed=5)
     model, log = train(_config(model_kind, correction), data, test)
-    last = log.records[-1]
+    last = log[-1]
     row = (last.epoch, last.raw_risk, last.corrected_risk, last.us_term, last.u_term,
            last.test_accuracy)
     _check(model, row, WEAK[sampler, model_kind, correction])

@@ -45,7 +45,7 @@ def _assert_identical(model, log, ref_model, ref_rows):
         assert np.array_equal(got[key], want[key]), key
     rows = [
         (r.epoch, r.raw_risk, r.corrected_risk, r.us_term, r.u_term, r.test_accuracy)
-        for r in log.records
+        for r in log
     ]
     assert len(rows) == len(ref_rows)
     for row, ref_row in zip(rows, ref_rows):
