@@ -1,9 +1,11 @@
 """Command-line entry point.
 
 Subcommands: synth, make-weak, train, eval, verify, sweep. Every command is
-deterministic under --seed, and every primary output file is paired with a
-run manifest (<output>.manifest.json) recording the resolved flags, input
-digests, and timing.
+deterministic under --seed. Each cmd_* function does its subcommand's work
+and returns (paths read, paths written, exit code); main times it and, when
+it wrote files, writes and prints the run manifest beside the first of them
+(<output>.manifest.json), recording the resolved flags, input digests, and
+timing.
 
 Exit codes: 0 success, 2 usage, 3 I/O, 4 invalid configuration or domain
 error, 5 failed verification.
@@ -34,6 +36,7 @@ from .dataio import (
     read_labeled_csv,
     read_weak_dataset,
     read_model,
+    write_json,
     write_labeled_csv,
     write_model,
     write_sweep_csv,
@@ -79,9 +82,10 @@ def _flags(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "parser")}
 
 
-def _write_manifest(subcommand, args, inputs, outputs, started) -> dict:
+def _write_manifest(args, inputs, outputs, started) -> None:
+    """Write the run's manifest beside its first output, and print it."""
     manifest = {
-        "subcommand": subcommand,
+        "subcommand": args.subcommand,
         "flags": _flags(args),
         "seed": getattr(args, "seed", None),
         "version": __version__,
@@ -89,12 +93,7 @@ def _write_manifest(subcommand, args, inputs, outputs, started) -> dict:
         "outputs": [str(p) for p in outputs],
         "duration_s": round(time.monotonic() - started, 3),
     }
-    if outputs:
-        Path(str(outputs[0]) + ".manifest.json").write_text(
-            json.dumps(manifest, indent=2) + "\n"
-        )
-    print(json.dumps(manifest, indent=2))
-    return manifest
+    print(write_json(str(outputs[0]) + ".manifest.json", manifest))
 
 
 def _list_of(kind):
@@ -132,16 +131,13 @@ def _gaussian_spec(args) -> GaussianSourceSpec:
     )
 
 
-def cmd_synth(args) -> int:
-    started = time.monotonic()
+def cmd_synth(args):
     pool = synth_gaussian_labeled(_gaussian_spec(args), args.n, args.seed)
     write_labeled_csv(args.out, pool)
-    _write_manifest("synth", args, [], [args.out], started)
-    return EXIT_OK
+    return [], [args.out], EXIT_OK
 
 
-def cmd_make_weak(args) -> int:
-    started = time.monotonic()
+def cmd_make_weak(args):
     pool = read_labeled_csv(args.input)
     prior = ClassPrior(args.pi) if args.pi is not None else None
     source = PoolSource(pool, prior=prior)
@@ -153,10 +149,7 @@ def cmd_make_weak(args) -> int:
     write_triplets_jsonl(triplets_path, data.triplets)
     write_unlabeled_jsonl(unlabeled_path, data.unlabeled)
     meta_path = write_weak_meta(out_dir, data, source.prior)
-    _write_manifest(
-        "make-weak", args, [args.input], [triplets_path, unlabeled_path, meta_path], started
-    )
-    return EXIT_OK
+    return [args.input], [triplets_path, unlabeled_path, meta_path], EXIT_OK
 
 
 def _train_config(args, prior: ClassPrior) -> TrainConfig:
@@ -181,8 +174,7 @@ def _read_test(path, dim: int, against: str):
     return test
 
 
-def cmd_train(args) -> int:
-    started = time.monotonic()
+def cmd_train(args):
     config = _train_config(args, ClassPrior(args.pi))
     data = read_weak_dataset(args.us, args.u, sampler_kind=args.sampler)
     width = data.triplets.shape[2]
@@ -191,25 +183,19 @@ def cmd_train(args) -> int:
     write_model(args.out, model, config_echo=_flags(args))
     log_path = args.log or (args.out + ".log.csv")
     write_train_log_csv(log_path, log)
-    inputs = [args.us, args.u] + ([args.test] if args.test else [])
     if eval_set is not None and log:
         print(f"final test accuracy: {log[-1].test_accuracy}")
-    _write_manifest("train", args, inputs, [args.out, log_path], started)
-    return EXIT_OK
+    return [args.us, args.u] + ([args.test] if args.test else []), [args.out, log_path], EXIT_OK
 
 
-def cmd_eval(args) -> int:
-    started = time.monotonic()
+def cmd_eval(args):
     model = read_model(args.model)
     test = _read_test(args.test, model.dim, "the model takes")
     payload = json.dumps({"accuracy": accuracy(model, test)})
     print(payload)
-    outputs = []
     if args.out:
         Path(args.out).write_text(payload + "\n")
-        outputs.append(args.out)
-        _write_manifest("eval", args, [args.model, args.test], outputs, started)
-    return EXIT_OK
+    return [args.model, args.test], [args.out] if args.out else [], EXIT_OK
 
 
 # each suite by name, in the order `all` merges them; the lambdas look the
@@ -231,50 +217,45 @@ def _run_suite(name: str, seed: int) -> VerifyReport:
     return SUITES[name](seed)
 
 
-def cmd_verify(args) -> int:
-    started = time.monotonic()
+def cmd_verify(args):
     report = _run_suite(args.suite, args.seed)
-    text = report.to_json()
-    print(text)
+    print(report.to_json())
     if args.out:
-        Path(args.out).write_text(text + "\n")
-        _write_manifest("verify", args, [], [args.out], started)
-    return EXIT_OK if report.assertable_passed else EXIT_VERIFY
+        write_json(args.out, report.to_dict())
+    code = EXIT_OK if report.assertable_passed else EXIT_VERIFY
+    return [], [args.out] if args.out else [], code
 
 
-def cmd_sweep(args) -> int:
-    started = time.monotonic()
+def cmd_sweep(args):
     spec = _gaussian_spec(args)
     config = _train_config(args, spec.prior)
     values = {"prior": args.given, "fraction": args.fractions, "correction": args.corrections}
     result = sweep(args.kind, values[args.kind], args.seeds, spec, config,
                    args.n_us, args.n_u, args.n_test, args.sampler)
     write_sweep_csv(args.out, result)
-    outputs = [args.out]
     if args.json_out:
         write_sweep_json(args.json_out, result)
-        outputs.append(args.json_out)
-    _write_manifest("sweep", args, [], outputs, started)
-    return EXIT_OK
+    return [], [args.out] + ([args.json_out] if args.json_out else []), EXIT_OK
 
 
-def _add_source_flags(p, require_pi=True):
+def _add_source_flags(p):
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--sep", type=float, default=4.0, help="class means at +-sep/2 on axis 1")
     p.add_argument("--mu-plus", type=_list_of(float), help="comma-separated positive-class mean")
     p.add_argument("--mu-minus", type=_list_of(float), help="comma-separated negative-class mean")
     p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--pi", type=float, required=require_pi, help="positive-class prior")
+    p.add_argument("--pi", type=float, required=True, help="positive-class prior")
 
 
 def _add_train_flags(p):
-    p.add_argument("--model", choices=("linear", "mlp"), default="linear")
-    p.add_argument("--hidden", type=int, default=64)
-    p.add_argument("--correction", choices=[c.value for c in CorrectionKind], default="abs")
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--weight-decay", type=float, default=1e-5)
-    p.add_argument("--epochs", type=int, default=600)
-    p.add_argument("--batch", type=int, default=2000)
+    p.add_argument("--model", choices=("linear", "mlp"), default=TrainConfig.model_kind)
+    p.add_argument("--hidden", type=int, default=TrainConfig.hidden)
+    corrections = [c.value for c in CorrectionKind]
+    p.add_argument("--correction", choices=corrections, default=TrainConfig.correction.value)
+    p.add_argument("--lr", type=float, default=TrainConfig.lr)
+    p.add_argument("--weight-decay", type=float, default=TrainConfig.weight_decay)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--batch", type=int, default=TrainConfig.batch_size)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -407,7 +388,11 @@ def main(argv: list[str] | None = None) -> int:
         args, extra = parser.parse_known_args(_inject_config(argv))
         if extra:
             args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
-        return args.func(args)
+        started = time.monotonic()
+        inputs, outputs, code = args.func(args)
+        if outputs:
+            _write_manifest(args, inputs, outputs, started)
+        return code
     except TrisimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

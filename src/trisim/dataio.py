@@ -2,7 +2,8 @@
 training-log CSV, and sweep exports.
 
 Floats are written with repr-precision so identical runs produce
-byte-identical files; the CSV writers give csv.writer's bytes.
+byte-identical files; the CSV writers give csv.writer's bytes, and every
+JSON document (model, weak.json, sweep, report, manifest) is write_json's.
 """
 from __future__ import annotations
 
@@ -24,6 +25,14 @@ from .trainer import EpochRecord
 
 TRIPLET_KEYS = ("anchor", "c1", "c2")
 WEAK_META = "weak.json"  # beside the two JSONL files: how the weak data was made
+
+
+def write_json(path, doc) -> str:
+    """Write doc to path as JSON indented by 2, ending in a newline; returns
+    the text without that newline."""
+    text = json.dumps(doc, indent=2)
+    Path(path).write_text(text + "\n")
+    return text
 
 
 def write_labeled_csv(path, pool: LabeledPool) -> None:
@@ -197,7 +206,7 @@ def write_weak_meta(out_dir, data: WeakDataset, prior: ClassPrior) -> Path:
         "n_u": data.n_unlabeled,
     }
     path = Path(out_dir) / WEAK_META
-    path.write_text(json.dumps(meta, indent=2) + "\n")
+    write_json(path, meta)
     return path
 
 
@@ -238,9 +247,7 @@ def read_weak_dataset(triplets_path, unlabeled_path, sampler_kind: str = "reject
 
 
 def write_model(path, model: Model, config_echo: dict | None = None) -> None:
-    Path(path).write_text(
-        json.dumps(serialize_model(model, config_echo), indent=2) + "\n"
-    )
+    write_json(path, serialize_model(model, config_echo))
 
 
 @_utf8_only
@@ -276,4 +283,4 @@ def write_sweep_csv(path, result: SweepResult) -> None:
 
 
 def write_sweep_json(path, result: SweepResult) -> None:
-    Path(path).write_text(json.dumps(result.to_dict(), indent=2) + "\n")
+    write_json(path, result.to_dict())

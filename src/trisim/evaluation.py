@@ -59,8 +59,8 @@ def weak_run(
     n_us: int,
     n_u: int,
     seed: int,
-    n_test: int = 2000,
-    sampler_kind: str = "paper_case",
+    n_test: int,
+    sampler_kind: str,
 ) -> float:
     """One full generate-train-evaluate cycle with the batch clamped to
     the pools; returns test accuracy."""
@@ -215,9 +215,7 @@ def sweep(
             continue
         cfg, cell_us, cell_u = cell
         try:
-            clamped = _clamped(cfg, cell_us, cell_u)
-            if clamped.epochs:  # train skips the plan for zero epochs
-                _batch_plan((3 * cell_us, cell_u), clamped.batch_size)
+            _batch_plan(_clamped(cfg, cell_us, cell_u), cell_us, cell_u)
         except ConfigurationError as exc:
             raise ConfigurationError(f"{axis} {label}: {exc}") from None
     summary = {"n_us": n_us, "n_u": n_u}

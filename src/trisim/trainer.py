@@ -76,9 +76,13 @@ class EpochRecord:
     test_accuracy: float | None = None
 
 
-def _batch_plan(pool_sizes: tuple[int, ...], batch_size: int) -> int:
-    """Number of joint batches; errors out when the sizes cannot give every
-    batch at least one point from each pool."""
+def _batch_plan(config: TrainConfig, n_triplets: int, n_unlabeled: int) -> int:
+    """Number of joint batches over the 3 n_triplets similarity rows and the
+    n_unlabeled points; 0 for zero epochs, which need no plan. Errors out
+    when the sizes cannot give every batch at least one point from each pool."""
+    if not config.epochs:
+        return 0
+    pool_sizes, batch_size = (3 * n_triplets, n_unlabeled), config.batch_size
     n_batches = -(-sum(pool_sizes) // batch_size)
     if batch_size > min(pool_sizes):
         raise ConfigurationError(
@@ -154,7 +158,8 @@ def train(
     n, _, d = data.triplets.shape  # -1 in place of 3n would fail at d = 0
     us_rows = data.triplets.reshape(3 * n, d)
     model = init_model(config.model_kind, d, config.hidden, seed=config.seed)
-    if config.epochs == 0:
+    n_batches = _batch_plan(config, n, data.n_unlabeled)
+    if not n_batches:  # zero epochs
         return model, []
     pool_sizes = (us_rows.shape[0], data.n_unlabeled)
     rows = np.concatenate((us_rows, data.unlabeled))
@@ -165,7 +170,6 @@ def train(
     us_weights = row_weights[: pool_sizes[0]]
     upstream = np.empty_like(row_weights)
     prior, correction = config.prior, config.correction
-    n_batches = _batch_plan(pool_sizes, config.batch_size)
     offsets, gather, bounds = _epoch_layout(pool_sizes, n_batches)
     x_buf, w_buf = np.empty_like(rows, order="C"), np.empty_like(row_weights)
     batches = [(x_buf[i:k], j - i, w_buf[i:j]) for i, j, k in bounds]

@@ -106,14 +106,11 @@ def default_prior_grid() -> list[float]:
     return [round(0.05 * k, 2) for k in range(1, 20) if abs(0.05 * k - 0.5) > 1e-9]
 
 
-def check_theta_system(prior_grid: list[float] | None = None) -> VerifyReport:
-    """Substitute the coefficients into the four matching equations; all
-    residuals must vanish to machine precision. Only None selects the
-    default grid."""
-    if prior_grid is not None and len(prior_grid) == 0:
-        raise ConfigurationError("prior_grid is empty: pass None for the default grid")
+def check_theta_system() -> VerifyReport:
+    """Substitute the coefficients into the four matching equations at every
+    prior of the default grid; all residuals must vanish to machine precision."""
     report = VerifyReport(suite="thetas")
-    for pi in default_prior_grid() if prior_grid is None else prior_grid:
+    for pi in default_prior_grid():
         prior = ClassPrior(pi)
         residual = max(abs(r) for r in theta_system_residuals(prior, compute_thetas(prior)))
         report.add(f"matching_residual_pi={pi}", 0.0, residual, 1e-12)

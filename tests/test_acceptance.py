@@ -143,7 +143,7 @@ def test_criterion_6_end_to_end_learning():
         cfg = TrainConfig(
             prior=spec.prior, correction=CorrectionKind.ABS, model_kind="linear"
         )
-        weak = [weak_run(spec, cfg, 2000, 2000, seed) for seed in range(5)]
+        weak = [weak_run(spec, cfg, 2000, 2000, seed, 2000, "paper_case") for seed in range(5)]
         sup = [supervised_accuracy(spec, cfg, 4000, seed) for seed in range(5)]
         w_med = statistics.median(weak)
         s_med = statistics.median(sup)

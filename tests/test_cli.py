@@ -4,21 +4,26 @@ import csv
 import hashlib
 import json
 import warnings
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from trisim import evaluation
+from trisim import cli, evaluation
 from trisim.cli import (
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
+    EXIT_VERIFY,
     _inject_config,
     main,
 )
+from trisim.core import ClassPrior, CorrectionKind
 from trisim.dataio import read_labeled_csv, read_triplets_jsonl, read_unlabeled_jsonl
+from trisim.trainer import TrainConfig
+from trisim.verify import VerifyReport
 
 
 def _synth(tmp_path, name="data.csv", n=200, seed=1):
@@ -837,3 +842,113 @@ class TestConfigFile:
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not out.exists()
         assert not (tmp_path / "z.csv.manifest.json").exists()
+
+
+@dataclass(frozen=True)
+class _OtherDefaults(TrainConfig):
+    """TrainConfig with every training flag's default changed."""
+
+    correction: CorrectionKind = CorrectionKind.NONE
+    epochs: int = 7
+    batch_size: int = 30
+    lr: float = 0.25
+    weight_decay: float = 0.0
+    model_kind: str = "mlp"
+    hidden: int = 3
+
+
+class TestRunRecord:
+    """main writes one manifest per run that wrote files, beside the first
+    of them, and prints it; it lists exactly what the subcommand read and wrote."""
+
+    _TRAIN = ["train", "--us", "weak/triplets.jsonl", "--u", "weak/unlabeled.jsonl",
+              "--pi", "0.4", "--epochs", "2", "--batch", "30", "--out", "m.json"]
+    _SWEEP = ["sweep", "--kind", "fraction", "--pi", "0.4", "--fractions", "1.0", "--seeds", "0",
+              "--n-us", "40", "--n-u", "60", "--n-test", "100", "--epochs", "2", "--batch", "30",
+              "--out", "s.csv"]
+
+    @pytest.fixture
+    def run_dir(self, tmp_path, monkeypatch, capsys):
+        """tmp_path as the working directory, holding data.csv, weak/ and
+        model.json, with their manifests removed."""
+        monkeypatch.chdir(tmp_path)
+        _weak(Path("."), _synth(Path(".")))
+        assert main([*self._TRAIN[:-1], "model.json"]) == EXIT_OK
+        for path in tmp_path.rglob("*.manifest.json"):
+            path.unlink()
+        capsys.readouterr()
+        return tmp_path
+
+    @pytest.mark.parametrize(
+        "argv,inputs,outputs",
+        [
+            (["synth", "--pi", "0.4", "--n", "20", "--out", "x.csv"], [], ["x.csv"]),
+            (["make-weak", "--in", "data.csv", "--n-us", "40", "--n-u", "60", "--out-dir", "w"],
+             ["data.csv"], ["w/triplets.jsonl", "w/unlabeled.jsonl", "w/weak.json"]),
+            (_TRAIN, ["weak/triplets.jsonl", "weak/unlabeled.jsonl"], ["m.json", "m.json.log.csv"]),
+            ([*_TRAIN, "--test", "data.csv"],
+             ["weak/triplets.jsonl", "weak/unlabeled.jsonl", "data.csv"],
+             ["m.json", "m.json.log.csv"]),
+            (_SWEEP, [], ["s.csv"]),
+            ([*_SWEEP, "--json-out", "s.json"], [], ["s.csv", "s.json"]),
+            (["eval", "--model", "model.json", "--test", "data.csv", "--out", "e.json"],
+             ["model.json", "data.csv"], ["e.json"]),
+            (["verify", "--suite", "thetas", "--out", "r.json"], [], ["r.json"]),
+        ],
+        ids=["synth", "make-weak", "train", "train-test", "sweep", "sweep-json", "eval", "verify"],
+    )
+    def test_manifest_lists_exactly_what_was_read_and_written(self, run_dir, capsys, argv,
+                                                              inputs, outputs):
+        before = {p for p in run_dir.rglob("*") if p.is_file()}
+        assert main(argv) == EXIT_OK
+        written = {p.relative_to(run_dir).as_posix() for p in run_dir.rglob("*")
+                   if p.is_file() and p not in before}
+        manifest_path = Path(outputs[0] + ".manifest.json")
+        assert written == {*outputs, manifest_path.as_posix()}
+        text = manifest_path.read_text()
+        manifest = json.loads(text)
+        assert manifest["subcommand"] == argv[0]
+        assert manifest["inputs"] == {
+            str(Path(p)): hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in inputs
+        }
+        assert manifest["outputs"] == [str(Path(p)) for p in outputs]
+        assert capsys.readouterr().out.endswith(text)  # printed last, as written
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["eval", "--model", "model.json", "--test", "data.csv"], ["verify", "--suite", "thetas"]],
+        ids=["eval", "verify"],
+    )
+    def test_no_out_prints_only_the_payload_and_writes_nothing(self, run_dir, capsys, argv):
+        before = sorted(run_dir.rglob("*"))
+        assert main(argv) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2 if argv[0] == "verify" else None) + "\n"
+        assert sorted(run_dir.rglob("*")) == before
+
+    def test_failed_verify_still_records_its_run(self, tmp_path, monkeypatch, capsys):
+        report = VerifyReport(suite="thetas")
+        report.add("forced", 0.0, 1.0, 1e-12)
+        monkeypatch.setattr(cli, "check_theta_system", lambda: report)
+        monkeypatch.chdir(tmp_path)
+        assert main(["verify", "--suite", "thetas", "--out", "r.json"]) == EXIT_VERIFY
+        assert json.loads(Path("r.json").read_text()) == report.to_dict()
+        manifest = json.loads(Path("r.json.manifest.json").read_text())
+        assert manifest["outputs"] == ["r.json"]
+        printed = [report.to_json(), json.dumps(manifest, indent=2)]
+        assert capsys.readouterr().out == "\n".join(printed) + "\n"
+
+    @pytest.mark.parametrize("defaults", [TrainConfig, _OtherDefaults], ids=["default", "other"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["train", "--us", "t", "--u", "u", "--pi", "0.4", "--out", "m"],
+         ["sweep", "--kind", "prior", "--pi", "0.4", "--out", "s"]],
+        ids=["train", "sweep"],
+    )
+    def test_training_flags_default_to_train_config(self, monkeypatch, argv, defaults):
+        # the flags read their defaults from the config class, so changing
+        # the class's defaults changes the parsed config with them
+        monkeypatch.setattr(cli, "TrainConfig", defaults)
+        args = cli.build_parser().parse_args(argv)
+        prior = ClassPrior(0.4)
+        assert cli._train_config(args, prior) == defaults(prior, seed=args.seed)

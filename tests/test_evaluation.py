@@ -46,15 +46,15 @@ class TestSeeds:
 
 class TestRuns:
     def test_weak_run_deterministic(self):
-        a = weak_run(SPEC, QUICK, 40, 60, seed=3, n_test=100)
-        b = weak_run(SPEC, QUICK, 40, 60, seed=3, n_test=100)
+        a = weak_run(SPEC, QUICK, 40, 60, seed=3, n_test=100, sampler_kind="paper_case")
+        b = weak_run(SPEC, QUICK, 40, 60, seed=3, n_test=100, sampler_kind="paper_case")
         assert a == b
         assert 0.0 <= a <= 1.0
 
     def test_weak_run_clamps_batch(self):
         # nominal batch 50 exceeds the unlabeled pool; the run must clamp
         # rather than error
-        acc = weak_run(SPEC, QUICK, 40, 20, seed=0, n_test=100)
+        acc = weak_run(SPEC, QUICK, 40, 20, seed=0, n_test=100, sampler_kind="paper_case")
         assert 0.0 <= acc <= 1.0
 
     def test_supervised_run_learns(self):

@@ -82,21 +82,26 @@ class TestTrainConfig:
 
 class TestBatchPlan:
     def test_counts(self):
-        assert _batch_plan((60, 90), 50) == 3
+        # 60 similarity rows and 90 unlabeled points make 150 rows, 5 batches
+        assert _batch_plan(_config(batch_size=30), 20, 90) == 5
 
     def test_batch_larger_than_pool_errors(self):
-        with pytest.raises(ConfigurationError):
-            _batch_plan((60, 40), 50)
+        with pytest.raises(ConfigurationError, match=r"\(pool sizes 60, 40\)"):
+            _batch_plan(_config(batch_size=50), 20, 40)
 
     def test_too_many_batches_errors(self):
         with pytest.raises(ConfigurationError):
-            _batch_plan((4, 1000), 5)
+            _batch_plan(_config(batch_size=5), 2, 1000)
 
-    @pytest.mark.parametrize("batch,fix", [(3, "increase --batch"), (4, "supply more data")])
+    @pytest.mark.parametrize("batch,fix", [(5, "increase --batch"), (6, "supply more data")])
     def test_too_many_batches_advises_a_fix_that_can_work(self, batch, fix):
         # a batch as large as the smallest pool cannot grow any further
         with pytest.raises(ConfigurationError, match=f"; {fix}$"):
-            _batch_plan((4, 1000), batch)
+            _batch_plan(_config(batch_size=batch), 2, 1000)
+
+    def test_zero_epochs_need_no_plan(self):
+        # pools far too small for the batch: no epoch runs, so nothing is planned
+        assert _batch_plan(_config(epochs=0, batch_size=50), 1, 1) == 0
 
 
 class TestTrain:

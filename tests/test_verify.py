@@ -140,12 +140,11 @@ class TestEmptyLists:
     @pytest.mark.parametrize(
         "run,name",
         [
-            (lambda: check_theta_system(prior_grid=[]), "prior_grid"),
             (lambda: check_acceptance_rate(priors=[]), "priors"),
             (lambda: check_error_trend(fractions=[]), "fractions"),
             (lambda: check_error_trend(seeds=[]), "seeds"),
         ],
-        ids=["prior_grid", "priors", "fractions", "seeds"],
+        ids=["priors", "fractions", "seeds"],
     )
     def test_empty_list_raises_naming_it(self, monkeypatch, run, name):
         def no_run(*args, **kwargs):
