@@ -36,6 +36,7 @@ from .dataio import (
     read_labeled_csv,
     read_weak_dataset,
     read_model,
+    read_text,
     write_json,
     write_labeled_csv,
     write_model,
@@ -282,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pi", type=float, help="prior to resample the pool to (default: label counts)")
     p.add_argument("--n-us", type=int, required=True)
     p.add_argument("--n-u", type=int, required=True)
-    p.add_argument("--sampler", choices=SAMPLERS, default="rejection")
+    p.add_argument("--sampler", choices=SAMPLERS, default=SAMPLERS[0])
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_make_weak)
@@ -294,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--sampler",
         choices=SAMPLERS,
-        default="rejection",
+        default=SAMPLERS[0],
         help="sampler that produced the triplets (sets the matched weights)",
     )
     _add_train_flags(p)
@@ -357,18 +358,14 @@ def _config_path(argv: list[str]) -> str | None:
 
 def _inject_config(argv: list[str]) -> list[str]:
     """Expand --config key=value files into flags placed before the
-    explicit flags, so command-line values take precedence. A file that is
-    not UTF-8 text, or that names another config file, raises
+    explicit flags, so command-line values take precedence. A file that
+    read_text rejects, or that names another config file, raises
     InvalidInputError."""
     path = _config_path(argv)
     if path is None:
         return argv
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError:
-        raise InvalidInputError(f"{path}: not UTF-8 text") from None
     extra: list[str] = []
-    for line in text.splitlines():
+    for line in read_text(path).splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue

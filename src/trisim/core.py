@@ -106,7 +106,7 @@ class WeakDataset:
 
     triplets: np.ndarray
     unlabeled: np.ndarray
-    sampler_kind: str = "rejection"
+    sampler_kind: str
 
     def __post_init__(self):
         if self.sampler_kind not in SAMPLERS:

@@ -8,7 +8,6 @@ JSON document (model, weak.json, sweep, report, manifest) is write_json's.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import math
@@ -42,21 +41,25 @@ def write_labeled_csv(path, pool: LabeledPool) -> None:
     Path(path).write_text(header + ("%+d" + ",%r" * d + "\r\n") * n % tuple(values), newline="")
 
 
-def _utf8_only(read):
-    """A reader whose UnicodeDecodeError becomes an InvalidInputError
-    naming the file."""
-
-    @functools.wraps(read)
-    def wrapper(path, *args):
-        try:
-            return read(path, *args)
-        except UnicodeDecodeError:
-            raise InvalidInputError(f"{path}: not UTF-8 text") from None
-
-    return wrapper
+def read_text(path) -> str:
+    """The file's UTF-8 text, line ends as they are; a file that is not
+    UTF-8 raises InvalidInputError naming it."""
+    try:
+        return Path(path).read_bytes().decode()
+    except UnicodeDecodeError:
+        raise InvalidInputError(f"{path}: not UTF-8 text") from None
 
 
-@_utf8_only
+def _read_json(path):
+    """The one JSON document in the file; text that is not one raises
+    InvalidInputError naming the file."""
+    text = read_text(path)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also an integer too long to parse, or nesting
+        raise InvalidInputError(f"{path}: invalid JSON: {exc}") from None
+
+
 def read_labeled_csv(path) -> LabeledPool:
     """Labeled pool from a CSV with a 'y' column first, by one csv.reader pass
     over the open file; a file that pass rejects gets _csv_error's bad line."""
@@ -79,7 +82,7 @@ def read_labeled_csv(path) -> LabeledPool:
 def _csv_error(path) -> InvalidInputError:
     """The error naming the first bad line of a CSV that read_labeled_csv
     rejects; a file with a header and no bad line has no data rows."""
-    reader = csv.reader(io.StringIO(Path(path).read_bytes().decode(), newline=""))
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
     try:
         header = next(reader, None)
         if not header or header[0] != "y":
@@ -115,17 +118,18 @@ def write_triplets_jsonl(path, triplets: np.ndarray) -> None:
     _write_jsonl(path, TRIPLET_KEYS, triplets)
 
 
-@_utf8_only
 def _read_jsonl(path, keys: tuple[str, ...], what: str) -> np.ndarray:
     """The named fields of every non-blank line as one (lines, len(keys), d) float
-    array; a file _joined rejects, raw and re-joined, gets _jsonl_error's bad line."""
-    arr = _joined(Path(path).read_bytes().decode(), keys)
+    array, from one read of the file; text _joined rejects, raw and re-joined,
+    gets _jsonl_error's bad line."""
+    text = read_text(path)
+    arr = _joined(text, keys)
     if arr is None:  # CR line ends, blank lines or spaces around an object, or a bad line
-        with open(path, encoding="utf-8") as fh:  # \r\n and \r end a line too
-            # strip JSON's whitespace only: str.strip would also take \x0c, which JSON refuses
-            arr = _joined("\n".join(line.strip(" \t\r\n") for line in fh if line.strip()), keys)
-    if arr is None:
-        raise _jsonl_error(path, keys, what)
+        lines = io.StringIO(text, newline=None).readlines()  # \r\n and \r end a line too
+        # strip JSON's whitespace only: str.strip would also take \x0c, which JSON refuses
+        arr = _joined("\n".join(line.strip(" \t\r\n") for line in lines if line.strip()), keys)
+        if arr is None:
+            raise _jsonl_error(path, lines, keys, what)
     return arr
 
 
@@ -148,37 +152,36 @@ def _joined(text: str, keys: tuple[str, ...]) -> np.ndarray | None:
     return arr if proven and np.isfinite(arr).all() else None
 
 
-def _jsonl_error(path, keys: tuple[str, ...], what: str) -> InvalidInputError:
-    """The error naming the first bad line of a JSONL file that _read_jsonl
-    rejects; a file with no bad line has no non-blank lines."""
+def _jsonl_error(path, lines: list[str], keys: tuple[str, ...], what: str) -> InvalidInputError:
+    """The error naming the first bad line of the lines of a JSONL file that
+    _read_jsonl rejects; a file with no bad line has no non-blank lines."""
     first = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                rec = json.loads(line)
-            except (ValueError, RecursionError) as exc:  # also too long an integer, too deep a list
-                return InvalidInputError(f"{where}: invalid JSON: {getattr(exc, 'msg', exc)}")
-            if type(rec) is not dict or rec.keys() != set(keys):
-                return InvalidInputError(f"{where}: expected a JSON object with keys {', '.join(keys)}")
-            values = [rec[k] for k in keys]
-            leaves = chain.from_iterable(v if type(v) is list else [v] for v in values)
-            if not all(type(n) in (int, float) for n in leaves):
-                return InvalidInputError(f"{where}: could not convert: not a JSON number")
-            if not all(type(v) is list for v in values):  # a number, not a list of them
-                return InvalidInputError(f"{where}: expected a list of JSON numbers at each key")
-            try:
-                row = np.array(values, dtype=float)
-            except (ValueError, OverflowError) as exc:  # lists of two lengths, or an int too large
-                return InvalidInputError(f"{where}: {exc}")
-            first = first or (lineno, row.shape)
-            if row.shape != first[1]:
-                return InvalidInputError(f"{where}: ragged row: values of shape {row.shape[1:]}, "
-                                         f"line {first[0]} has {first[1][1:]}")
-            if not np.isfinite(row).all():
-                return InvalidInputError(f"{where}: non-finite value")
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        where = f"{path}:{lineno}"
+        try:
+            rec = json.loads(line)
+        except (ValueError, RecursionError) as exc:  # also too long an integer, too deep a list
+            return InvalidInputError(f"{where}: invalid JSON: {getattr(exc, 'msg', exc)}")
+        if type(rec) is not dict or rec.keys() != set(keys):
+            return InvalidInputError(f"{where}: expected a JSON object with keys {', '.join(keys)}")
+        values = [rec[k] for k in keys]
+        leaves = chain.from_iterable(v if type(v) is list else [v] for v in values)
+        if not all(type(n) in (int, float) for n in leaves):
+            return InvalidInputError(f"{where}: could not convert: not a JSON number")
+        if not all(type(v) is list for v in values):  # a number, not a list of them
+            return InvalidInputError(f"{where}: expected a list of JSON numbers at each key")
+        try:
+            row = np.array(values, dtype=float)
+        except (ValueError, OverflowError) as exc:  # lists of two lengths, or an int too large
+            return InvalidInputError(f"{where}: {exc}")
+        first = first or (lineno, row.shape)
+        if row.shape != first[1]:
+            return InvalidInputError(f"{where}: ragged row: values of shape {row.shape[1:]}, "
+                                     f"line {first[0]} has {first[1][1:]}")
+        if not np.isfinite(row).all():
+            return InvalidInputError(f"{where}: non-finite value")
     return InvalidInputError(f"{path}: no {what}")
 
 
@@ -210,12 +213,8 @@ def write_weak_meta(out_dir, data: WeakDataset, prior: ClassPrior) -> Path:
     return path
 
 
-@_utf8_only
 def _check_weak_meta(path, data: WeakDataset, triplets_path, unlabeled_path) -> None:
-    try:
-        meta = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (ValueError, RecursionError) as exc:  # also nesting past the recursion limit
-        raise InvalidInputError(f"{path}: invalid JSON: {exc}") from None
+    meta = _read_json(path)
     if not isinstance(meta, dict):
         raise InvalidInputError(f"{path}: expected a JSON object")
     for key, value, where in (
@@ -230,7 +229,7 @@ def _check_weak_meta(path, data: WeakDataset, triplets_path, unlabeled_path) -> 
             raise InvalidInputError(f"{path}: {key} is {meta[key]!r}, but {where} {value!r}")
 
 
-def read_weak_dataset(triplets_path, unlabeled_path, sampler_kind: str = "rejection") -> WeakDataset:
+def read_weak_dataset(triplets_path, unlabeled_path, sampler_kind: str) -> WeakDataset:
     """The two JSONL files as a WeakDataset. When WEAK_META sits beside the
     triplets file, its sampler, d and counts must match sampler_kind and
     the files; its prior is not read, because training takes the prior it
@@ -250,14 +249,10 @@ def write_model(path, model: Model, config_echo: dict | None = None) -> None:
     write_json(path, serialize_model(model, config_echo))
 
 
-@_utf8_only
 def read_model(path) -> Model:
     """Model from a JSON model file; undecodable, invalid or incomplete
     documents raise InvalidInputError naming the path."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (ValueError, RecursionError) as exc:  # also an integer too long to parse, or nesting
-        raise InvalidInputError(f"{path}: invalid JSON: {exc}") from None
+    doc = _read_json(path)
     try:
         return deserialize_model(doc)
     except InvalidInputError as exc:

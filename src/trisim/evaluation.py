@@ -181,6 +181,8 @@ def sweep(
     n_us: int,
     n_u: int,
     n_test: int = 2000,
+    # paper_case, not SAMPLERS[0], here and as sweep --sampler's default:
+    # trend's report bytes and its false-alarm census were measured on it
     sampler_kind: str = "paper_case",
 ) -> SweepResult:
     """One weak run per (value, seed), in that order; a row per value. The

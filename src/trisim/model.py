@@ -176,8 +176,8 @@ class AdamState:
     together."""
 
     moments: np.ndarray
-    lr: float = 1e-3
-    weight_decay: float = 0.0
+    lr: float
+    weight_decay: float
     step: int = 0
 
     def __post_init__(self):
@@ -189,8 +189,8 @@ class AdamState:
         self._scratch = (decay, 1.0 - decay, delta, *delta)
 
     @classmethod
-    def for_theta(cls, theta: np.ndarray, **hyper) -> "AdamState":
-        return cls(np.zeros((2, theta.size)), **hyper)
+    def for_theta(cls, theta: np.ndarray, lr: float, weight_decay: float) -> "AdamState":
+        return cls(np.zeros((2, theta.size)), lr, weight_decay)
 
 
 def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState) -> None:

@@ -278,9 +278,7 @@ def sample_unlabeled(source, n: int, rng: np.random.Generator) -> np.ndarray:
     return draw_labeled(source, rng, n)[0]
 
 
-def make_weak_dataset(
-    source, n_us: int, n_u: int, sampler_kind: str = "rejection", seed: int = 0
-) -> WeakDataset:
+def make_weak_dataset(source, n_us: int, n_u: int, sampler_kind: str, seed: int) -> WeakDataset:
     """Full weak-supervision dataset, generated with independent seed
     streams for the triplet and unlabeled parts."""
     if sampler_kind not in SAMPLERS:

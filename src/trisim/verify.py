@@ -263,7 +263,7 @@ def check_matched_calibration(n_trials: int = 50, seed: int = 0) -> VerifyReport
 
 def measure_estimator_bias(
     domain: DiscreteDomainSpec,
-    sampler_kind: str = "rejection",
+    sampler_kind: str,
     n_mc: int = 50_000,
     seed: int = 0,
 ) -> VerifyReport:

@@ -461,6 +461,15 @@ class TestWeakMeta:
         want = 0.3 if pi else float(np.mean(read_labeled_csv(data).y == 1))
         assert json.loads((out_dir / "weak.json").read_text())["pi_plus"] == want
 
+    def test_sidecar_not_utf8_exits_config(self, tmp_path, capsys):
+        out_dir = self._paper_case_weak(tmp_path)
+        (out_dir / "weak.json").write_bytes(b'{"sampler": "paper_case", \xff}\n')
+        capsys.readouterr()
+        assert self._train(out_dir, "--sampler", "paper_case") == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {out_dir / 'weak.json'}: not UTF-8 text"
+        ]
+
     def test_no_sidecar_trains_as_asked(self, tmp_path, capsys):
         out_dir = self._paper_case_weak(tmp_path)
         (out_dir / "weak.json").unlink()

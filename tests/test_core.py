@@ -81,22 +81,23 @@ class TestContainers:
         data = WeakDataset(
             triplets=np.zeros((4, 3, 2)),
             unlabeled=np.zeros((7, 2)),
+            sampler_kind="rejection",
         )
         assert data.n_triplets == 4
         assert data.n_unlabeled == 7
-        assert data.sampler_kind == "rejection"
 
     def test_weak_dataset_rejects_dim_mismatch(self):
         with pytest.raises(ShapeError):
             WeakDataset(
                 triplets=np.zeros((4, 3, 2)),
                 unlabeled=np.zeros((7, 3)),
+                sampler_kind="rejection",
             )
 
     @pytest.mark.parametrize("shape", [(4, 2, 2), (4, 6), (4, 3, 1, 2)])
     def test_weak_dataset_rejects_non_triplet_shape(self, shape):
         with pytest.raises(ShapeError):
-            WeakDataset(triplets=np.zeros(shape), unlabeled=np.zeros((7, 2)))
+            WeakDataset(np.zeros(shape), np.zeros((7, 2)), "rejection")
 
     def test_weak_dataset_rejects_unknown_sampler(self):
         with pytest.raises(InvalidInputError):

@@ -196,6 +196,7 @@ class TestMalformedInput:
             ),
             (read_labeled_csv, b"y,f1\n+1,0.5\n-1,\xff\xfe\n", ": not UTF-8"),
             (read_unlabeled_jsonl, b'{"x": [1.0]}\n\x80\x81\n', ": not UTF-8"),
+            (read_model, b'{"kind": "linear", \xff}\n', ": not UTF-8 text"),
             (read_labeled_csv, "y,f1\n+1,0.5\n-1," + "1" * 200_000 + "\n", ":3: field larger"),
             (read_unlabeled_jsonl, '{"x": [1.0]}\n{"x": [1' + "0" * 400 + "]}\n", ":2: int too large"),
             (read_unlabeled_jsonl, '{"x": [' + "9" * 5000 + "]}\n", ":1: invalid JSON: Exceeds"),
@@ -218,6 +219,7 @@ class TestMalformedInput:
             "jsonl-bad-number", "jsonl-invalid-json", "jsonl-not-object",
             "triplet-missing-key", "triplet-ragged", "csv-nan", "csv-inf",
             "jsonl-nan", "triplet-inf", "csv-not-utf8", "jsonl-not-utf8",
+            "model-not-utf8",
             "csv-field-limit", "jsonl-int-overflow", "jsonl-int-too-long",
             "csv-header-field-limit", "csv-label-beyond-int64", "csv-label-2",
             "jsonl-nested-past-recursion-limit", "jsonl-extra-key", "jsonl-scalar",
@@ -284,11 +286,13 @@ class TestModelFile:
             ('{"kind": "linear", "dim": 1, "params": []}', "'params' must be a JSON object"),
             ('{"kind": "linear", "dim": 1, "params": {"bias": [0.0]}}', "missing parameter 'weights'"),
             ("[" * 100_000, "invalid JSON: maximum recursion depth"),
+            # line ends are kept, so the offset is the file's own
+            ('{\r\n  "kind": \r\n}', "invalid JSON: Expecting value: line 3 column 1 (char 15)"),
         ],
         ids=[
             "empty", "invalid-json", "missing-params", "tanh", "not-object", "mistyped-param",
             "short-param", "mlp-size", "non-finite", "oversized-dims", "string-dim",
-            "params-not-object", "missing-weights", "nested-past-recursion-limit",
+            "params-not-object", "missing-weights", "nested-past-recursion-limit", "crlf-offset",
         ],
     )
     def test_bad_file_names_path(self, tmp_path, text, message):
@@ -569,6 +573,20 @@ class TestBatchedReaders:
         write_unlabeled_jsonl(tmp_path / "u.jsonl", u)
         for name, keys, arr in (("t.jsonl", TRIPLET_KEYS, t), ("u.jsonl", ("x",), u[:, None])):
             np.testing.assert_array_equal(dataio._joined((tmp_path / name).read_text(), keys), arr)
+
+    @pytest.mark.parametrize("text", [
+        None, '{"x": [1.0]}\r\n\r\n{"x": [2.0]}\r\n', '{"x": [1.0]}\n{"x": [1.0,\n',
+    ], ids=["written", "cr-and-blank-line", "bad-line"])
+    def test_jsonl_file_is_read_once(self, tmp_path, monkeypatch, text):
+        path = tmp_path / "u.jsonl"
+        if text is None:
+            write_unlabeled_jsonl(path, _floats(4, 2, EDGE))
+        else:
+            path.write_bytes(text.encode())
+        reads, read_text = [], dataio.read_text
+        monkeypatch.setattr(dataio, "read_text", lambda p: reads.append(p) or read_text(p))
+        _outcome(read_unlabeled_jsonl, path)
+        assert reads == [path]
 
     @pytest.mark.parametrize(
         "text,expected",

@@ -132,7 +132,7 @@ class TestBackward:
 class TestAdam:
     def test_single_step_direction(self):
         theta = np.array([1.0, -1.0])
-        state = AdamState.for_theta(theta, lr=0.1)
+        state = AdamState.for_theta(theta, lr=0.1, weight_decay=0.0)
         adam_step(theta, np.array([0.5, -0.5]), state)
         # first step moves each coordinate by about lr against the gradient
         np.testing.assert_allclose(theta, [0.9, -0.9], atol=1e-6)
@@ -145,14 +145,14 @@ class TestAdam:
 
     def test_converges_on_quadratic(self):
         theta = np.array([5.0])
-        state = AdamState.for_theta(theta, lr=0.1)
+        state = AdamState.for_theta(theta, lr=0.1, weight_decay=0.0)
         for _ in range(500):
             adam_step(theta, 2.0 * theta, state)
         assert abs(theta[0]) < 1e-3
 
     def test_shape_mismatch(self):
         theta = np.zeros(2)
-        state = AdamState.for_theta(theta)
+        state = AdamState.for_theta(theta, lr=1e-3, weight_decay=0.0)
         with pytest.raises(ShapeError):
             adam_step(theta, np.zeros(3), state)
 

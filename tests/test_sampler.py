@@ -219,8 +219,8 @@ class TestDatasetAssembly:
             make_weak_dataset(_spec(), 5, 5, "bogus", seed=0)
 
     def test_make_weak_dataset_deterministic(self):
-        a = make_weak_dataset(_spec(), 10, 10, seed=3)
-        b = make_weak_dataset(_spec(), 10, 10, seed=3)
+        a = make_weak_dataset(_spec(), 10, 10, "rejection", seed=3)
+        b = make_weak_dataset(_spec(), 10, 10, "rejection", seed=3)
         np.testing.assert_array_equal(a.triplets, b.triplets)
         np.testing.assert_array_equal(a.unlabeled, b.unlabeled)
 

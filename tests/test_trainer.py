@@ -164,7 +164,7 @@ class TestTrain:
 
     def test_empty_data_raises(self):
         data = _data()
-        empty = WeakDataset(triplets=np.zeros((0, 3, 2)), unlabeled=data.unlabeled)
+        empty = WeakDataset(np.zeros((0, 3, 2)), data.unlabeled, data.sampler_kind)
         with pytest.raises(InsufficientDataError):
             train(_config(), empty)
 
