@@ -42,10 +42,10 @@ def write_labeled_csv(path, pool: LabeledPool) -> None:
 
 
 def read_text(path) -> str:
-    """The file's UTF-8 text, line ends as they are; a file that is not
-    UTF-8 raises InvalidInputError naming it."""
+    """The file's UTF-8 text, line ends as they are and a leading byte-order
+    mark dropped; a file that is not UTF-8 raises InvalidInputError naming it."""
     try:
-        return Path(path).read_bytes().decode()
+        return Path(path).read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError:
         raise InvalidInputError(f"{path}: not UTF-8 text") from None
 
@@ -64,7 +64,7 @@ def read_labeled_csv(path) -> LabeledPool:
     """Labeled pool from a CSV with a 'y' column first, by one csv.reader pass
     over the open file; a file that pass rejects gets _csv_error's bad line."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             header, *rows = csv.reader(fh)
         rows = list(filter(None, rows))  # blank data rows are skipped, a blank header is not
         if len(header) > 1 and header[0] == "y" and set(map(len, rows)) == {len(header)}:

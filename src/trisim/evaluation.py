@@ -18,7 +18,7 @@ import numpy as np
 from .core import ClassPrior, ConfigurationError, CorrectionKind
 from .model import accuracy
 from .sampler import GaussianSourceSpec, make_weak_dataset, synth_gaussian_labeled
-from .trainer import TrainConfig, _batch_plan, train
+from .trainer import TrainConfig, _batch_plan, _cpus, train
 
 
 @dataclass(frozen=True)
@@ -71,12 +71,6 @@ def weak_run(
     return accuracy(model, test)
 
 
-def _cpus() -> int:
-    """The CPUs this process may run on; 1 where the platform cannot say."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else 1
-
-
 def _lane(run, cells) -> tuple[list, tuple[int, Exception] | None]:
     """run(i) for each cell i in order, up to the first that raises; returns
     the results and that cell's (index, exception), or None."""
@@ -93,12 +87,15 @@ def _run_cells(run, n: int) -> list:
     """[run(i) for i in range(n)] on k = min(n, CPUs) lanes, at least one:
     cell i runs in lane i mod k. The caller runs lane 0 itself and a forked
     child runs each other lane, sending its results back through a pipe; one
-    lane is a plain loop with no fork. Each lane stops at its first failing
-    cell, and the failure with the lowest cell index is raised, the one a
-    single lane would raise. A child that ends without sending its results
-    raises ChildProcessError. Every child is reaped before this returns or
+    lane is a plain loop with no fork. Lane i is pinned to the (i mod m)-th
+    of the caller's m CPUs, so no lane's training starts a shuffle helper.
+    Each lane stops at its first failing cell, and the failure with the
+    lowest cell index is raised, the one a single lane would raise. A child
+    that ends without sending its results raises ChildProcessError. Every
+    child is reaped, and the caller's CPUs restored, before this returns or
     raises."""
     k = max(1, min(n, _cpus()))  # a sweep of skipped rows has no cells
+    mask = sorted(os.sched_getaffinity(0)) if k > 1 else []
     children: list[tuple[int, int]] = []  # (pid, read end) of lanes 1 .. k-1
     outcomes, statuses = [], []
     try:
@@ -116,6 +113,7 @@ def _run_cells(run, n: int) -> list:
                     # hold no read end, so a write fails, not blocks, if the caller dies
                     for fd in (r, *(fd for _, fd in children)):
                         os.close(fd)
+                    os.sched_setaffinity(0, {mask[lane % len(mask)]})
                     data = pickle.dumps(_lane(run, range(lane, n, k)))
                     with open(w, "wb") as fh:
                         fh.write(data)
@@ -124,11 +122,15 @@ def _run_cells(run, n: int) -> list:
                     os._exit(status)
             os.close(w)
             children.append((pid, r))
+        if mask:
+            os.sched_setaffinity(0, mask[:1])
         outcomes.append(_lane(run, range(0, n, k)))
         for _, fd in children:
             with open(fd, "rb", closefd=False) as fh:
                 outcomes.append(fh.read())
     finally:
+        if mask:
+            os.sched_setaffinity(0, mask)
         for pid, fd in children:
             os.close(fd)
             if len(outcomes) < k:  # the caller is leaving early: stop the lanes

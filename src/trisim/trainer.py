@@ -11,10 +11,15 @@ of the buffer: its similarity rows, then its unlabeled rows.
 
 The two pools are stacked in one array, and the rows' slot weights in one
 vector, so each epoch is one gather of each. Adam updates the model's
-parameter vector, model.theta, as a single array.
+parameter vector, model.theta, as a single array. A long run on two or
+more CPUs takes its shuffled epoch orders from a forked helper that runs
+ahead of it (_prefetched); the orders, and so the bytes, are the same.
 """
 from __future__ import annotations
 
+import mmap
+import os
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +41,10 @@ from .risk import RiskValue, empirical_risk, empirical_risk_grad, slot_weights
 # diverged. Converging runs stay many orders of magnitude below it, and a
 # score this large can still be squared without overflowing a float.
 DIVERGENCE_LIMIT = 1e100
+# Past this many row-epochs (epochs x rows), on two CPUs, a forked helper shuffles
+# ahead of the loop; below it, the fork and pipe wake-ups cost more than they save.
+PREFETCH_MIN = 2**20
+RING = 8  # epoch orders in the helper's shared ring; the caller frees half of it at a time
 
 
 @dataclass(frozen=True)
@@ -127,6 +136,67 @@ def _epoch_layout(pool_sizes, n_batches):
     return offsets, np.concatenate(gather), bounds
 
 
+def _cpus() -> int:
+    """The CPUs the calling thread may run on; 1 where the platform cannot say."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _orders(rng, ranks, pools, gather, epochs):
+    """Each epoch's buffer order, in one reused array: every pool's (offset,
+    size) slice of ranks shuffled by rng, pools in order, gathered by gather."""
+    perm, order = np.empty_like(ranks), np.empty_like(ranks)
+    slices = [perm[o : o + n] for o, n in pools]
+    for _ in range(epochs):
+        perm[...] = ranks
+        for pool in slices:
+            rng.shuffle(pool)  # shuffling an arange slice draws rng.permutation(n) + offset
+        # mode="clip" writes straight into out; the default "raise" buffers
+        yield np.take(perm, gather, out=order, mode="clip")
+
+
+def _prefetched(orders, ranks, epochs):
+    """orders, run ahead by a forked helper into RING shared slots. A pipe byte
+    says a slot is ready, or that the caller is done with half the ring. The
+    helper exits at a pipe's EOF, so also when the caller dies; closing this reaps it."""
+    ring = np.frombuffer(mmap.mmap(-1, RING * ranks.nbytes), ranks.dtype).reshape(RING, -1)
+    half, mask = RING // 2, os.sched_getaffinity(0)
+    (ready, ready_w), (free_r, free) = os.pipe(), os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (ready, ready_w, free_r, free):
+            os.close(fd)
+        raise
+    if pid == 0:  # the helper never returns into the caller's frames
+        try:
+            os.close(ready)
+            os.close(free)
+            os.sched_setaffinity(0, {max(mask)})
+            for epoch, order in enumerate(orders):
+                if epoch >= RING and epoch % half == 0 and not os.read(free_r, 1):
+                    break
+                ring[epoch % RING] = order
+                os.write(ready_w, b"\0")
+        finally:
+            os._exit(0)
+    os.close(ready_w)  # free_r stays open: a byte for a helper that has exited does not raise
+    try:
+        # on separate CPUs: a pipe's wake-up pulls the helper onto the caller's CPU,
+        # and the scheduler at times moves the caller onto the helper's
+        os.sched_setaffinity(0, mask - {max(mask)})
+        for epoch in range(epochs):
+            if not os.read(ready, 1):
+                raise ChildProcessError(f"the shuffle helper ended before epoch {epoch + 1}")
+            yield ring[epoch % RING]
+            if epoch % half == half - 1:
+                os.write(free, b"\0")
+    finally:
+        os.sched_setaffinity(0, mask)
+        for fd in (ready, free, free_r):
+            os.close(fd)
+        os.waitpid(pid, 0)
+
+
 def train(
     config: TrainConfig,
     data: WeakDataset,
@@ -173,22 +243,17 @@ def train(
     offsets, gather, bounds = _epoch_layout(pool_sizes, n_batches)
     x_buf, w_buf = np.empty_like(rows, order="C"), np.empty_like(row_weights)
     batches = [(x_buf[i:k], j - i, w_buf[i:j]) for i, j, k in bounds]
-    # shuffling an arange slice draws rng.permutation(n) + offset
     ranks = np.arange(rows.shape[0])
-    perm, order = np.empty_like(ranks), np.empty_like(ranks)
-    pools = [perm[o : o + n] for o, n in zip(offsets, pool_sizes)]
     _, ss_shuffle = np.random.SeedSequence(config.seed).spawn(2)
     rng = np.random.default_rng(ss_shuffle)
+    orders = _orders(rng, ranks, zip(offsets, pool_sizes), gather, config.epochs)
+    if config.epochs * ranks.size > PREFETCH_MIN and _cpus() > 1:
+        orders = _prefetched(orders, ranks, config.epochs)
     state = AdamState.for_theta(model.theta, lr=config.lr, weight_decay=config.weight_decay)
     log = []
-    with np.errstate(over="raise", divide="raise", invalid="raise"):
-        for epoch in range(1, config.epochs + 1):
+    with np.errstate(over="raise", divide="raise", invalid="raise"), closing(orders):
+        for epoch, order in enumerate(orders, 1):
             try:
-                perm[...] = ranks
-                for pool in pools:
-                    rng.shuffle(pool)
-                # mode="clip" writes straight into out; the default "raise" buffers
-                np.take(perm, gather, out=order, mode="clip")
                 np.take(rows, order, axis=0, out=x_buf, mode="clip")
                 np.take(row_weights, order, out=w_buf, mode="clip")
                 for x, split, w in batches:

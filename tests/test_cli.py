@@ -746,6 +746,19 @@ class TestConfigInjection:
         argv = ["synth", "--pi", "0.4"]
         assert _inject_config(argv) == argv
 
+    def test_byte_order_mark_is_dropped(self, tmp_path, capsys):
+        # the mark once glued itself to the first key: `--\ufeffepochs 3` exited 2
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfepochs=3\n")
+        triplets, unlabeled = _weak(tmp_path, _synth(tmp_path))
+        out = tmp_path / "m.json"
+        rc = main(["train", "--config", str(cfg), "--us", str(triplets), "--u", str(unlabeled),
+                   "--pi", "0.4", "--batch", "30", "--out", str(out)])
+        assert rc == EXIT_OK
+        assert json.loads(out.read_text())["config"]["epochs"] == 3
+        assert len((tmp_path / "m.json.log.csv").read_text().splitlines()) == 1 + 3
+        capsys.readouterr()
+
 
 class TestDeterminism:
     def test_synth_byte_identical(self, tmp_path, capsys):

@@ -74,6 +74,13 @@ class TestLabeledCsv:
         write_labeled_csv(b, pool)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        plain, marked = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_labeled_csv(plain, _pool())
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        a, b = read_labeled_csv(plain), read_labeled_csv(marked)
+        assert (a.x.tobytes(), a.y.tobytes()) == (b.x.tobytes(), b.y.tobytes())
+
 
 class TestJsonl:
     def test_triplets_round_trip(self, tmp_path):
@@ -87,6 +94,17 @@ class TestJsonl:
         x = np.random.default_rng(2).normal(size=(7, 2))
         write_unlabeled_jsonl(path, x)
         np.testing.assert_array_equal(read_unlabeled_jsonl(path), x)
+
+    @pytest.mark.parametrize("write,read,arr", [
+        (write_triplets_jsonl, read_triplets_jsonl, np.arange(12.0).reshape(2, 3, 2)),
+        (write_unlabeled_jsonl, read_unlabeled_jsonl, np.arange(6.0).reshape(3, 2)),
+    ], ids=["triplets", "unlabeled"])
+    def test_byte_order_mark_is_dropped(self, tmp_path, write, read, arr):
+        # json.loads once refused the mark: `Unexpected UTF-8 BOM`
+        plain, marked = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        write(plain, arr)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert read(marked).tobytes() == read(plain).tobytes()
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "u.jsonl"

@@ -2,7 +2,9 @@
 runs each other lane. These tests pin the CPU count that evaluation._cpus
 reports and check that the bytes do not depend on it, that a failing or
 dying lane reaches the caller as the one-lane loop would report it, and that
-no child outlives a sweep."""
+lanes are pinned one per CPU, so no lane's training starts a shuffle helper.
+conftest's fixtures check that no child outlives a sweep and that the
+caller's CPUs are restored however it ends."""
 import hashlib
 import os
 import signal
@@ -10,11 +12,12 @@ import time
 
 import pytest
 
-from trisim import evaluation
+from trisim import evaluation, trainer
 from trisim.cli import EXIT_CONFIG, EXIT_IO, main
 from trisim.core import ConfigurationError, TrainingDivergedError
 from trisim.evaluation import sweep
-from trisim.trainer import TrainConfig
+from trisim.sampler import make_weak_dataset
+from trisim.trainer import TrainConfig, train
 from trisim.verify import check_error_trend, default_gaussian_spec
 
 from test_cli import SWEEP_DIGESTS
@@ -22,13 +25,6 @@ from test_cli import SWEEP_DIGESTS
 SPEC = default_gaussian_spec()
 QUICK = TrainConfig(prior=SPEC.prior, epochs=3, batch_size=50)
 CALLER = os.getpid()
-
-
-@pytest.fixture(autouse=True)
-def no_child_left():
-    yield
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def cpus(monkeypatch, k):
@@ -106,6 +102,27 @@ def test_caller_runs_every_kth_cell(monkeypatch):
     cpus(monkeypatch, 3)
     monkeypatch.setattr(evaluation, "weak_run", lambda *a: float(os.getpid() == CALLER))
     assert run_seeds(7).rows[0].per_seed == (1, 0, 0, 1, 0, 0, 1)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_lanes_are_pinned_one_per_cpu_and_start_no_helper(monkeypatch, k):
+    # lane i runs on the (i mod m)-th of the caller's m CPUs, so even a run
+    # above the break-even trains inline in every lane
+    cpus(monkeypatch, k)
+    monkeypatch.setattr(trainer, "PREFETCH_MIN", 0)
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    mask = os.sched_getaffinity(0)
+    data = make_weak_dataset(SPEC, 40, 60, "rejection", 3)
+
+    def run(i):
+        before = len(forks)
+        train(QUICK, data)
+        return os.sched_getaffinity(0), len(forks) - before
+
+    pinned = [{sorted(mask)[i % k % len(mask)]} for i in range(5)]
+    assert evaluation._run_cells(run, 5) == [(cpu, 0) for cpu in pinned]
+    assert os.sched_getaffinity(0) == mask
 
 
 def in_child(action):

@@ -254,6 +254,11 @@ class TestCallContract:
                  + [("_accuracy", None)] * with_eval_set)
         assert calls == 3 * epoch
 
+    @pytest.mark.parametrize("with_eval_set", [True, False], ids=["eval_set", "no_eval_set"])
+    def test_weak_run_with_the_shuffle_helper(self, monkeypatch, with_eval_set):
+        monkeypatch.setattr(trainer, "PREFETCH_MIN", 0)
+        self.test_weak_run(monkeypatch, with_eval_set)
+
 
 _THREADS_SCRIPT = """
 import hashlib
