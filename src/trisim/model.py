@@ -131,12 +131,15 @@ def accuracy(model: Model, pool: LabeledPool) -> float:
     return int(np.count_nonzero((scores >= 0) == (pool.y > 0))) / len(pool)
 
 
-def _over_rows(a, b) -> np.ndarray:
+def _over_rows(a, b, out=None) -> np.ndarray:
     """a.T @ b for a (n,) or (n, k) and b (n, d), summed in order over row
     blocks of at most _BLOCK multiply-adds: OpenBLAS splits the sum of no
-    call this small between threads, so the bits do not depend on how many."""
+    call this small between threads, so the bits do not depend on how many.
+    Written into out when given."""
     rows = max(1, _BLOCK // (math.prod(a.shape[1:]) * b.shape[1]))
-    total = a[:rows].T.dot(b[:rows])
+    if a.shape[0] <= rows:
+        return a.T.dot(b, out=out)
+    total = a[:rows].T.dot(b[:rows], out=out)
     for i in range(rows, a.shape[0], rows):
         total += a[i : i + rows].T.dot(b[i : i + rows])
     return total
@@ -150,18 +153,22 @@ def backward(model: Model, x, upstream) -> np.ndarray:
     up = np.asarray(upstream, dtype=float)
     if up.shape != (arr.shape[0],):
         raise ShapeError(f"upstream shape {up.shape} does not match batch {arr.shape[0]}")
-    total = np.add.reduce(up, keepdims=True)  # the output bias's gradient
+    grad = np.empty(model.theta.size)
+    # the output bias's gradient, last in params() order
+    total = np.add.reduce(up, keepdims=True, out=grad[-1:])
     if not math.isfinite(total[0]) and np.count_nonzero(np.isfinite(up)) < up.size:
         raise InvalidInputError("upstream must be finite")
     if isinstance(model, LinearModel):
-        return np.concatenate((_over_rows(up, arr), total))
+        _over_rows(up, arr, out=grad[:-1])
+        return grad
     pre = arr @ model.w1.T + model.b1
     h = np.maximum(pre, 0.0)
     act_mask = (pre > 0).astype(float)
     dh = np.outer(up, model.w2) * act_mask  # (n, h)
-    # w1, b1, w2, b2: params() order
-    grads = (_over_rows(dh, arr), dh.sum(axis=0), _over_rows(up, h), total)
-    return np.concatenate(grads, axis=None)
+    # w1, b1, w2: params() order
+    grads = (_over_rows(dh, arr), dh.sum(axis=0), _over_rows(up, h))
+    np.concatenate(grads, axis=None, out=grad[:-1])
+    return grad
 
 
 # Adam's textbook moment decays and denominator offset
@@ -186,7 +193,8 @@ class AdamState:
         decay = np.array([[BETA1], [BETA2]]) + np.zeros_like(self.moments)
         delta = np.empty_like(self.moments)
         self.m, self.v = self.moments
-        self._scratch = (decay, 1.0 - decay, delta, *delta)
+        # each row's bias correction 1 - beta**step, set per step
+        self._scratch = (decay, 1.0 - decay, np.empty_like(delta), delta, *delta)
 
     @classmethod
     def for_theta(cls, theta: np.ndarray, lr: float, weight_decay: float) -> "AdamState":
@@ -199,14 +207,15 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
         raise ShapeError(f"gradient shape {grad.shape} != theta shape {theta.shape}")
     state.step += 1
     theta *= 1.0 - state.lr * state.weight_decay
-    decay, gain, delta, m_hat, v_hat = state._scratch
+    decay, gain, bias, delta, m_hat, v_hat = state._scratch
     state.moments *= decay
     delta[...] = grad
     delta *= gain
     v_hat *= grad  # ((1 - b2) * g) * g
     state.moments += delta
-    np.divide(state.m, 1.0 - BETA1**state.step, m_hat)
-    np.divide(state.v, 1.0 - BETA2**state.step, v_hat)
+    bias[0] = 1.0 - BETA1**state.step
+    bias[1] = 1.0 - BETA2**state.step
+    np.divide(state.moments, bias, delta)
     np.sqrt(v_hat, v_hat)
     v_hat += EPSILON
     m_hat *= state.lr

@@ -21,15 +21,38 @@ reference the identity, matched and bias oracles hold the estimator to.
 The estimator checks shapes and sizes up front, but reads finiteness off the
 sum of its two side means: a NaN or an infinity in any score or weight makes
 that sum non-finite, and only then are the arrays scanned, to name the fault.
+
+The batch gradient reads the raw risk only for its sign, dg/d raw. In the
+polynomial's moments (n similarity scores z_us of weights w, m unlabeled
+scores z_u, unlabeled coefficient c) the raw risk is
+
+    raw = a*(w.z_us)/n + (c*a + b)*sum(z_u)/m + 1 + (z_u.z_u)/m.
+
+This value and the exact pairwise sums each lie within about
+(n + m)*2^-53*S of the true sum (Higham, Accuracy and Stability of
+Numerical Algorithms, 2002, sections 3.1 and 4.2), where
+S = |a|*sqrt((w.w)(z_us.z_us))/n + (|c*a| + |b|)*sqrt(m*(z_u.z_u))/m
++ 1 + (z_u.z_u)/m bounds every sum of absolute terms. So where
+|raw| > 8*(n + m + 16)*2^-53*S, the exact sum has raw's sign and is not
+zero, and the gradient takes the sign from raw. Elsewhere the exact side
+means decide, raising every error and warning they always did: near the
+kink, on a NaN or an infinity, and where (n + m + 16)*S passes 2^1000 and
+an exact sum could overflow. Under correction none only that finiteness
+test applies. empirical_risk keeps the exact sums: the logged risk's bytes
+are pinned, and the moments give it only to within the bound.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import ClassPrior, CorrectionKind, InsufficientDataError, InvalidInputError
+
+# np.vdot without the __array_function__ dispatch, which costs about a third of a call this small
+_vdot = getattr(np.vdot, "__wrapped__", np.vdot)
 
 
 @dataclass(frozen=True)
@@ -85,12 +108,14 @@ def square_loss(scores, labels) -> np.ndarray:
     return (1.0 - labels * np.asarray(scores, dtype=float)) ** 2
 
 
+@functools.lru_cache(maxsize=64)
 def _polynomial(prior: ClassPrior) -> tuple[float, float]:
-    """Coefficients (a, b) of l_us(z) = a*z and l_u(z) = 1 + z^2 + b*z."""
+    """Coefficients (a, b) of l_us(z) = a*z and l_u(z) = 1 + z^2 + b*z, as
+    Python floats, worked out once per prior."""
     prior.require_non_degenerate()
     w = prior.pi_plus - prior.pi_minus
     q = 1.0 - prior.pi_plus * prior.pi_minus
-    return -2.0 * q / w, 2.0 / w
+    return float(-2.0 * q / w), float(2.0 / w)
 
 
 def corrected_losses(scores, prior: ClassPrior) -> tuple[np.ndarray, np.ndarray]:
@@ -139,21 +164,33 @@ def _mean(v: np.ndarray) -> float:
     return float(np.add.reduce(v) / v.size)
 
 
-def _side_terms(us_scores, u_scores, prior, us_weights, u_plus_coef):
-    """Validated score and weight arrays, the polynomial's (a, b), then the
-    two side means: l_us = a*z and l_u = 1 + z^2 + b*z, as in
-    corrected_losses."""
+def _validated(us_scores, u_scores, us_weights):
+    """The score and weight arrays, shapes and sizes checked."""
     us = _check_scores(us_scores, "similarity")
     u = _check_scores(u_scores, "unlabeled")
-    w = _check_weights(us_weights, us.size)
-    a, b = _polynomial(prior)
-    us_term = _mean(w * (a * us)) + u_plus_coef * _mean(a * u)
-    u_term = _mean(1.0 + u * u + b * u)
+    return us, u, _check_weights(us_weights, us.size)
+
+
+def _side_terms(us, u, w, a, b, u_plus_coef):
+    """The two side means of validated arrays, l_us = a*z and
+    l_u = 1 + z^2 + b*z as in corrected_losses, each point's loss rounded
+    as written there and the points summed pairwise, in the order that
+    decides which overflow raises first. The three sums are built in place,
+    in one temporary per side plus one for z^2."""
+    t = np.multiply(us, a)
+    t *= w
+    us_mean = _mean(t)
+    s = np.multiply(u, a)
+    us_term = us_mean + u_plus_coef * _mean(s)
+    v = np.multiply(u, u)
+    v += 1.0
+    v += np.multiply(u, b, out=s)
+    u_term = _mean(v)
     if not math.isfinite(us_term + u_term):
         for arr, name in ((us, "similarity scores"), (u, "unlabeled scores"), (w, "us_weights")):
             if np.count_nonzero(np.isfinite(arr)) < arr.size:
                 raise InvalidInputError(f"{name} contain non-finite values")
-    return us, u, w, a, b, us_term, u_term
+    return us_term, u_term
 
 
 def empirical_risk(
@@ -171,7 +208,8 @@ def empirical_risk(
     mean similarity loss support the measure-matched estimate the trainer
     uses (see slot_weights); those extra pieces are folded into us_term.
     """
-    *_, us_term, u_term = _side_terms(us_scores, u_scores, prior, us_weights, u_plus_coef)
+    us, u, w = _validated(us_scores, u_scores, us_weights)
+    us_term, u_term = _side_terms(us, u, w, *_polynomial(prior), u_plus_coef)
     raw = us_term + u_term
     return RiskValue(us_term=us_term, u_term=u_term, raw=raw, corrected=correction.apply(raw))
 
@@ -185,6 +223,30 @@ def compute_thetas(prior: ClassPrior) -> Thetas:
     return Thetas(plus.us_term / 4, minus.us_term / 4, plus.u_term / 4, minus.u_term / 4)
 
 
+def _certified_raw(us, u, w, a, b, u_plus_coef, correction) -> float | None:
+    """The batch's raw risk from the polynomial's moments, where the
+    rounding bound in the module docstring proves it has the exact sum's
+    sign (or where correction reads no sign); else None. np.vdot does not
+    check the floating-point status, so a NaN, an infinity or an overflow
+    here raises and warns nothing: it makes S non-finite, and the sum over
+    z_u runs only once S has bounded every |z_u|."""
+    n, m, c = us.size, u.size, float(u_plus_coef)
+    uu = float(_vdot(u, u))
+    scale = (
+        abs(a) * math.sqrt(float(_vdot(w, w)) * float(_vdot(us, us))) / n
+        + (abs(c * a) + abs(b)) * math.sqrt(m * uu) / m
+        + 1.0
+        + uu / m
+    )
+    bound = (n + m + 16) * scale
+    if not bound < 2.0**1000:
+        return None
+    raw = a * float(_vdot(w, us)) / n + (c * a + b) * float(np.add.reduce(u)) / m + 1.0 + uu / m
+    if correction is CorrectionKind.NONE or abs(raw) > 8 * 2.0**-53 * bound:
+        return raw
+    return None
+
+
 def empirical_risk_grad(
     us_scores,
     u_scores,
@@ -192,23 +254,31 @@ def empirical_risk_grad(
     correction: CorrectionKind,
     us_weights=None,
     u_plus_coef: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """d corrected / d score for every input score.
+) -> np.ndarray:
+    """d corrected / d score for every input score, as one vector: the
+    similarity scores' entries, then the unlabeled scores'.
 
     The raw estimate is linear in the per-point corrected losses, so each
     per-score derivative is the (weighted) per-point loss derivative,
     dl_us/dz = -2q/w or dl_u/dz = 2z + 2/w, divided by its side's count and
-    scaled by dg/d raw (0 at the raw = 0 kink).
+    scaled by dg/d raw (0 at the raw = 0 kink). dg/d raw comes from the
+    moments' raw risk where its sign is certified, else from the exact
+    side means (see the module docstring), and is the same either way.
     """
-    us, u, w, a, b, us_term, u_term = _side_terms(
-        us_scores, u_scores, prior, us_weights, u_plus_coef
-    )
-    factor = correction.grad_factor(us_term + u_term)
-    g_us = factor / us.size * a * w
-    g_u = np.multiply(u, 2.0)
+    us, u, w = _validated(us_scores, u_scores, us_weights)
+    a, b = _polynomial(prior)
+    raw = _certified_raw(us, u, w, a, b, u_plus_coef, correction)
+    if raw is None:
+        us_term, u_term = _side_terms(us, u, w, a, b, u_plus_coef)
+        raw = us_term + u_term
+    factor = correction.grad_factor(raw)
+    n = us.size
+    grad = np.empty(n + u.size)
+    np.multiply(w, factor / n * a, out=grad[:n])
+    g_u = np.multiply(u, 2.0, out=grad[n:])
     g_u += b + u_plus_coef * a
     g_u *= factor / u.size
-    return g_us, g_u
+    return grad
 
 
 @dataclass(frozen=True)

@@ -215,7 +215,8 @@ def train(
     rows and weights once into the epoch buffers, batch by batch (see
     _epoch_layout). Per batch, the scores of its similarity rows and of its
     unlabeled rows give empirical_risk_grad the gradient with respect to
-    each score; one backward pass and one Adam step on model.theta follow.
+    each score, in the batch's row order; one backward pass and one Adam
+    step on model.theta follow.
     After the epoch's last step, empirical_risk over both pools gives the
     risk for the log. A floating-point overflow or invalid operation, or an
     epoch that ends past DIVERGENCE_LIMIT, stops the run with
@@ -238,11 +239,11 @@ def train(
     # an unlabeled row's value is never read
     row_weights = np.concatenate((np.tile(weights, data.n_triplets), np.zeros(pool_sizes[1])))
     us_weights = row_weights[: pool_sizes[0]]
-    upstream = np.empty_like(row_weights)
     prior, correction = config.prior, config.correction
     offsets, gather, bounds = _epoch_layout(pool_sizes, n_batches)
     x_buf, w_buf = np.empty_like(rows, order="C"), np.empty_like(row_weights)
-    batches = [(x_buf[i:k], j - i, w_buf[i:j]) for i, j, k in bounds]
+    # each batch's rows, then its similarity rows, unlabeled rows and weights
+    batches = [(x_buf[i:k], x_buf[i:j], x_buf[j:k], w_buf[i:j]) for i, j, k in bounds]
     ranks = np.arange(rows.shape[0])
     _, ss_shuffle = np.random.SeedSequence(config.seed).spawn(2)
     rng = np.random.default_rng(ss_shuffle)
@@ -256,11 +257,10 @@ def train(
             try:
                 np.take(rows, order, axis=0, out=x_buf, mode="clip")
                 np.take(row_weights, order, out=w_buf, mode="clip")
-                for x, split, w in batches:
-                    up = upstream[: x.shape[0]]
-                    up[:split], up[split:] = empirical_risk_grad(
-                        forward(model, x[:split]),
-                        forward(model, x[split:]),
+                for x, x_us, x_u, w in batches:
+                    up = empirical_risk_grad(
+                        forward(model, x_us),
+                        forward(model, x_u),
                         prior,
                         correction,
                         us_weights=w,

@@ -77,11 +77,11 @@ def reference_train(config, data, eval_set):
 
     def batch_upstream(model, us_idx, u_idx):
         us_batch, u_batch = us_pool[us_idx], u_pool[u_idx]
-        g_us, g_u = empirical_risk_grad(
+        upstream = empirical_risk_grad(
             forward(model, us_batch), forward(model, u_batch), config.prior,
             config.correction, us_weights=us_weights[us_idx], u_plus_coef=u_plus_coef,
         )
-        return np.concatenate([us_batch, u_batch]), np.concatenate([g_us, g_u])
+        return np.concatenate([us_batch, u_batch]), upstream
 
     def epoch_risk(model):
         return empirical_risk(

@@ -41,7 +41,7 @@ def _polynomial_b_2w(original):
 
 
 def _side_terms_u_plus_one(original):
-    # the trainer's unlabeled side mean, off by a constant 1
+    # the exact unlabeled side mean (the logged risk and the gradient's fallback), off by 1
     def mutant(*args):
         *rest, u_term = original(*args)
         return (*rest, u_term + 1.0)
@@ -97,7 +97,10 @@ def _rejection_first_companion_must_match(original):
 MUTANTS = {
     "polynomial_b_2w": (risk, "_polynomial", _polynomial_b_2w,
                         {"thetas", "identity", "bias", "matched"}),
-    "side_terms_u_plus_one": (risk, "_side_terms", _side_terms_u_plus_one, {"thetas"}),
+    # the batch gradient takes its sign from the moments, not from _side_terms, so
+    # the gradient suite compares two independent derivations of the batch risk
+    "side_terms_u_plus_one": (risk, "_side_terms", _side_terms_u_plus_one,
+                              {"thetas", "gradients"}),
     "rejection_c_u_without_q": (risk, "slot_weights", _rejection_c_u_without_q, {"matched"}),
     "case_weights_linear_in_prior": (sampler, "paper_case_weights",
                                      _case_weights_linear_in_prior, {"matched"}),

@@ -187,12 +187,15 @@ def test_helper_exits_when_its_caller_is_killed():
                               stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
     try:
         assert select.select([caller.stdout], [], [], 30)[0]
-        assert int(caller.stdout.readline()) > 0  # the helper's pid: it is running
+        helper = int(caller.stdout.readline())
+        assert helper > 0  # the helper's pid: it is running
     finally:
         caller.kill()
         caller.wait()
     # the helper holds the caller's stdout until it exits
     ready, _, _ = select.select([caller.stdout], [], [], 30)
+    if not ready:  # still running, and no longer this process's grandchild to reap
+        os.kill(helper, signal.SIGKILL)
     assert ready and caller.stdout.read() == b""
     caller.stdout.close()
 

@@ -99,8 +99,8 @@ class TestCorrectedLosses:
         up, down = corrected_losses(z + eps, prior), corrected_losses(z - eps, prior)
         for i, zi in enumerate(z):
             g_us, g_u = empirical_risk_grad([zi], [zi], prior, CorrectionKind.NONE)
-            assert g_us[0] == pytest.approx((up[0][i] - down[0][i]) / (2 * eps), abs=1e-6)
-            assert g_u[0] == pytest.approx((up[1][i] - down[1][i]) / (2 * eps), abs=1e-6)
+            assert g_us == pytest.approx((up[0][i] - down[0][i]) / (2 * eps), abs=1e-6)
+            assert g_u == pytest.approx((up[1][i] - down[1][i]) / (2 * eps), abs=1e-6)
 
 
 class TestEmpiricalRisk:
@@ -166,12 +166,14 @@ class TestEmpiricalRisk:
                 us_weights=np.ones(3),
             )
 
-    def test_grad_sizes_match_inputs(self):
-        g_us, g_u = empirical_risk_grad(
-            np.array([0.5, -0.2, 0.1]), np.array([0.3, 0.4]), PRIOR, CorrectionKind.ABS
-        )
-        assert g_us.shape == (3,)
-        assert g_u.shape == (2,)
+    def test_grad_is_one_vector_similarity_scores_first(self):
+        us, u = np.array([0.5, -0.2, 0.1]), np.array([0.3, 0.4])
+        grad = empirical_risk_grad(us, u, PRIOR, CorrectionKind.ABS)
+        assert grad.shape == (5,)
+        # each side's entries depend on that side's scores alone, given the sign
+        flipped = empirical_risk_grad(us, u + 0.1, PRIOR, CorrectionKind.ABS)
+        np.testing.assert_array_equal(flipped[:3], grad[:3])
+        assert not np.array_equal(flipped[3:], grad[3:])
 
 
 def _similarity_mass(prior):
