@@ -11,6 +11,9 @@ The models are frozen: write into theta or a parameter view, never rebind.
 
 backward reads the upstream's finiteness off its sum, the output bias's
 gradient, and scans it only when that sum is not finite, to name the fault.
+forward and backward are their shape checks plus a kernel (_forward,
+_backward) that keeps that scan; the trainer, whose arrays are checked once
+per run, calls the kernels.
 """
 from __future__ import annotations
 
@@ -115,7 +118,11 @@ def _as_batch(model: Model, x) -> np.ndarray:
 
 def forward(model: Model, x) -> np.ndarray:
     """Scores of an (n, d) batch, as an (n,) array."""
-    arr = _as_batch(model, x)
+    return _forward(model, _as_batch(model, x))
+
+
+def _forward(model: Model, arr: np.ndarray) -> np.ndarray:
+    """forward's kernel, for a float (n, model.dim) batch, unchecked."""
     if isinstance(model, LinearModel):
         return arr.dot(model.weights) + model.bias[0]
     h = np.maximum(arr @ model.w1.T + model.b1, 0.0)
@@ -153,6 +160,12 @@ def backward(model: Model, x, upstream) -> np.ndarray:
     up = np.asarray(upstream, dtype=float)
     if up.shape != (arr.shape[0],):
         raise ShapeError(f"upstream shape {up.shape} does not match batch {arr.shape[0]}")
+    return _backward(model, arr, up)
+
+
+def _backward(model: Model, arr: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """backward's kernel, for a float (n, model.dim) batch and a float (n,)
+    upstream, shapes unchecked; a non-finite upstream still raises."""
     grad = np.empty(model.theta.size)
     # the output bias's gradient, last in params() order
     total = np.add.reduce(up, keepdims=True, out=grad[-1:])

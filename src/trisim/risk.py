@@ -21,6 +21,9 @@ reference the identity, matched and bias oracles hold the estimator to.
 The estimator checks shapes and sizes up front, but reads finiteness off the
 sum of its two side means: a NaN or an infinity in any score or weight makes
 that sum non-finite, and only then are the arrays scanned, to name the fault.
+Each public function is those checks plus its kernel (_empirical_risk,
+_empirical_risk_grad), which keeps the scan; the trainer, whose arrays are
+checked once per run, calls the kernels.
 
 The batch gradient reads the raw risk only for its sign, dg/d raw. In the
 polynomial's moments (n similarity scores z_us of weights w, m unlabeled
@@ -209,6 +212,11 @@ def empirical_risk(
     uses (see slot_weights); those extra pieces are folded into us_term.
     """
     us, u, w = _validated(us_scores, u_scores, us_weights)
+    return _empirical_risk(us, u, prior, correction, w, u_plus_coef)
+
+
+def _empirical_risk(us, u, prior, correction, w, u_plus_coef) -> RiskValue:
+    """empirical_risk's kernel, for float arrays of valid shapes and sizes."""
     us_term, u_term = _side_terms(us, u, w, *_polynomial(prior), u_plus_coef)
     raw = us_term + u_term
     return RiskValue(us_term=us_term, u_term=u_term, raw=raw, corrected=correction.apply(raw))
@@ -266,6 +274,11 @@ def empirical_risk_grad(
     side means (see the module docstring), and is the same either way.
     """
     us, u, w = _validated(us_scores, u_scores, us_weights)
+    return _empirical_risk_grad(us, u, prior, correction, w, u_plus_coef)
+
+
+def _empirical_risk_grad(us, u, prior, correction, w, u_plus_coef) -> np.ndarray:
+    """empirical_risk_grad's kernel, for float arrays of valid shapes and sizes."""
     a, b = _polynomial(prior)
     raw = _certified_raw(us, u, w, a, b, u_plus_coef, correction)
     if raw is None:

@@ -10,10 +10,15 @@ under np.array_split, pools in order, so each batch is one contiguous slice
 of the buffer: its similarity rows, then its unlabeled rows.
 
 The two pools are stacked in one array, and the rows' slot weights in one
-vector, so each epoch is one gather of each. Adam updates the model's
-parameter vector, model.theta, as a single array. A long run on two or
-more CPUs takes its shuffled epoch orders from a forked helper that runs
-ahead of it (_prefetched); the orders, and so the bytes, are the same.
+vector, so each epoch is one gather of each (_gather). Adam updates the
+model's parameter vector, model.theta, as a single array. A long run on two
+or more CPUs takes its gathered epochs from a forked helper that shuffles
+and gathers ahead of it into a shared ring (_prefetched); the orders, and
+so the bytes, are the same.
+
+train checks its arrays once, so the loop calls the kernels of forward,
+backward, empirical_risk_grad and empirical_risk under their public names,
+module globals that the benchmark wraps.
 """
 from __future__ import annotations
 
@@ -33,9 +38,13 @@ from .core import (
     TrainingDivergedError,
     WeakDataset,
 )
-from .model import AdamState, Model, adam_step, backward, forward, init_model
+from .model import AdamState, Model, adam_step, init_model
+from .model import _backward as backward
+from .model import _forward as forward
 from .model import accuracy as _accuracy
-from .risk import RiskValue, empirical_risk, empirical_risk_grad, slot_weights
+from .risk import RiskValue, slot_weights
+from .risk import _empirical_risk as empirical_risk
+from .risk import _empirical_risk_grad as empirical_risk_grad
 
 # A run whose risk or any parameter exceeds this magnitude after an epoch has
 # diverged. Converging runs stay many orders of magnitude below it, and a
@@ -44,7 +53,7 @@ DIVERGENCE_LIMIT = 1e100
 # Past this many row-epochs (epochs x rows), on two CPUs, a forked helper shuffles
 # ahead of the loop; below it, the fork and pipe wake-ups cost more than they save.
 PREFETCH_MIN = 2**20
-RING = 8  # epoch orders in the helper's shared ring; the caller frees half of it at a time
+RING = 4  # gathered epochs in the helper's shared ring; the caller frees half of it at a time
 
 
 @dataclass(frozen=True)
@@ -154,11 +163,36 @@ def _orders(rng, ranks, pools, gather, epochs):
         yield np.take(perm, gather, out=order, mode="clip")
 
 
-def _prefetched(orders, ranks, epochs):
-    """orders, run ahead by a forked helper into RING shared slots. A pipe byte
-    says a slot is ready, or that the caller is done with half the ring. The
-    helper exits at a pipe's EOF, so also when the caller dies; closing this reaps it."""
-    ring = np.frombuffer(mmap.mmap(-1, RING * ranks.nbytes), ranks.dtype).reshape(RING, -1)
+def _slots(n, rows, row_weights, shared):
+    """n epoch slots, each an (x, w) pair shaped like rows and row_weights,
+    laid out slot after slot in one float buffer: an anonymous shared mmap
+    when shared, so that a forked helper can fill them."""
+    k, size = rows.size, rows.size + row_weights.size
+    flat = np.frombuffer(mmap.mmap(-1, n * size * rows.itemsize)) if shared else np.empty(n * size)
+    starts = range(0, n * size, size)
+    return [(flat[i : i + k].reshape(rows.shape), flat[i + k : i + size]) for i in starts]
+
+
+def _gather(source, order, slot):
+    """The rows and row weights of source, in order, into slot's (x, w)."""
+    # mode="clip" writes straight into out; the default "raise" buffers
+    for a, out in zip(source, slot):
+        np.take(a, order, axis=0, out=out, mode="clip")
+
+
+def _inline(orders, source, slot):
+    """Each epoch gathered in the calling process into its one slot; yields
+    that slot's index, 0."""
+    for order in orders:
+        _gather(source, order, slot)
+        yield 0
+
+
+def _prefetched(orders, source, ring, epochs):
+    """Each epoch gathered ahead by a forked helper into the RING shared
+    slots of ring; yields the epoch's slot index. A pipe byte says a slot
+    is ready, or that the caller is done with half the ring. The helper
+    exits at a pipe's EOF, so also when the caller dies; closing this reaps it."""
     half, mask = RING // 2, os.sched_getaffinity(0)
     (ready, ready_w), (free_r, free) = os.pipe(), os.pipe()
     try:
@@ -175,7 +209,7 @@ def _prefetched(orders, ranks, epochs):
             for epoch, order in enumerate(orders):
                 if epoch >= RING and epoch % half == 0 and not os.read(free_r, 1):
                     break
-                ring[epoch % RING] = order
+                _gather(source, order, ring[epoch % RING])
                 os.write(ready_w, b"\0")
         finally:
             os._exit(0)
@@ -187,7 +221,7 @@ def _prefetched(orders, ranks, epochs):
         for epoch in range(epochs):
             if not os.read(ready, 1):
                 raise ChildProcessError(f"the shuffle helper ended before epoch {epoch + 1}")
-            yield ring[epoch % RING]
+            yield epoch % RING
             if epoch % half == half - 1:
                 os.write(free, b"\0")
     finally:
@@ -212,11 +246,14 @@ def train(
     similarity integral of the risk reconstruction.
 
     Each epoch draws one permutation per pool, in pool order, and gathers
-    rows and weights once into the epoch buffers, batch by batch (see
-    _epoch_layout). Per batch, the scores of its similarity rows and of its
-    unlabeled rows give empirical_risk_grad the gradient with respect to
-    each score, in the batch's row order; one backward pass and one Adam
-    step on model.theta follow.
+    rows and weights once into an epoch slot, batch by batch (see
+    _epoch_layout); each slot's batches are views built once. The arrays
+    are float64 and their shapes fit the model and the batch plan, checked
+    once here, so the loop calls the kernels of the public functions. Per
+    batch, the scores of its similarity rows and of its unlabeled rows give
+    empirical_risk_grad the gradient with respect to each score, in the
+    batch's row order; one backward pass and one Adam step on model.theta
+    follow.
     After the epoch's last step, empirical_risk over both pools gives the
     risk for the log. A floating-point overflow or invalid operation, or an
     epoch that ends past DIVERGENCE_LIMIT, stops the run with
@@ -233,7 +270,7 @@ def train(
     if not n_batches:  # zero epochs
         return model, []
     pool_sizes = (us_rows.shape[0], data.n_unlabeled)
-    rows = np.concatenate((us_rows, data.unlabeled))
+    rows = np.concatenate((us_rows, data.unlabeled), dtype=float)
     us_pool, u_pool = rows[: pool_sizes[0]], rows[pool_sizes[0] :]
     weights, u_plus_coef = slot_weights(config.prior, data.sampler_kind)
     # an unlabeled row's value is never read
@@ -241,39 +278,32 @@ def train(
     us_weights = row_weights[: pool_sizes[0]]
     prior, correction = config.prior, config.correction
     offsets, gather, bounds = _epoch_layout(pool_sizes, n_batches)
-    x_buf, w_buf = np.empty_like(rows, order="C"), np.empty_like(row_weights)
-    # each batch's rows, then its similarity rows, unlabeled rows and weights
-    batches = [(x_buf[i:k], x_buf[i:j], x_buf[j:k], w_buf[i:j]) for i, j, k in bounds]
     ranks = np.arange(rows.shape[0])
     _, ss_shuffle = np.random.SeedSequence(config.seed).spawn(2)
     rng = np.random.default_rng(ss_shuffle)
     orders = _orders(rng, ranks, zip(offsets, pool_sizes), gather, config.epochs)
-    if config.epochs * ranks.size > PREFETCH_MIN and _cpus() > 1:
-        orders = _prefetched(orders, ranks, config.epochs)
+    source = (rows, row_weights)
+    shared = config.epochs * ranks.size > PREFETCH_MIN and _cpus() > 1
+    slots = _slots(RING if shared else 1, *source, shared)
+    if shared:
+        filled = _prefetched(orders, source, slots, config.epochs)
+    else:
+        filled = _inline(orders, source, slots[0])
+    # per slot, each batch's rows, then its similarity rows, unlabeled rows and weights
+    batches = [[(x[i:k], x[i:j], x[j:k], w[i:j]) for i, j, k in bounds] for x, w in slots]
     state = AdamState.for_theta(model.theta, lr=config.lr, weight_decay=config.weight_decay)
     log = []
-    with np.errstate(over="raise", divide="raise", invalid="raise"), closing(orders):
-        for epoch, order in enumerate(orders, 1):
+    with np.errstate(over="raise", divide="raise", invalid="raise"), closing(filled):
+        for epoch, slot in enumerate(filled, 1):
             try:
-                np.take(rows, order, axis=0, out=x_buf, mode="clip")
-                np.take(row_weights, order, out=w_buf, mode="clip")
-                for x, x_us, x_u, w in batches:
+                for x, x_us, x_u, w in batches[slot]:
                     up = empirical_risk_grad(
-                        forward(model, x_us),
-                        forward(model, x_u),
-                        prior,
-                        correction,
-                        us_weights=w,
-                        u_plus_coef=u_plus_coef,
+                        forward(model, x_us), forward(model, x_u), prior, correction, w, u_plus_coef
                     )
                     adam_step(model.theta, backward(model, x, up), state)
                 rv = empirical_risk(
-                    forward(model, us_pool),
-                    forward(model, u_pool),
-                    prior,
-                    correction,
-                    us_weights=us_weights,
-                    u_plus_coef=u_plus_coef,
+                    forward(model, us_pool), forward(model, u_pool), prior, correction,
+                    us_weights, u_plus_coef,
                 )
                 reason = _divergence(rv, model)
                 acc = _accuracy(model, eval_set) if eval_set is not None and not reason else None

@@ -289,7 +289,11 @@ def measure_estimator_bias(
     else:
         triplets = sample_triplets_paper_case(domain, n_mc, rng)
     lus, lu = corrected_losses(domain.scores, domain.prior)
-    per_triplet = lus[triplets[:, :, 0].astype(int)].mean(axis=1)
+    # each slot's support-point index gives way to its loss, in place
+    slot_losses = triplets[:, :, 0]
+    np.take(lus, slot_losses.astype(int), out=slot_losses, mode="clip")
+    per_triplet = slot_losses.mean(axis=1)
+    del triplets, slot_losses
     per_u = lu[sample_unlabeled(domain, n_mc, rng)[:, 0].astype(int)]
     mc = float(per_triplet.mean() + per_u.mean())
     se = float(np.sqrt(per_triplet.var(ddof=1) / n_mc + per_u.var(ddof=1) / n_mc))

@@ -1,9 +1,10 @@
 """The training shuffle helper: above trainer.PREFETCH_MIN row-epochs, and
 when the calling thread may run on two CPUs, a forked helper shuffles the
-epochs ahead of the loop. These tests check that it gives the inline loop's
-bits, that it and its caller run on separate CPUs, that it never outlives
-train however train ends, that it exits when its caller is killed, and that
-a thread on one CPU never forks."""
+epochs ahead of the loop and gathers them into a shared ring. These tests
+check that it gives the inline loop's bits, also at the benchmark's size,
+that it does all the gathering, that it and its caller run on separate
+CPUs, that it never outlives train however train ends, that it exits when
+its caller is killed, and that a thread on one CPU never forks."""
 import itertools
 import math
 import os
@@ -18,7 +19,7 @@ import pytest
 
 import trisim
 from trisim import trainer
-from trisim.core import SAMPLERS, ClassPrior, TrainingDivergedError
+from trisim.core import SAMPLERS, ClassPrior, TrainingDivergedError, WeakDataset
 from trisim.sampler import GaussianSourceSpec, make_weak_dataset, synth_gaussian_labeled
 from trisim.trainer import TrainConfig, train
 
@@ -69,6 +70,70 @@ def test_helper_gives_the_inline_bits(monkeypatch, sampler_kind, model_kind, wit
         assert len(pids) == TWO_CPUS
     assert runs[0] == runs[1]
     assert len(runs[0][1]) == EPOCHS
+
+
+def _benchmark_size(dim, sampler_kind):
+    """The benchmark's default point at dim features: 2000 triplets and 2000
+    unlabeled points, and an eval set of 2000."""
+    mu = np.zeros(dim)
+    mu[0] = 2.0
+    spec = GaussianSourceSpec(dim, mu, -mu, 1.0, ClassPrior(0.4))
+    weak = make_weak_dataset(spec, 2000, 2000, sampler_kind, 3)
+    return weak, synth_gaussian_labeled(spec, 2000, seed=4)
+
+
+def _benchmark_run(monkeypatch, on, weak, eval_set):
+    helper(monkeypatch, on)
+    model, log = train(TrainConfig(ClassPrior(0.4), seed=5), weak, eval_set)
+    assert len(log) == 600
+    return model.theta.tobytes(), log
+
+
+@pytest.mark.parametrize("dim", [2, 50])
+@pytest.mark.parametrize("sampler_kind", SAMPLERS)
+def test_helper_gives_the_inline_bits_at_the_benchmark_size(monkeypatch, sampler_kind, dim):
+    weak, eval_set = _benchmark_size(dim, sampler_kind)
+    pids = forks(monkeypatch)
+    runs = [_benchmark_run(monkeypatch, on, weak, eval_set) for on in (True, False)]
+    assert len(pids) == TWO_CPUS
+    assert runs[0] == runs[1]
+
+
+def test_integer_data_trains_to_the_float_data_bits(monkeypatch):
+    weak, eval_set = _benchmark_size(2, "rejection")
+    tenths = [np.rint(10 * a) for a in (weak.triplets, weak.unlabeled)]
+    integer = WeakDataset(*(a.astype(np.int64) for a in tenths), "rejection")
+    want = _benchmark_run(monkeypatch, False, WeakDataset(*tenths, "rejection"), eval_set)
+    for on in (True, False):
+        assert _benchmark_run(monkeypatch, on, integer, eval_set) == want
+
+
+def _gather_pids(monkeypatch, tmp_path):
+    """A file that gets the pid of the process of each trainer._gather call."""
+    path, gather = tmp_path / "gathers", trainer._gather
+
+    def recording(*args):
+        with open(path, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        return gather(*args)
+
+    monkeypatch.setattr(trainer, "_gather", recording)
+    return path
+
+
+def test_inline_the_caller_gathers_once_per_epoch(monkeypatch, tmp_path):
+    helper(monkeypatch, False)
+    path = _gather_pids(monkeypatch, tmp_path)
+    train(config(), data())
+    assert path.read_text().split() == [str(os.getpid())] * EPOCHS
+
+
+@pytest.mark.skipif(not TWO_CPUS, reason="the helper runs on two CPUs only")
+def test_with_the_helper_only_the_helper_gathers(monkeypatch, tmp_path):
+    helper(monkeypatch, True)
+    path, pids = _gather_pids(monkeypatch, tmp_path), forks(monkeypatch)
+    train(config(), data())
+    assert path.read_text().split() == [str(pids[0])] * EPOCHS
 
 
 @pytest.mark.parametrize("epochs", [1, trainer.RING // 2 + 1, trainer.RING + 1])

@@ -3,21 +3,24 @@ invariants, determinism, and sanity of the logged risks."""
 import os
 import subprocess
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import trisim
-from trisim import trainer
+from trisim import risk, trainer
 from trisim.core import (
     ClassPrior,
     ConfigurationError,
     CorrectionKind,
     InsufficientDataError,
+    InvalidInputError,
     TrainingDivergedError,
     WeakDataset,
 )
+from trisim.model import _backward, _forward, backward, forward, init_model
 from trisim.sampler import GaussianSourceSpec, make_weak_dataset, synth_gaussian_labeled
 from trisim.trainer import (
     DIVERGENCE_LIMIT,
@@ -258,6 +261,66 @@ class TestCallContract:
     def test_weak_run_with_the_shuffle_helper(self, monkeypatch, with_eval_set):
         monkeypatch.setattr(trainer, "PREFETCH_MIN", 0)
         self.test_weak_run(monkeypatch, with_eval_set)
+
+
+def _risk_inputs(seed, kink):
+    """Float scores, weights and a coefficient for the risk functions; with
+    kink, the weights are scaled so the raw risk is 0 up to rounding, where
+    the gradient's certificate declines and the exact side means decide."""
+    rng = np.random.default_rng(seed)
+    us, u, w = rng.normal(size=30), rng.normal(size=20), rng.uniform(0, 6, size=30)
+    c = float(rng.uniform(-1, 0))
+    if kink:
+        a, b = risk._polynomial(ClassPrior(0.4))
+        rest = c * a * u.mean() + 1.0 + (u * u).mean() + b * u.mean()
+        w *= -rest * us.size / (a * np.dot(w, us))
+    return us, u, w, c
+
+
+class TestKernels:
+    """train checks its arrays once and calls the kernels under the public
+    names; each kernel gives its public function's bytes on valid inputs,
+    and keeps its finiteness scan and message."""
+
+    def test_the_trainer_names_bind_to_the_kernels(self):
+        names = ("forward", "backward", "empirical_risk_grad", "empirical_risk")
+        kernels = (_forward, _backward, risk._empirical_risk_grad, risk._empirical_risk)
+        assert tuple(getattr(trainer, n) for n in names) == kernels
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    def test_model_kernels_give_the_public_bytes(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        m = init_model(kind, 3, hidden=5, seed=seed)
+        x, up = rng.normal(size=(40, 3)), rng.normal(size=40)
+        assert _forward(m, x).tobytes() == forward(m, x).tobytes()
+        assert _backward(m, x, up).tobytes() == backward(m, x, up).tobytes()
+
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    def test_backward_kernel_names_a_non_finite_upstream(self, kind):
+        m = init_model(kind, 3, hidden=5, seed=1)
+        with pytest.raises(InvalidInputError, match="^upstream must be finite$"):
+            _backward(m, np.ones((4, 3)), np.array([1.0, np.nan, 0.0, 1.0]))
+
+    @pytest.mark.parametrize("kink", [False, True], ids=["certified", "kink"])
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("correction", list(CorrectionKind))
+    def test_risk_kernels_give_the_public_bytes(self, correction, seed, kink):
+        us, u, w, c = _risk_inputs(seed, kink)
+        prior = ClassPrior(0.4)
+        public = risk.empirical_risk(us, u, prior, correction, us_weights=w, u_plus_coef=c)
+        kernel = risk._empirical_risk(us, u, prior, correction, w, c)
+        assert np.array(astuple(kernel)).tobytes() == np.array(astuple(public)).tobytes()
+        grad = risk.empirical_risk_grad(us, u, prior, correction, us_weights=w, u_plus_coef=c)
+        assert risk._empirical_risk_grad(us, u, prior, correction, w, c).tobytes() == grad.tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf on the way to the scan
+    @pytest.mark.parametrize("kernel", [risk._empirical_risk, risk._empirical_risk_grad])
+    def test_risk_kernels_name_a_non_finite_array(self, kernel):
+        us, u, w, c = _risk_inputs(0, False)
+        u[3] = np.inf
+        with pytest.raises(InvalidInputError, match="^unlabeled scores contain non-finite values$"):
+            kernel(us, u, ClassPrior(0.4), CorrectionKind.ABS, w, c)
 
 
 _THREADS_SCRIPT = """
