@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from functools import partial
@@ -33,6 +34,7 @@ from .core import (
     TrisimError,
 )
 from .dataio import (
+    WEAK_META,
     read_labeled_csv,
     read_weak_dataset,
     read_model,
@@ -97,6 +99,20 @@ def _write_manifest(args, inputs, outputs, started) -> None:
     print(write_json(str(outputs[0]) + ".manifest.json", manifest))
 
 
+def _distinct(inputs, outputs):
+    """Raise ConfigurationError when an output, or the manifest beside the
+    first one, names the file of an input or of another output; commands
+    call this before they read or write anything."""
+    seen = {os.path.realpath(p): "an input" for p in inputs}
+    for path in [*outputs, *([f"{outputs[0]}.manifest.json"] if outputs else [])]:
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ConfigurationError(
+                f"{path}: the same file as {seen[real]}; give each output a path of its own"
+            )
+        seen[real] = "another output"
+
+
 def _list_of(kind):
     """argparse type for a comma-separated list of kind values; each item is
     stripped, and empty items are dropped."""
@@ -139,18 +155,18 @@ def cmd_synth(args):
 
 
 def cmd_make_weak(args):
+    out_dir = Path(args.out_dir)
+    outputs = [out_dir / "triplets.jsonl", out_dir / "unlabeled.jsonl", out_dir / WEAK_META]
+    _distinct([args.input], outputs)
     pool = read_labeled_csv(args.input)
     prior = ClassPrior(args.pi) if args.pi is not None else None
     source = PoolSource(pool, prior=prior)
     data = make_weak_dataset(source, args.n_us, args.n_u, args.sampler, args.seed)
-    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    triplets_path = out_dir / "triplets.jsonl"
-    unlabeled_path = out_dir / "unlabeled.jsonl"
-    write_triplets_jsonl(triplets_path, data.triplets)
-    write_unlabeled_jsonl(unlabeled_path, data.unlabeled)
-    meta_path = write_weak_meta(out_dir, data, source.prior)
-    return [args.input], [triplets_path, unlabeled_path, meta_path], EXIT_OK
+    write_triplets_jsonl(outputs[0], data.triplets)
+    write_unlabeled_jsonl(outputs[1], data.unlabeled)
+    write_weak_meta(out_dir, data, source.prior)
+    return [args.input], outputs, EXIT_OK
 
 
 def _train_config(args, prior: ClassPrior) -> TrainConfig:
@@ -176,27 +192,31 @@ def _read_test(path, dim: int, against: str):
 
 
 def cmd_train(args):
+    log_path = args.log or (args.out + ".log.csv")
+    inputs, outputs = [args.us, args.u] + ([args.test] if args.test else []), [args.out, log_path]
+    _distinct(inputs, outputs)
     config = _train_config(args, ClassPrior(args.pi))
     data = read_weak_dataset(args.us, args.u, sampler_kind=args.sampler)
     width = data.triplets.shape[2]
     eval_set = _read_test(args.test, width, "the weak data have") if args.test else None
     model, log = train(config, data, eval_set)
     write_model(args.out, model, config_echo=_flags(args))
-    log_path = args.log or (args.out + ".log.csv")
     write_train_log_csv(log_path, log)
     if eval_set is not None and log:
         print(f"final test accuracy: {log[-1].test_accuracy}")
-    return [args.us, args.u] + ([args.test] if args.test else []), [args.out, log_path], EXIT_OK
+    return inputs, outputs, EXIT_OK
 
 
 def cmd_eval(args):
+    inputs, outputs = [args.model, args.test], [args.out] if args.out else []
+    _distinct(inputs, outputs)
     model = read_model(args.model)
     test = _read_test(args.test, model.dim, "the model takes")
     payload = json.dumps({"accuracy": accuracy(model, test)})
     print(payload)
     if args.out:
         Path(args.out).write_text(payload + "\n")
-    return [args.model, args.test], [args.out] if args.out else [], EXIT_OK
+    return inputs, outputs, EXIT_OK
 
 
 # each suite by name, in the order `all` merges them; the lambdas look the
@@ -228,6 +248,8 @@ def cmd_verify(args):
 
 
 def cmd_sweep(args):
+    outputs = [args.out] + ([args.json_out] if args.json_out else [])
+    _distinct([], outputs)
     spec = _gaussian_spec(args)
     config = _train_config(args, spec.prior)
     values = {"prior": args.given, "fraction": args.fractions, "correction": args.corrections}
@@ -236,7 +258,7 @@ def cmd_sweep(args):
     write_sweep_csv(args.out, result)
     if args.json_out:
         write_sweep_json(args.json_out, result)
-    return [], [args.out] + ([args.json_out] if args.json_out else []), EXIT_OK
+    return [], outputs, EXIT_OK
 
 
 def _add_source_flags(p):

@@ -10,11 +10,11 @@ under np.array_split, pools in order, so each batch is one contiguous slice
 of the buffer: its similarity rows, then its unlabeled rows.
 
 The two pools are stacked in one array, and the rows' slot weights in one
-vector, so each epoch is one gather of each (_gather). Adam updates the
-model's parameter vector, model.theta, as a single array. A long run on two
-or more CPUs takes its gathered epochs from a forked helper that shuffles
-and gathers ahead of it into a shared ring (_prefetched); the orders, and
-so the bytes, are the same.
+vector, so each epoch is one gather of each. One generator (_epochs)
+shuffles, lays out and gathers every epoch; a long run on two or more CPUs
+runs it ahead in a forked helper that fills a shared ring (_prefetched), so
+the orders, and so the bytes, are the same. Adam updates the model's
+parameter vector, model.theta, as a single array.
 
 train checks its arrays once, so the loop calls the kernels of forward,
 backward, empirical_risk_grad and empirical_risk under their public names,
@@ -150,49 +150,41 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _orders(rng, ranks, pools, gather, epochs):
-    """Each epoch's buffer order, in one reused array: every pool's (offset,
-    size) slice of ranks shuffled by rng, pools in order, gathered by gather."""
-    perm, order = np.empty_like(ranks), np.empty_like(ranks)
-    slices = [perm[o : o + n] for o, n in pools]
-    for _ in range(epochs):
-        perm[...] = ranks
-        for pool in slices:
-            rng.shuffle(pool)  # shuffling an arange slice draws rng.permutation(n) + offset
-        # mode="clip" writes straight into out; the default "raise" buffers
-        yield np.take(perm, gather, out=order, mode="clip")
-
-
-def _slots(n, rows, row_weights, shared):
+def _slots(n, rows, row_weights):
     """n epoch slots, each an (x, w) pair shaped like rows and row_weights,
-    laid out slot after slot in one float buffer: an anonymous shared mmap
-    when shared, so that a forked helper can fill them."""
+    laid out slot after slot in one anonymous shared mmap, so that a forked
+    helper can fill them."""
     k, size = rows.size, rows.size + row_weights.size
-    flat = np.frombuffer(mmap.mmap(-1, n * size * rows.itemsize)) if shared else np.empty(n * size)
+    flat = np.frombuffer(mmap.mmap(-1, n * size * rows.itemsize))
     starts = range(0, n * size, size)
     return [(flat[i : i + k].reshape(rows.shape), flat[i + k : i + size]) for i in starts]
 
 
-def _gather(source, order, slot):
-    """The rows and row weights of source, in order, into slot's (x, w)."""
-    # mode="clip" writes straight into out; the default "raise" buffers
-    for a, out in zip(source, slot):
-        np.take(a, order, axis=0, out=out, mode="clip")
+def _epochs(rng, pools, gather, source, slots, epochs):
+    """Fills a slot per epoch and yields its index, epoch % len(slots): the
+    rows and row weights of source in buffer order, which is every pool's
+    (offset, size) slice of the ranks shuffled by rng, pools in order,
+    gathered by gather."""
+    ranks = np.arange(gather.size)
+    perm, order = np.empty_like(ranks), np.empty_like(ranks)
+    slices = [perm[o : o + n] for o, n in pools]
+    for epoch in range(epochs):
+        perm[...] = ranks
+        for pool in slices:
+            rng.shuffle(pool)  # shuffling an arange slice draws rng.permutation(n) + offset
+        # mode="clip" writes straight into out; the default "raise" buffers
+        np.take(perm, gather, out=order, mode="clip")
+        slot = epoch % len(slots)
+        for a, out in zip(source, slots[slot]):
+            np.take(a, order, axis=0, out=out, mode="clip")
+        yield slot
 
 
-def _inline(orders, source, slot):
-    """Each epoch gathered in the calling process into its one slot; yields
-    that slot's index, 0."""
-    for order in orders:
-        _gather(source, order, slot)
-        yield 0
-
-
-def _prefetched(orders, source, ring, epochs):
-    """Each epoch gathered ahead by a forked helper into the RING shared
-    slots of ring; yields the epoch's slot index. A pipe byte says a slot
-    is ready, or that the caller is done with half the ring. The helper
-    exits at a pipe's EOF, so also when the caller dies; closing this reaps it."""
+def _prefetched(feed, epochs):
+    """The slot indices of feed's epochs, which a forked helper fills ahead
+    into the RING shared slots. A pipe byte says which slot is ready, or that
+    the caller is done with half the ring. The helper exits at a pipe's EOF,
+    so also when the caller dies; closing this reaps it."""
     half, mask = RING // 2, os.sched_getaffinity(0)
     (ready, ready_w), (free_r, free) = os.pipe(), os.pipe()
     try:
@@ -206,11 +198,10 @@ def _prefetched(orders, source, ring, epochs):
             os.close(ready)
             os.close(free)
             os.sched_setaffinity(0, {max(mask)})
-            for epoch, order in enumerate(orders):
+            for epoch in range(epochs):
                 if epoch >= RING and epoch % half == 0 and not os.read(free_r, 1):
                     break
-                _gather(source, order, ring[epoch % RING])
-                os.write(ready_w, b"\0")
+                os.write(ready_w, bytes((next(feed),)))
         finally:
             os._exit(0)
     os.close(ready_w)  # free_r stays open: a byte for a helper that has exited does not raise
@@ -219,9 +210,10 @@ def _prefetched(orders, source, ring, epochs):
         # and the scheduler at times moves the caller onto the helper's
         os.sched_setaffinity(0, mask - {max(mask)})
         for epoch in range(epochs):
-            if not os.read(ready, 1):
+            slot = os.read(ready, 1)
+            if not slot:
                 raise ChildProcessError(f"the shuffle helper ended before epoch {epoch + 1}")
-            yield epoch % RING
+            yield slot[0]
             if epoch % half == half - 1:
                 os.write(free, b"\0")
     finally:
@@ -278,17 +270,12 @@ def train(
     us_weights = row_weights[: pool_sizes[0]]
     prior, correction = config.prior, config.correction
     offsets, gather, bounds = _epoch_layout(pool_sizes, n_batches)
-    ranks = np.arange(rows.shape[0])
     _, ss_shuffle = np.random.SeedSequence(config.seed).spawn(2)
     rng = np.random.default_rng(ss_shuffle)
-    orders = _orders(rng, ranks, zip(offsets, pool_sizes), gather, config.epochs)
-    source = (rows, row_weights)
-    shared = config.epochs * ranks.size > PREFETCH_MIN and _cpus() > 1
-    slots = _slots(RING if shared else 1, *source, shared)
-    if shared:
-        filled = _prefetched(orders, source, slots, config.epochs)
-    else:
-        filled = _inline(orders, source, slots[0])
+    ahead = config.epochs * rows.shape[0] > PREFETCH_MIN and _cpus() > 1
+    slots = _slots(RING if ahead else 1, rows, row_weights)
+    feed = _epochs(rng, zip(offsets, pool_sizes), gather, (rows, row_weights), slots, config.epochs)
+    filled = _prefetched(feed, config.epochs) if ahead else feed
     # per slot, each batch's rows, then its similarity rows, unlabeled rows and weights
     batches = [[(x[i:k], x[i:j], x[j:k], w[i:j]) for i, j, k in bounds] for x, w in slots]
     state = AdamState.for_theta(model.theta, lr=config.lr, weight_decay=config.weight_decay)

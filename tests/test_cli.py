@@ -498,6 +498,24 @@ class TestDivergence:
         assert err[0].startswith("error: training diverged at epoch ")
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize(
+        "flags,op",
+        [(["--lr", "1e300"], "multiply"),
+         (["--model", "mlp", "--hidden", "4", "--lr", "1e200"], "matmul")],
+        ids=["linear", "mlp"],
+    )
+    def test_an_overflow_exits_config_naming_the_operation(self, tmp_path, capsys, flags, op):
+        triplets, unlabeled = _weak(tmp_path, _synth(tmp_path))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["train", "--us", str(triplets), "--u", str(unlabeled), "--pi", "0.4",
+                       *flags, "--epochs", "5", "--batch", "30", "--out", str(tmp_path / "m.json")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: training diverged at epoch 1: overflow encountered in {op}"]
+        assert not list(tmp_path.glob("m.json*"))
+
 
 class TestVerify:
     def test_quick_suites_pass(self, tmp_path, capsys):
@@ -513,6 +531,32 @@ class TestVerify:
         assert rc == EXIT_OK
         assert json.loads(out.read_text())["suite"] == "thetas"
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "failing,code",
+        [(None, EXIT_OK), (True, EXIT_VERIFY), (False, EXIT_OK)],
+        ids=["passing", "assertable-fails", "non-assertable-fails"],
+    )
+    def test_all_merges_every_suite_in_order(self, monkeypatch, capsys, failing, code):
+        def stub(name):
+            def run(seed):
+                report = VerifyReport(suite=name)
+                report.add("seed", 7, seed, 0)
+                if failing is not None and name == "bias":
+                    report.add("forced", 0.0, 1.0, 0.5, assertable=failing)
+                return report
+            return run
+
+        suites = {name: stub(name) for name in cli.SUITES}
+        monkeypatch.setattr(cli, "SUITES", suites)
+        assert main(["verify", "--suite", "all", "--seed", "7"]) == code
+        doc = json.loads(capsys.readouterr().out)
+        names = [f"{name}.seed" for name in suites]
+        if failing is not None:
+            names.insert(names.index("bias.seed") + 1, "bias.forced")
+        assert doc["suite"] == "all"
+        assert [c["name"] for c in doc["checks"]] == names
+        assert doc["passed"] is (failing is None)
 
 
 class TestSweep:
@@ -959,6 +1003,35 @@ class TestRunRecord:
         assert manifest["outputs"] == ["r.json"]
         printed = [report.to_json(), json.dumps(manifest, indent=2)]
         assert capsys.readouterr().out == "\n".join(printed) + "\n"
+
+    @pytest.mark.parametrize(
+        "argv,path,other",
+        [
+            ([*_TRAIN, "--log", "m.json"], "m.json", "another output"),
+            ([*_TRAIN[:-1], "weak/unlabeled.jsonl"], "weak/unlabeled.jsonl", "an input"),
+            ([*_TRAIN[:-1], "weak/../weak/triplets.jsonl"], "weak/../weak/triplets.jsonl",
+             "an input"),
+            ([*_TRAIN, "--test", "data.csv", "--log", "alias.csv"], "alias.csv", "an input"),
+            ([*_TRAIN, "--log", "m.json.manifest.json"], "m.json.manifest.json", "another output"),
+            (["make-weak", "--in", "weak/weak.json", "--n-us", "40", "--n-u", "60",
+              "--out-dir", "weak"], "weak/weak.json", "an input"),
+            (["eval", "--model", "model.json", "--test", "data.csv", "--out", "model.json"],
+             "model.json", "an input"),
+            ([*_SWEEP, "--json-out", "./s.csv"], "./s.csv", "another output"),
+        ],
+        ids=["train-log-is-out", "train-out-is-input", "train-out-is-input-respelled",
+             "train-log-is-a-link-to-input", "train-log-is-manifest", "make-weak",
+             "eval", "sweep"],
+    )
+    def test_an_output_on_an_input_or_output_exits_before_writing(self, run_dir, capsys, argv,
+                                                                  path, other):
+        (run_dir / "alias.csv").symlink_to(run_dir / "data.csv")
+        before = {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path}: the same file as {other}; give each output a path of its own"
+        ]
+        assert {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()} == before
 
     @pytest.mark.parametrize("defaults", [TrainConfig, _OtherDefaults], ids=["default", "other"])
     @pytest.mark.parametrize(

@@ -6,15 +6,32 @@ InvalidInputError naming the array, from empirical_risk, empirical_risk_grad
 and backward alike. Finite inputs whose terms overflow are not faults: the
 risk comes back infinite and nothing raises. numpy may print a
 RuntimeWarning on the way to either outcome, so these tests ignore them.
+
+The input checks of the data types, the risk and the samplers that no
+other test reaches each raise their own error type and message.
 """
 import re
 
 import numpy as np
 import pytest
 
-from trisim.core import ClassPrior, CorrectionKind, InvalidInputError
+from trisim.core import (
+    ClassPrior,
+    CorrectionKind,
+    InsufficientDataError,
+    InvalidInputError,
+    LabeledPool,
+    ShapeError,
+    WeakDataset,
+)
 from trisim.model import backward, init_model
-from trisim.risk import empirical_risk, empirical_risk_grad
+from trisim.risk import DiscreteDomainSpec, empirical_risk, empirical_risk_grad
+from trisim.sampler import (
+    PoolSource,
+    default_gaussian_spec,
+    sample_triplets_paper_case,
+    sample_unlabeled,
+)
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -95,3 +112,53 @@ def test_backward_of_an_overflowing_upstream_is_infinite(kind):
     x = np.abs(np.random.default_rng(2).normal(size=(N, 3))) + 1.0
     grad = backward(model, x, np.full(N, 1e308))
     assert grad[-1] == np.inf
+
+
+EMPTY_POOL = {"x": np.zeros((0, 2)), "y": np.zeros(0)}
+SPEC, RNG = default_gaussian_spec(), np.random.default_rng(0)
+INPUT_CHECKS = {
+    "weak-unlabeled-shape": (
+        lambda: WeakDataset(np.zeros((1, 3, 2)), np.zeros(2), "rejection"),
+        ShapeError, "unlabeled must have shape (m, d), got (2,)",
+    ),
+    "pool-shape": (
+        lambda: LabeledPool(np.zeros((2, 2)), np.ones(3)),
+        ShapeError, "x must be (n, d) and y must be (n,)",
+    ),
+    "pool-empty-prior": (
+        lambda: LabeledPool(**EMPTY_POOL).empirical_prior,
+        InsufficientDataError, "empty pool has no empirical prior",
+    ),
+    "risk-2d-scores": (
+        lambda: empirical_risk(np.zeros((2, 2)), np.zeros(2), PRIOR, CorrectionKind.ABS),
+        InvalidInputError, "similarity scores must be a 1-D array",
+    ),
+    "domain-lengths": (
+        lambda: DiscreteDomainSpec(np.ones(1), np.full(2, 0.5), PRIOR, np.zeros(1)),
+        InvalidInputError, "p_plus, p_minus, scores must be 1-D of equal length",
+    ),
+    "domain-scores": (
+        lambda: DiscreteDomainSpec(np.ones(1), np.ones(1), PRIOR, np.full(1, np.inf)),
+        InvalidInputError, "scores must be finite",
+    ),
+    "source-empty-pool": (
+        lambda: PoolSource(LabeledPool(**EMPTY_POOL)),
+        InsufficientDataError, "pool is empty",
+    ),
+    "paper-case-count": (
+        lambda: sample_triplets_paper_case(SPEC, 0, RNG),
+        InvalidInputError, "triplet count must be >= 1, got 0",
+    ),
+    "unlabeled-count": (
+        lambda: sample_unlabeled(SPEC, 0, RNG),
+        InvalidInputError, "unlabeled count must be >= 1, got 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_CHECKS)
+def test_an_input_check_raises_its_type_and_message(case):
+    call, error, message = INPUT_CHECKS[case]
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as excinfo:
+        call()
+    assert excinfo.type is error

@@ -109,15 +109,17 @@ def test_integer_data_trains_to_the_float_data_bits(monkeypatch):
 
 
 def _gather_pids(monkeypatch, tmp_path):
-    """A file that gets the pid of the process of each trainer._gather call."""
-    path, gather = tmp_path / "gathers", trainer._gather
+    """A file that gets the pid of the process that gathers each epoch of
+    trainer._epochs."""
+    path, epochs = tmp_path / "gathers", trainer._epochs
 
     def recording(*args):
-        with open(path, "a") as f:
-            f.write(f"{os.getpid()}\n")
-        return gather(*args)
+        for slot in epochs(*args):
+            with open(path, "a") as f:
+                f.write(f"{os.getpid()}\n")
+            yield slot
 
-    monkeypatch.setattr(trainer, "_gather", recording)
+    monkeypatch.setattr(trainer, "_epochs", recording)
     return path
 
 

@@ -1,5 +1,6 @@
-"""Every public top-level function and class of the package is used by the
-package or the benchmark: no public API that only its own unit tests call.
+"""Every top-level function and class of the package is used by the
+package or the benchmark: no public API that only its own unit tests call,
+and no private helper that nothing calls.
 
 A name counts as used when some module under src/trisim/ or perfbench/
 mentions it outside its own definition: as a name, an attribute, an import,
@@ -27,7 +28,9 @@ def _mentions(tree: ast.AST, strings: bool) -> set[str]:
     return found
 
 
-def test_every_public_name_is_used_outside_its_tests():
+def _unused(private: bool) -> list[str]:
+    """The package's unused top-level functions and classes whose names are
+    _-prefixed (private) or not."""
     trees = {path: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     mentioned = set()
     for path in sorted((ROOT / "perfbench").glob("*.py")):
@@ -35,7 +38,9 @@ def test_every_public_name_is_used_outside_its_tests():
     unused = []
     for path, tree in trees.items():
         for i, node in enumerate(tree.body):
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or (
+                node.name.startswith("_") != private
+            ):
                 continue
             # the module with this definition left out, then every other module
             rest = ast.Module(body=tree.body[:i] + tree.body[i + 1 :], type_ignores=[])
@@ -44,4 +49,12 @@ def test_every_public_name_is_used_outside_its_tests():
                 node.name in _mentions(t, strings=False) for t in (rest, *others)
             ):
                 unused.append(f"{path.stem}.{node.name}")
-    assert unused == []
+    return unused
+
+
+def test_every_public_name_is_used_outside_its_tests():
+    assert _unused(private=False) == []
+
+
+def test_every_private_name_is_used_outside_its_definition():
+    assert _unused(private=True) == []

@@ -22,10 +22,12 @@ from trisim.core import (
 )
 from trisim.model import _backward, _forward, backward, forward, init_model
 from trisim.sampler import GaussianSourceSpec, make_weak_dataset, synth_gaussian_labeled
+from trisim.risk import RiskValue
 from trisim.trainer import (
     DIVERGENCE_LIMIT,
     TrainConfig,
     _batch_plan,
+    _divergence,
     train,
 )
 
@@ -192,6 +194,16 @@ class TestTrain:
             train(cfg, _data())
         assert str(exc.value).startswith("training diverged at epoch 1: ")
         assert f"exceeds {DIVERGENCE_LIMIT:g} in magnitude" in str(exc.value)
+
+    @pytest.mark.parametrize("value", [2 * DIVERGENCE_LIMIT, -np.inf, np.nan])
+    @pytest.mark.parametrize("kind,name", [("linear", "weights"), ("linear", "bias"),
+                                           ("mlp", "w1"), ("mlp", "b2")])
+    def test_divergence_names_the_first_parameter_past_the_limit(self, kind, name, value):
+        model = init_model(kind, 2, hidden=4)
+        rv = RiskValue(us_term=0.5, u_term=0.5, raw=1.0, corrected=1.0)
+        assert _divergence(rv, model) is None
+        model.params()[name].flat[-1] = value
+        assert _divergence(rv, model) == f"parameter {name!r} exceeds 1e+100 in magnitude"
 
 
 class TestSupervisedOracle:
