@@ -1,9 +1,11 @@
 """Command-line entry point.
 
 Subcommands: synth, make-weak, train, eval, verify, sweep. Every command is
-deterministic under --seed. Each cmd_* function does its subcommand's work
-and returns (paths read, paths written, exit code); main times it and, when
-it wrote files, writes and prints the run manifest beside the first of them
+deterministic under --seed. Each subparser declares files(args) -> (inputs,
+outputs) beside the flags that name them. main adds the --config file to the
+inputs, refuses an output on an input or another output, runs cmd_* (the
+work; it returns the exit code) on the clock and, when there are outputs,
+writes and prints the run manifest beside the first of them
 (<output>.manifest.json), recording the resolved flags, input digests, and
 timing.
 
@@ -82,7 +84,7 @@ def _digest(path) -> str:
 
 def _flags(args) -> dict:
     """The resolved flags, sorted by name, for manifests and model files."""
-    return {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "parser")}
+    return {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "files", "parser")}
 
 
 def _write_manifest(args, inputs, outputs, started) -> None:
@@ -101,8 +103,8 @@ def _write_manifest(args, inputs, outputs, started) -> None:
 
 def _distinct(inputs, outputs):
     """Raise ConfigurationError when an output, or the manifest beside the
-    first one, names the file of an input or of another output; commands
-    call this before they read or write anything."""
+    first one, names the file of an input or of another output; main calls
+    this before the command reads or writes anything."""
     seen = {os.path.realpath(p): "an input" for p in inputs}
     for path in [*outputs, *([f"{outputs[0]}.manifest.json"] if outputs else [])]:
         real = os.path.realpath(path)
@@ -148,25 +150,22 @@ def _gaussian_spec(args) -> GaussianSourceSpec:
     )
 
 
-def cmd_synth(args):
+def cmd_synth(args, outputs):
     pool = synth_gaussian_labeled(_gaussian_spec(args), args.n, args.seed)
     write_labeled_csv(args.out, pool)
-    return [], [args.out], EXIT_OK
+    return EXIT_OK
 
 
-def cmd_make_weak(args):
-    out_dir = Path(args.out_dir)
-    outputs = [out_dir / "triplets.jsonl", out_dir / "unlabeled.jsonl", out_dir / WEAK_META]
-    _distinct([args.input], outputs)
+def cmd_make_weak(args, outputs):
     pool = read_labeled_csv(args.input)
     prior = ClassPrior(args.pi) if args.pi is not None else None
     source = PoolSource(pool, prior=prior)
     data = make_weak_dataset(source, args.n_us, args.n_u, args.sampler, args.seed)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    Path(args.out_dir).mkdir(parents=True, exist_ok=True)
     write_triplets_jsonl(outputs[0], data.triplets)
     write_unlabeled_jsonl(outputs[1], data.unlabeled)
-    write_weak_meta(out_dir, data, source.prior)
-    return [args.input], outputs, EXIT_OK
+    write_weak_meta(args.out_dir, data, source.prior)
+    return EXIT_OK
 
 
 def _train_config(args, prior: ClassPrior) -> TrainConfig:
@@ -191,32 +190,27 @@ def _read_test(path, dim: int, against: str):
     return test
 
 
-def cmd_train(args):
-    log_path = args.log or (args.out + ".log.csv")
-    inputs, outputs = [args.us, args.u] + ([args.test] if args.test else []), [args.out, log_path]
-    _distinct(inputs, outputs)
+def cmd_train(args, outputs):
     config = _train_config(args, ClassPrior(args.pi))
     data = read_weak_dataset(args.us, args.u, sampler_kind=args.sampler)
     width = data.triplets.shape[2]
     eval_set = _read_test(args.test, width, "the weak data have") if args.test else None
     model, log = train(config, data, eval_set)
     write_model(args.out, model, config_echo=_flags(args))
-    write_train_log_csv(log_path, log)
+    write_train_log_csv(outputs[1], log)
     if eval_set is not None and log:
         print(f"final test accuracy: {log[-1].test_accuracy}")
-    return inputs, outputs, EXIT_OK
+    return EXIT_OK
 
 
-def cmd_eval(args):
-    inputs, outputs = [args.model, args.test], [args.out] if args.out else []
-    _distinct(inputs, outputs)
+def cmd_eval(args, outputs):
     model = read_model(args.model)
     test = _read_test(args.test, model.dim, "the model takes")
     payload = json.dumps({"accuracy": accuracy(model, test)})
     print(payload)
     if args.out:
         Path(args.out).write_text(payload + "\n")
-    return inputs, outputs, EXIT_OK
+    return EXIT_OK
 
 
 # each suite by name, in the order `all` merges them; the lambdas look the
@@ -238,18 +232,15 @@ def _run_suite(name: str, seed: int) -> VerifyReport:
     return SUITES[name](seed)
 
 
-def cmd_verify(args):
+def cmd_verify(args, outputs):
     report = _run_suite(args.suite, args.seed)
     print(report.to_json())
     if args.out:
         write_json(args.out, report.to_dict())
-    code = EXIT_OK if report.assertable_passed else EXIT_VERIFY
-    return [], [args.out] if args.out else [], code
+    return EXIT_OK if report.assertable_passed else EXIT_VERIFY
 
 
-def cmd_sweep(args):
-    outputs = [args.out] + ([args.json_out] if args.json_out else [])
-    _distinct([], outputs)
+def cmd_sweep(args, outputs):
     spec = _gaussian_spec(args)
     config = _train_config(args, spec.prior)
     values = {"prior": args.given, "fraction": args.fractions, "correction": args.corrections}
@@ -258,7 +249,7 @@ def cmd_sweep(args):
     write_sweep_csv(args.out, result)
     if args.json_out:
         write_sweep_json(args.json_out, result)
-    return [], outputs, EXIT_OK
+    return EXIT_OK
 
 
 def _add_source_flags(p):
@@ -298,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_synth)
+    p.set_defaults(func=cmd_synth, files=lambda a: ([], [a.out]))
 
     p = sub.add_parser("make-weak", help="build triplets + unlabeled pool from a labeled CSV")
     p.add_argument("--in", dest="input", required=True)
@@ -308,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sampler", choices=SAMPLERS, default=SAMPLERS[0])
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_make_weak)
+    weak = ("triplets.jsonl", "unlabeled.jsonl", WEAK_META)
+    p.set_defaults(func=cmd_make_weak, files=lambda a: ([a.input], [Path(a.out_dir, n) for n in weak]))
 
     p = sub.add_parser("train", help="train on weak data")
     p.add_argument("--us", required=True, help="triplets JSONL")
@@ -325,19 +317,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", help="labeled CSV for held-out accuracy")
     p.add_argument("--out", required=True, help="model file path")
     p.add_argument("--log", help="train log CSV path (default: <out>.log.csv)")
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, files=lambda a: (
+        [a.us, a.u] + ([a.test] if a.test else []), [a.out, a.log or a.out + ".log.csv"]))
 
     p = sub.add_parser("eval", help="evaluate a model file on a labeled CSV")
     p.add_argument("--model", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_eval, files=lambda a: ([a.model, a.test], [a.out] if a.out else []))
 
     p = sub.add_parser("verify", help="run verification oracles")
     p.add_argument("--suite", choices=[*SUITES, "all"], default="all")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, files=lambda a: ([], [a.out] if a.out else []))
 
     p = sub.add_parser("sweep", help="run an ablation sweep on synthetic data")
     p.add_argument("--kind", choices=SWEEPS, required=True)
@@ -356,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sampler", choices=SAMPLERS, default="paper_case")
     p.add_argument("--out", required=True)
     p.add_argument("--json-out")
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_sweep,
+                   files=lambda a: ([], [a.out] + ([a.json_out] if a.json_out else [])))
 
     for p in sub.choices.values():
         p.add_argument("--config", help="key=value config file, given at most once; flags win")
@@ -407,8 +401,11 @@ def main(argv: list[str] | None = None) -> int:
         args, extra = parser.parse_known_args(_inject_config(argv))
         if extra:
             args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        inputs, outputs = args.files(args)
+        inputs = [*inputs, args.config] if args.config else inputs
+        _distinct(inputs, outputs)
         started = time.monotonic()
-        inputs, outputs, code = args.func(args)
+        code = args.func(args, outputs)
         if outputs:
             _write_manifest(args, inputs, outputs, started)
         return code

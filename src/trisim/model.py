@@ -12,8 +12,9 @@ The models are frozen: write into theta or a parameter view, never rebind.
 backward reads the upstream's finiteness off its sum, the output bias's
 gradient, and scans it only when that sum is not finite, to name the fault.
 forward and backward are their shape checks plus a kernel (_forward,
-_backward) that keeps that scan; the trainer, whose arrays are checked once
-per run, calls the kernels.
+_backward) that keeps that scan, and accuracy is its checks (_scored) plus
+a kernel (_accuracy); the trainer, whose arrays and eval set are checked
+once per run, calls the kernels.
 """
 from __future__ import annotations
 
@@ -132,10 +133,20 @@ def _forward(model: Model, arr: np.ndarray) -> np.ndarray:
 def accuracy(model: Model, pool: LabeledPool) -> float:
     """Fraction of points whose score sign matches the label; sign(0)
     counts as +1."""
+    return _accuracy(model, *_scored(model, pool))
+
+
+def _scored(model: Model, pool: LabeledPool) -> tuple[np.ndarray, np.ndarray]:
+    """accuracy's checks: the pool's features as a batch for model, and its
+    positive-label mask."""
     if len(pool) == 0:
         raise InvalidInputError("test set is empty")
-    scores = forward(model, pool.x)
-    return int(np.count_nonzero((scores >= 0) == (pool.y > 0))) / len(pool)
+    return _as_batch(model, pool.x), pool.y > 0
+
+
+def _accuracy(model: Model, batch: np.ndarray, positive: np.ndarray) -> float:
+    """accuracy's kernel, for _scored's batch and mask, unchecked."""
+    return int(np.count_nonzero((_forward(model, batch) >= 0) == positive)) / positive.size
 
 
 def _over_rows(a, b, out=None) -> np.ndarray:

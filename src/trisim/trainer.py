@@ -16,9 +16,10 @@ runs it ahead in a forked helper that fills a shared ring (_prefetched), so
 the orders, and so the bytes, are the same. Adam updates the model's
 parameter vector, model.theta, as a single array.
 
-train checks its arrays once, so the loop calls the kernels of forward,
-backward, empirical_risk_grad and empirical_risk under their public names,
-module globals that the benchmark wraps.
+train checks its arrays and its eval set once, so the loop calls the
+kernels of forward, backward, empirical_risk_grad and empirical_risk under
+their public names, and accuracy's as _accuracy: module globals that the
+benchmark wraps.
 """
 from __future__ import annotations
 
@@ -41,7 +42,7 @@ from .core import (
 from .model import AdamState, Model, adam_step, init_model
 from .model import _backward as backward
 from .model import _forward as forward
-from .model import accuracy as _accuracy
+from .model import _accuracy, _scored
 from .risk import RiskValue, slot_weights
 from .risk import _empirical_risk as empirical_risk
 from .risk import _empirical_risk_grad as empirical_risk_grad
@@ -241,11 +242,12 @@ def train(
     rows and weights once into an epoch slot, batch by batch (see
     _epoch_layout); each slot's batches are views built once. The arrays
     are float64 and their shapes fit the model and the batch plan, checked
-    once here, so the loop calls the kernels of the public functions. Per
-    batch, the scores of its similarity rows and of its unlabeled rows give
-    empirical_risk_grad the gradient with respect to each score, in the
-    batch's row order; one backward pass and one Adam step on model.theta
-    follow.
+    once here, and so is the eval set, before the first epoch (a wrong
+    width or an empty set raises then); so the loop calls the kernels of
+    the public functions. Per batch, the scores of its similarity rows and
+    of its unlabeled rows give empirical_risk_grad the gradient with
+    respect to each score, in the batch's row order; one backward pass and
+    one Adam step on model.theta follow.
     After the epoch's last step, empirical_risk over both pools gives the
     risk for the log. A floating-point overflow or invalid operation, or an
     epoch that ends past DIVERGENCE_LIMIT, stops the run with
@@ -261,6 +263,7 @@ def train(
     n_batches = _batch_plan(config, n, data.n_unlabeled)
     if not n_batches:  # zero epochs
         return model, []
+    scored = _scored(model, eval_set) if eval_set is not None else None
     pool_sizes = (us_rows.shape[0], data.n_unlabeled)
     rows = np.concatenate((us_rows, data.unlabeled), dtype=float)
     us_pool, u_pool = rows[: pool_sizes[0]], rows[pool_sizes[0] :]
@@ -293,7 +296,7 @@ def train(
                     us_weights, u_plus_coef,
                 )
                 reason = _divergence(rv, model)
-                acc = _accuracy(model, eval_set) if eval_set is not None and not reason else None
+                acc = _accuracy(model, *scored) if scored is not None and not reason else None
             except FloatingPointError as exc:
                 reason = str(exc)
             if reason:

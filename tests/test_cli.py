@@ -1,5 +1,6 @@
 """Unit tests for the CLI: end-to-end subcommand flows, exit codes,
 manifests, and config-file injection."""
+import argparse
 import csv
 import hashlib
 import json
@@ -925,7 +926,8 @@ class _OtherDefaults(TrainConfig):
 
 class TestRunRecord:
     """main writes one manifest per run that wrote files, beside the first
-    of them, and prints it; it lists exactly what the subcommand read and wrote."""
+    of them, and prints it; it lists exactly what the subcommand declares it
+    reads and writes, and the --config file as an input."""
 
     _TRAIN = ["train", "--us", "weak/triplets.jsonl", "--u", "weak/unlabeled.jsonl",
               "--pi", "0.4", "--epochs", "2", "--batch", "30", "--out", "m.json"]
@@ -936,12 +938,13 @@ class TestRunRecord:
     @pytest.fixture
     def run_dir(self, tmp_path, monkeypatch, capsys):
         """tmp_path as the working directory, holding data.csv, weak/ and
-        model.json, with their manifests removed."""
+        model.json, with their manifests removed, and the config file c.txt."""
         monkeypatch.chdir(tmp_path)
         _weak(Path("."), _synth(Path(".")))
         assert main([*self._TRAIN[:-1], "model.json"]) == EXIT_OK
         for path in tmp_path.rglob("*.manifest.json"):
             path.unlink()
+        Path("c.txt").write_text("seed=3\n")
         capsys.readouterr()
         return tmp_path
 
@@ -960,8 +963,14 @@ class TestRunRecord:
             (["eval", "--model", "model.json", "--test", "data.csv", "--out", "e.json"],
              ["model.json", "data.csv"], ["e.json"]),
             (["verify", "--suite", "thetas", "--out", "r.json"], [], ["r.json"]),
+            (["synth", "--config", "c.txt", "--pi", "0.4", "--n", "20", "--out", "x.csv"],
+             ["c.txt"], ["x.csv"]),
+            ([*_TRAIN, "--test", "data.csv", "--config=c.txt"],
+             ["weak/triplets.jsonl", "weak/unlabeled.jsonl", "data.csv", "c.txt"],
+             ["m.json", "m.json.log.csv"]),
         ],
-        ids=["synth", "make-weak", "train", "train-test", "sweep", "sweep-json", "eval", "verify"],
+        ids=["synth", "make-weak", "train", "train-test", "sweep", "sweep-json", "eval", "verify",
+             "synth-config", "train-test-config"],
     )
     def test_manifest_lists_exactly_what_was_read_and_written(self, run_dir, capsys, argv,
                                                               inputs, outputs):
@@ -974,11 +983,20 @@ class TestRunRecord:
         text = manifest_path.read_text()
         manifest = json.loads(text)
         assert manifest["subcommand"] == argv[0]
-        assert manifest["inputs"] == {
-            str(Path(p)): hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in inputs
-        }
+        assert list(manifest["inputs"].items()) == [
+            (str(Path(p)), hashlib.sha256(Path(p).read_bytes()).hexdigest()) for p in inputs
+        ]
         assert manifest["outputs"] == [str(Path(p)) for p in outputs]
         assert capsys.readouterr().out.endswith(text)  # printed last, as written
+
+    def test_flags_leave_out_the_declaration(self, run_dir):
+        # the model's config echo and the manifest's flags are the parsed
+        # flags alone; an unset --log stays null
+        assert main(self._TRAIN) == EXIT_OK
+        manifest = json.loads(Path("m.json.manifest.json").read_text())
+        assert json.loads(Path("m.json").read_text())["config"] == manifest["flags"]
+        assert {"func", "files", "parser"}.isdisjoint(manifest["flags"])
+        assert manifest["flags"]["log"] is None and manifest["flags"]["config"] is None
 
     @pytest.mark.parametrize(
         "argv",
@@ -1018,20 +1036,61 @@ class TestRunRecord:
             (["eval", "--model", "model.json", "--test", "data.csv", "--out", "model.json"],
              "model.json", "an input"),
             ([*_SWEEP, "--json-out", "./s.csv"], "./s.csv", "another output"),
+            (["synth", "--pi", "0.4", "--n", "20", "--config", "x.csv.manifest.json",
+              "--out", "x.csv"], "x.csv.manifest.json", "an input"),
+            (["verify", "--suite", "thetas", "--config", "c.txt", "--out", "./c.txt"], "./c.txt",
+             "an input"),
         ],
         ids=["train-log-is-out", "train-out-is-input", "train-out-is-input-respelled",
              "train-log-is-a-link-to-input", "train-log-is-manifest", "make-weak",
-             "eval", "sweep"],
+             "eval", "sweep", "synth-manifest-is-config", "verify-out-is-config"],
     )
     def test_an_output_on_an_input_or_output_exits_before_writing(self, run_dir, capsys, argv,
                                                                   path, other):
         (run_dir / "alias.csv").symlink_to(run_dir / "data.csv")
+        (run_dir / "x.csv.manifest.json").write_text("seed=3\n")
         before = {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
         assert main(argv) == EXIT_CONFIG
         assert capsys.readouterr().err.splitlines() == [
             f"error: {path}: the same file as {other}; give each output a path of its own"
         ]
         assert {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()} == before
+
+    @pytest.mark.parametrize(
+        "argv,config,text",
+        [
+            (["synth", "--pi", "0.4", "--n", "20", "--out", "c.txt"], "c.txt", "seed=2"),
+            (["make-weak", "--in", "data.csv", "--n-us", "40", "--n-u", "60", "--out-dir", "w"],
+             "w/unlabeled.jsonl", "seed=2"),
+            ([*_TRAIN[:-1], "c.txt"], "c.txt", "seed=2"),
+            (["eval", "--model", "model.json", "--out", "c.txt"], "c.txt", "test=data.csv"),
+            (["verify", "--suite", "thetas", "--out", "c.txt"], "c.txt", "seed=2"),
+            ([*_SWEEP, "--json-out", "c.txt"], "c.txt", "seed=2"),
+        ],
+        ids=["synth", "make-weak", "train", "eval", "verify", "sweep"],
+    )
+    def test_an_output_on_the_config_file_exits_before_writing(self, run_dir, capsys, argv,
+                                                               config, text):
+        config = Path(config)
+        config.parent.mkdir(exist_ok=True)
+        config.write_text(text + "\n")
+        before = {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
+        assert main([*argv[:1], "--config", str(config), *argv[1:]]) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {config}: the same file as an input; give each output a path of its own"
+        ]
+        assert {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()} == before
+
+    def test_every_subcommand_declares_its_files_and_runs_a_cmd(self):
+        # main checks and records only what a subparser declares, so a
+        # subparser without a declaration, or a cmd_* no subparser runs,
+        # would skip the check
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        declared = {name: callable(p.get_default("files")) for name, p in sub.choices.items()}
+        assert [name for name, ok in declared.items() if not ok] == []
+        run = {p.get_default("func").__name__ for p in sub.choices.values()}
+        assert {name for name in dir(cli) if name.startswith("cmd_")} <= run
 
     @pytest.mark.parametrize("defaults", [TrainConfig, _OtherDefaults], ids=["default", "other"])
     @pytest.mark.parametrize(

@@ -17,10 +17,22 @@ from trisim.core import (
     CorrectionKind,
     InsufficientDataError,
     InvalidInputError,
+    LabeledPool,
+    ShapeError,
     TrainingDivergedError,
     WeakDataset,
 )
-from trisim.model import _backward, _forward, backward, forward, init_model
+from trisim.model import (
+    _accuracy,
+    _backward,
+    _forward,
+    _scored,
+    accuracy,
+    adam_step,
+    backward,
+    forward,
+    init_model,
+)
 from trisim.sampler import GaussianSourceSpec, make_weak_dataset, synth_gaussian_labeled
 from trisim.risk import RiskValue
 from trisim.trainer import (
@@ -206,6 +218,43 @@ class TestTrain:
         assert _divergence(rv, model) == f"parameter {name!r} exceeds 1e+100 in magnitude"
 
 
+class TestEvalSet:
+    """train checks its eval set once, after the zero-epoch return and
+    before the first step, with accuracy's errors; the loop then scores it
+    through the kernel."""
+
+    _WIDE = LabeledPool(np.zeros((5, 3)), np.ones(5))
+    _EMPTY = LabeledPool(np.zeros((0, 2)), np.zeros(0))
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        steps = []
+
+        def counted(*args):
+            steps.append(None)
+            return adam_step(*args)
+
+        monkeypatch.setattr(trainer, "adam_step", counted)
+        return steps
+
+    def test_a_wrong_width_raises_before_the_first_step(self, steps):
+        with pytest.raises(ShapeError, match=r"^input shape \(5, 3\) is not an \(n, 2\) batch$"):
+            train(_config(), _data(), eval_set=self._WIDE)
+        assert steps == []
+
+    def test_an_empty_set_raises_before_the_first_step(self, steps):
+        with pytest.raises(InvalidInputError, match="^test set is empty$"):
+            train(_config(), _data(), eval_set=self._EMPTY)
+        assert steps == []
+
+    @pytest.mark.parametrize("eval_set", [_WIDE, _EMPTY], ids=["wide", "empty"])
+    def test_zero_epochs_return_the_initialized_model(self, steps, eval_set):
+        model, log = train(_config(epochs=0), _data(), eval_set)
+        expected = init_model("linear", 2, TrainConfig.hidden, seed=1)
+        assert log == [] and steps == []
+        assert model.theta.tobytes() == expected.theta.tobytes()
+
+
 class TestSupervisedOracle:
     """The supervised upper reference of criterion 6 lives in
     tests/reference.py; these pin that it learns, repeats itself and
@@ -295,9 +344,16 @@ class TestKernels:
     and keeps its finiteness scan and message."""
 
     def test_the_trainer_names_bind_to_the_kernels(self):
-        names = ("forward", "backward", "empirical_risk_grad", "empirical_risk")
-        kernels = (_forward, _backward, risk._empirical_risk_grad, risk._empirical_risk)
+        names = ("forward", "backward", "empirical_risk_grad", "empirical_risk", "_accuracy")
+        kernels = (_forward, _backward, risk._empirical_risk_grad, risk._empirical_risk, _accuracy)
         assert tuple(getattr(trainer, n) for n in names) == kernels
+
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    def test_accuracy_kernel_gives_the_public_float(self, kind):
+        m = init_model(kind, 2, hidden=5, seed=3)
+        pool = synth_gaussian_labeled(_spec(), 101, seed=4)
+        signs = np.where(forward(m, pool.x) >= 0, 1, -1)  # sign(0) counts as +1
+        assert _accuracy(m, *_scored(m, pool)) == accuracy(m, pool) == np.mean(signs == pool.y)
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("kind", ["linear", "mlp"])
