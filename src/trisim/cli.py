@@ -2,12 +2,13 @@
 
 Subcommands: synth, make-weak, train, eval, verify, sweep. Every command is
 deterministic under --seed. Each subparser declares files(args) -> (inputs,
-outputs) beside the flags that name them. main adds the --config file to the
-inputs, refuses an output on an input or another output, runs cmd_* (the
-work; it returns the exit code) on the clock and, when there are outputs,
-writes and prints the run manifest beside the first of them
-(<output>.manifest.json), recording the resolved flags, input digests, and
-timing.
+outputs) beside the flags that name them. main parses with one parser per
+process (built on its first call), adds the --config file to the inputs,
+refuses an output on an input or another output, runs the subcommand's
+cmd_* (the work; it returns the exit code), looked up when called, on the
+clock and, when there are outputs, writes and prints the run manifest beside
+the first of them (<output>.manifest.json), recording the resolved flags,
+input digests, and timing.
 
 Exit codes: 0 success, 2 usage, 3 I/O, 4 invalid configuration or domain
 error, 5 failed verification.
@@ -20,7 +21,7 @@ import json
 import os
 import sys
 import time
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -358,6 +359,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built on main's first call in a process and
+    reused by every later one."""
+    return build_parser()
+
+
 def _config_path(argv: list[str]) -> str | None:
     """The path given by --config, as `--config path` or `--config=path`,
     or None. A second --config raises ConfigurationError."""
@@ -396,16 +404,16 @@ def _inject_config(argv: list[str]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args, extra = parser.parse_known_args(_inject_config(argv))
+        args, extra = _parser().parse_known_args(_inject_config(argv))
         if extra:
             args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
         inputs, outputs = args.files(args)
         inputs = [*inputs, args.config] if args.config else inputs
         _distinct(inputs, outputs)
         started = time.monotonic()
-        code = args.func(args, outputs)
+        # the parser outlives a patched cmd_*: run the global named by func as it is now
+        code = globals()[args.func.__name__](args, outputs)
         if outputs:
             _write_manifest(args, inputs, outputs, started)
         return code

@@ -12,9 +12,10 @@ The models are frozen: write into theta or a parameter view, never rebind.
 backward reads the upstream's finiteness off its sum, the output bias's
 gradient, and scans it only when that sum is not finite, to name the fault.
 forward and backward are their shape checks plus a kernel (_forward,
-_backward) that keeps that scan, and accuracy is its checks (_scored) plus
-a kernel (_accuracy); the trainer, whose arrays and eval set are checked
-once per run, calls the kernels.
+_backward) that keeps that scan and writes into a caller's buffer when
+given one, and accuracy is its checks (_scored) plus a kernel (_accuracy);
+the trainer, whose arrays and eval set are checked once per run, calls the
+kernels.
 """
 from __future__ import annotations
 
@@ -122,12 +123,15 @@ def forward(model: Model, x) -> np.ndarray:
     return _forward(model, _as_batch(model, x))
 
 
-def _forward(model: Model, arr: np.ndarray) -> np.ndarray:
-    """forward's kernel, for a float (n, model.dim) batch, unchecked."""
+def _forward(model: Model, arr: np.ndarray, out=None) -> np.ndarray:
+    """forward's kernel, for a float (n, model.dim) batch, unchecked; the
+    scores are written into out, a float (n,) vector, when given."""
     if isinstance(model, LinearModel):
-        return arr.dot(model.weights) + model.bias[0]
-    h = np.maximum(arr @ model.w1.T + model.b1, 0.0)
-    return h @ model.w2 + model.b2[0]
+        z = arr.dot(model.weights, out=out)
+    else:
+        z = np.matmul(np.maximum(arr @ model.w1.T + model.b1, 0.0), model.w2, out=out)
+    z += model.theta[-1]  # the output bias, last in params() order
+    return z
 
 
 def accuracy(model: Model, pool: LabeledPool) -> float:
@@ -174,16 +178,21 @@ def backward(model: Model, x, upstream) -> np.ndarray:
     return _backward(model, arr, up)
 
 
-def _backward(model: Model, arr: np.ndarray, up: np.ndarray) -> np.ndarray:
+def _backward(model: Model, arr: np.ndarray, up: np.ndarray, out=None) -> np.ndarray:
     """backward's kernel, for a float (n, model.dim) batch and a float (n,)
-    upstream, shapes unchecked; a non-finite upstream still raises."""
-    grad = np.empty(model.theta.size)
+    upstream, shapes unchecked; a non-finite upstream still raises. The
+    gradient is written into out, a float vector of model.theta's size,
+    when given."""
+    grad = np.empty(model.theta.size) if out is None else out
     # the output bias's gradient, last in params() order
     total = np.add.reduce(up, keepdims=True, out=grad[-1:])
     if not math.isfinite(total[0]) and np.count_nonzero(np.isfinite(up)) < up.size:
         raise InvalidInputError("upstream must be finite")
     if isinstance(model, LinearModel):
-        _over_rows(up, arr, out=grad[:-1])
+        if arr.size <= _BLOCK:  # the one call _over_rows would make
+            up.dot(arr, out=grad[:-1])
+        else:
+            _over_rows(up, arr, out=grad[:-1])
         return grad
     pre = arr @ model.w1.T + model.b1
     h = np.maximum(pre, 0.0)
@@ -217,8 +226,10 @@ class AdamState:
         decay = np.array([[BETA1], [BETA2]]) + np.zeros_like(self.moments)
         delta = np.empty_like(self.moments)
         self.m, self.v = self.moments
-        # each row's bias correction 1 - beta**step, set per step
-        self._scratch = (decay, 1.0 - decay, np.empty_like(delta), delta, *delta)
+        # the decoupled shrink 1 - lr*wd, and each row's bias correction
+        # 1 - beta**step, set per step
+        shrink = 1.0 - self.lr * self.weight_decay
+        self._scratch = (shrink, decay, 1.0 - decay, np.empty_like(delta), delta, *delta)
 
     @classmethod
     def for_theta(cls, theta: np.ndarray, lr: float, weight_decay: float) -> "AdamState":
@@ -230,11 +241,10 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
     if grad.shape != theta.shape:
         raise ShapeError(f"gradient shape {grad.shape} != theta shape {theta.shape}")
     state.step += 1
-    theta *= 1.0 - state.lr * state.weight_decay
-    decay, gain, bias, delta, m_hat, v_hat = state._scratch
+    shrink, decay, gain, bias, delta, m_hat, v_hat = state._scratch
+    theta *= shrink
     state.moments *= decay
-    delta[...] = grad
-    delta *= gain
+    np.multiply(grad, gain, out=delta)
     v_hat *= grad  # ((1 - b2) * g) * g
     state.moments += delta
     bias[0] = 1.0 - BETA1**state.step

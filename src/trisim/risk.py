@@ -277,8 +277,11 @@ def empirical_risk_grad(
     return _empirical_risk_grad(us, u, prior, correction, w, u_plus_coef)
 
 
-def _empirical_risk_grad(us, u, prior, correction, w, u_plus_coef) -> np.ndarray:
-    """empirical_risk_grad's kernel, for float arrays of valid shapes and sizes."""
+def _empirical_risk_grad(us, u, prior, correction, w, u_plus_coef, out=None) -> np.ndarray:
+    """empirical_risk_grad's kernel, for float arrays of valid shapes and
+    sizes. Given out, a float (us.size + u.size,) vector with its views of
+    the first us.size entries and of the rest, the gradient is written into
+    that vector through the views."""
     a, b = _polynomial(prior)
     raw = _certified_raw(us, u, w, a, b, u_plus_coef, correction)
     if raw is None:
@@ -286,9 +289,12 @@ def _empirical_risk_grad(us, u, prior, correction, w, u_plus_coef) -> np.ndarray
         raw = us_term + u_term
     factor = correction.grad_factor(raw)
     n = us.size
-    grad = np.empty(n + u.size)
-    np.multiply(w, factor / n * a, out=grad[:n])
-    g_u = np.multiply(u, 2.0, out=grad[n:])
+    if out is None:
+        grad = np.empty(n + u.size)
+        out = grad, grad[:n], grad[n:]
+    grad, g_us, g_u = out
+    np.multiply(w, factor / n * a, out=g_us)
+    np.multiply(u, 2.0, out=g_u)
     g_u += b + u_plus_coef * a
     g_u *= factor / u.size
     return grad

@@ -19,7 +19,9 @@ parameter vector, model.theta, as a single array.
 train checks its arrays and its eval set once, so the loop calls the
 kernels of forward, backward, empirical_risk_grad and empirical_risk under
 their public names, and accuracy's as _accuracy: module globals that the
-benchmark wraps.
+benchmark wraps. It also binds a step's buffers once per run, and the
+batch kernels write into them: per batch position, shared by every slot,
+the scores of each half and the upstream vector, and one gradient vector.
 """
 from __future__ import annotations
 
@@ -247,7 +249,9 @@ def train(
     the public functions. Per batch, the scores of its similarity rows and
     of its unlabeled rows give empirical_risk_grad the gradient with
     respect to each score, in the batch's row order; one backward pass and
-    one Adam step on model.theta follow.
+    one Adam step on model.theta follow. The scores and the upstream go
+    into buffers allocated here once per batch position, the gradient into
+    one vector.
     After the epoch's last step, empirical_risk over both pools gives the
     risk for the log. A floating-point overflow or invalid operation, or an
     epoch that ends past DIVERGENCE_LIMIT, stops the run with
@@ -279,18 +283,29 @@ def train(
     slots = _slots(RING if ahead else 1, rows, row_weights)
     feed = _epochs(rng, zip(offsets, pool_sizes), gather, (rows, row_weights), slots, config.epochs)
     filled = _prefetched(feed, config.epochs) if ahead else feed
+    # per batch position, shared by every slot: its two halves' scores, and
+    # its upstream vector with that vector's two halves
+    buffers = []
+    for i, j, k in bounds:
+        up = np.empty(k - i)
+        buffers.append((np.empty(j - i), np.empty(k - j), (up, up[: j - i], up[j - i :])))
     # per slot, each batch's rows, then its similarity rows, unlabeled rows and weights
-    batches = [[(x[i:k], x[i:j], x[j:k], w[i:j]) for i, j, k in bounds] for x, w in slots]
+    batches = [
+        [(x[i:k], x[i:j], x[j:k], w[i:j], *b) for (i, j, k), b in zip(bounds, buffers)]
+        for x, w in slots
+    ]
+    grad = np.empty(model.theta.size)
     state = AdamState.for_theta(model.theta, lr=config.lr, weight_decay=config.weight_decay)
     log = []
     with np.errstate(over="raise", divide="raise", invalid="raise"), closing(filled):
         for epoch, slot in enumerate(filled, 1):
             try:
-                for x, x_us, x_u, w in batches[slot]:
+                for x, x_us, x_u, w, z_us, z_u, out in batches[slot]:
                     up = empirical_risk_grad(
-                        forward(model, x_us), forward(model, x_u), prior, correction, w, u_plus_coef
+                        forward(model, x_us, z_us), forward(model, x_u, z_u),
+                        prior, correction, w, u_plus_coef, out,
                     )
-                    adam_step(model.theta, backward(model, x, up), state)
+                    adam_step(model.theta, backward(model, x, up, grad), state)
                 rv = empirical_risk(
                     forward(model, us_pool), forward(model, u_pool), prior, correction,
                     us_weights, u_plus_coef,

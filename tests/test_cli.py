@@ -1106,3 +1106,63 @@ class TestRunRecord:
         args = cli.build_parser().parse_args(argv)
         prior = ClassPrior(0.4)
         assert cli._train_config(args, prior) == defaults(prior, seed=args.seed)
+
+
+class TestParserCache:
+    """main builds its parser once per process, parses with it as a fresh
+    parser would, and runs the cmd_* and trainer globals as they are when
+    it is called."""
+
+    _SYNTH = ["synth", "--pi", "0.4", "--n", "20", "--out", "x.csv"]
+    _TRAIN = ["train", "--us", "weak/triplets.jsonl", "--u", "weak/unlabeled.jsonl",
+              "--pi", "0.4", "--epochs", "2", "--batch", "30", "--out", "m.json"]
+
+    def test_three_runs_build_one_parser(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        builds, build = [], cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        cli._parser.cache_clear()
+        for _ in range(3):
+            assert main(self._SYNTH) == EXIT_OK
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("name", ["cmd_eval", "train"])
+    def test_a_patch_after_the_first_run_is_what_the_next_run_calls(
+        self, tmp_path, monkeypatch, capsys, name
+    ):
+        monkeypatch.chdir(tmp_path)
+        _weak(Path("."), _synth(Path(".")))
+        assert main(self._TRAIN) == EXIT_OK
+        calls, original = [], getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *args: calls.append(args) or original(*args))
+        argv = ["eval", "--model", "m.json", "--test", "data.csv"] if name == "cmd_eval" else self._TRAIN
+        assert main(argv) == EXIT_OK
+        assert len(calls) == 1
+
+    def test_the_reused_parser_parses_as_a_fresh_one(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(TestRunRecord._SWEEP) == EXIT_OK
+        # a command that changed its parsed lists in place must not change a later parse
+        sweep = ["sweep", "--kind", "prior", "--pi", "0.4", "--out", "s.csv"]
+        args, _ = cli._parser().parse_known_args(sweep)
+        for value in vars(args).values():
+            if isinstance(value, list):
+                value.append(None)
+        argvs = [
+            self._SYNTH,
+            ["make-weak", "--in", "data.csv", "--n-us", "40", "--n-u", "60", "--out-dir", "w"],
+            self._TRAIN,
+            [*self._TRAIN, "--test", "data.csv", "--log", "l.csv"],
+            ["eval", "--model", "m.json", "--test", "data.csv"],
+            ["verify"],
+            sweep,
+            [*TestRunRecord._SWEEP, "--json-out", "s.json"],
+        ]
+        for argv in argvs:
+            reused, extra = cli._parser().parse_known_args(argv)
+            fresh, fresh_extra = cli.build_parser().parse_known_args(argv)
+            assert extra == fresh_extra == []
+            assert cli._flags(reused) == cli._flags(fresh), argv
+            assert reused.func is fresh.func
+            assert reused.files(reused) == fresh.files(fresh)
+            assert reused.parser.prog == fresh.parser.prog

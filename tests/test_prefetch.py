@@ -150,6 +150,19 @@ def test_helper_gives_the_inline_bits_for_short_runs(monkeypatch, epochs):
     assert len(runs[0][1]) == epochs
 
 
+@pytest.mark.parametrize("on", [True, False], ids=["helper", "inline"])
+def test_consecutive_runs_give_the_same_bits(monkeypatch, on):
+    # train binds its step buffers per run, so nothing of one run, nor of a
+    # run of another size in between, reaches the next
+    helper(monkeypatch, on)
+    weak, other = data(), make_weak_dataset(SPEC, 30, 70, "rejection", 4)
+    runs = []
+    for run_data in (weak, other, weak):
+        model, log = train(config(model_kind="mlp" if run_data is other else "linear"), run_data)
+        runs.append((model.theta.tobytes(), log))
+    assert runs[0] == runs[2] != runs[1]
+
+
 def test_no_helper_outlives_a_run_that_returns(monkeypatch):
     helper(monkeypatch, True)
     pids = forks(monkeypatch)
@@ -177,10 +190,10 @@ def test_no_helper_outlives_a_run_that_raises_mid_epoch(monkeypatch):
     pids = forks(monkeypatch)
     calls, forward = itertools.count(1), trainer.forward
 
-    def failing(model, x):
+    def failing(*args):
         if next(calls) == 13:  # the first batch of epoch 2
             raise KeyError("forward failed")
-        return forward(model, x)
+        return forward(*args)
 
     monkeypatch.setattr(trainer, "forward", failing)
     with pytest.raises(KeyError, match="forward failed") as exc:
@@ -196,9 +209,9 @@ def test_helper_and_caller_run_on_separate_cpus(monkeypatch):
     pids, seen, forward = forks(monkeypatch), [], trainer.forward
     mask = os.sched_getaffinity(0)
 
-    def watching(model, x):
+    def watching(*args):
         seen.append((os.sched_getaffinity(0), os.sched_getaffinity(pids[0])))
-        return forward(model, x)
+        return forward(*args)
 
     monkeypatch.setattr(trainer, "forward", watching)
     train(config(), data())
@@ -211,10 +224,10 @@ def test_a_killed_helper_raises(monkeypatch):
     pids = forks(monkeypatch)
     calls, forward = itertools.count(1), trainer.forward
 
-    def killing(model, x):
+    def killing(*args):
         if next(calls) == 13:
             os.kill(pids[0], signal.SIGKILL)
-        return forward(model, x)
+        return forward(*args)
 
     monkeypatch.setattr(trainer, "forward", killing)
     with pytest.raises(ChildProcessError, match=r"^the shuffle helper ended before epoch \d+$"):

@@ -23,9 +23,11 @@ from trisim.core import (
     WeakDataset,
 )
 from trisim.model import (
+    _BLOCK,
     _accuracy,
     _backward,
     _forward,
+    _over_rows,
     _scored,
     accuracy,
     adam_step,
@@ -363,6 +365,20 @@ class TestKernels:
         x, up = rng.normal(size=(40, 3)), rng.normal(size=40)
         assert _forward(m, x).tobytes() == forward(m, x).tobytes()
         assert _backward(m, x, up).tobytes() == backward(m, x, up).tobytes()
+        # the trainer's form: written into its buffers, which are returned
+        z, grad = np.full(40, np.nan), np.full(m.theta.size, np.nan)
+        assert _forward(m, x, z) is z and z.tobytes() == forward(m, x).tobytes()
+        assert _backward(m, x, up, grad) is grad and grad.tobytes() == backward(m, x, up).tobytes()
+
+    @pytest.mark.parametrize("rows", [1, _BLOCK // 50, 20000])
+    def test_linear_backward_is_the_blocked_sum(self, rows):
+        # up to _BLOCK multiply-adds _backward makes _over_rows's one call
+        # itself, and above it sums _over_rows's blocks; on 2 threads one
+        # call over 20000 x 50 gives other bits than the blocks
+        rng = np.random.default_rng(rows)
+        m = init_model("linear", 50, seed=1)
+        x, up = rng.normal(size=(rows, 50)), rng.normal(size=rows)
+        assert _backward(m, x, up)[:-1].tobytes() == _over_rows(up, x).tobytes()
 
     @pytest.mark.parametrize("kind", ["linear", "mlp"])
     def test_backward_kernel_names_a_non_finite_upstream(self, kind):
@@ -381,6 +397,10 @@ class TestKernels:
         assert np.array(astuple(kernel)).tobytes() == np.array(astuple(public)).tobytes()
         grad = risk.empirical_risk_grad(us, u, prior, correction, us_weights=w, u_plus_coef=c)
         assert risk._empirical_risk_grad(us, u, prior, correction, w, c).tobytes() == grad.tobytes()
+        out = np.full(us.size + u.size, np.nan)
+        views = (out, out[: us.size], out[us.size :])
+        assert risk._empirical_risk_grad(us, u, prior, correction, w, c, views) is out
+        assert out.tobytes() == grad.tobytes()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf on the way to the scan
     @pytest.mark.parametrize("kernel", [risk._empirical_risk, risk._empirical_risk_grad])
