@@ -284,13 +284,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=strict)
+    # each func looks its cmd_* up when called, as SUITES's lambdas do, so
+    # the parser main reuses runs a patched command
 
     p = sub.add_parser("synth", help="generate a labeled Gaussian-mixture CSV")
     _add_source_flags(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_synth, files=lambda a: ([], [a.out]))
+    p.set_defaults(func=lambda *a: cmd_synth(*a), files=lambda a: ([], [a.out]))
 
     p = sub.add_parser("make-weak", help="build triplets + unlabeled pool from a labeled CSV")
     p.add_argument("--in", dest="input", required=True)
@@ -301,7 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out-dir", required=True)
     weak = ("triplets.jsonl", "unlabeled.jsonl", WEAK_META)
-    p.set_defaults(func=cmd_make_weak, files=lambda a: ([a.input], [Path(a.out_dir, n) for n in weak]))
+    p.set_defaults(func=lambda *a: cmd_make_weak(*a),
+                   files=lambda a: ([a.input], [Path(a.out_dir, n) for n in weak]))
 
     p = sub.add_parser("train", help="train on weak data")
     p.add_argument("--us", required=True, help="triplets JSONL")
@@ -318,20 +321,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", help="labeled CSV for held-out accuracy")
     p.add_argument("--out", required=True, help="model file path")
     p.add_argument("--log", help="train log CSV path (default: <out>.log.csv)")
-    p.set_defaults(func=cmd_train, files=lambda a: (
+    p.set_defaults(func=lambda *a: cmd_train(*a), files=lambda a: (
         [a.us, a.u] + ([a.test] if a.test else []), [a.out, a.log or a.out + ".log.csv"]))
 
     p = sub.add_parser("eval", help="evaluate a model file on a labeled CSV")
     p.add_argument("--model", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_eval, files=lambda a: ([a.model, a.test], [a.out] if a.out else []))
+    p.set_defaults(func=lambda *a: cmd_eval(*a),
+                   files=lambda a: ([a.model, a.test], [a.out] if a.out else []))
 
     p = sub.add_parser("verify", help="run verification oracles")
     p.add_argument("--suite", choices=[*SUITES, "all"], default="all")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_verify, files=lambda a: ([], [a.out] if a.out else []))
+    p.set_defaults(func=lambda *a: cmd_verify(*a), files=lambda a: ([], [a.out] if a.out else []))
 
     p = sub.add_parser("sweep", help="run an ablation sweep on synthetic data")
     p.add_argument("--kind", choices=SWEEPS, required=True)
@@ -350,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sampler", choices=SAMPLERS, default="paper_case")
     p.add_argument("--out", required=True)
     p.add_argument("--json-out")
-    p.set_defaults(func=cmd_sweep,
+    p.set_defaults(func=lambda *a: cmd_sweep(*a),
                    files=lambda a: ([], [a.out] + ([a.json_out] if a.json_out else [])))
 
     for p in sub.choices.values():
@@ -412,8 +416,7 @@ def main(argv: list[str] | None = None) -> int:
         inputs = [*inputs, args.config] if args.config else inputs
         _distinct(inputs, outputs)
         started = time.monotonic()
-        # the parser outlives a patched cmd_*: run the global named by func as it is now
-        code = globals()[args.func.__name__](args, outputs)
+        code = args.func(args, outputs)
         if outputs:
             _write_manifest(args, inputs, outputs, started)
         return code

@@ -189,10 +189,7 @@ def _backward(model: Model, arr: np.ndarray, up: np.ndarray, out=None) -> np.nda
     if not math.isfinite(total[0]) and np.count_nonzero(np.isfinite(up)) < up.size:
         raise InvalidInputError("upstream must be finite")
     if isinstance(model, LinearModel):
-        if arr.size <= _BLOCK:  # the one call _over_rows would make
-            up.dot(arr, out=grad[:-1])
-        else:
-            _over_rows(up, arr, out=grad[:-1])
+        _over_rows(up, arr, out=grad[:-1])
         return grad
     pre = arr @ model.w1.T + model.b1
     h = np.maximum(pre, 0.0)

@@ -1089,7 +1089,8 @@ class TestRunRecord:
         sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         declared = {name: callable(p.get_default("files")) for name, p in sub.choices.items()}
         assert [name for name, ok in declared.items() if not ok] == []
-        run = {p.get_default("func").__name__ for p in sub.choices.values()}
+        # each func is a lambda that calls its cmd_* by name
+        run = {n for p in sub.choices.values() for n in p.get_default("func").__code__.co_names}
         assert {name for name in dir(cli) if name.startswith("cmd_")} <= run
 
     @pytest.mark.parametrize("defaults", [TrainConfig, _OtherDefaults], ids=["default", "other"])
@@ -1125,6 +1126,23 @@ class TestParserCache:
         for _ in range(3):
             assert main(self._SYNTH) == EXIT_OK
         assert len(builds) == 1
+
+    def test_a_patch_before_the_first_run_is_what_it_calls(self, tmp_path, monkeypatch, capsys):
+        # the parser is then built with the patch in place, and a later run
+        # must not keep calling it once the patch is undone
+        monkeypatch.chdir(tmp_path)
+        _weak(Path("."), _synth(Path(".")))
+        assert main(self._TRAIN) == EXIT_OK
+        original = cli.cmd_eval
+        eval_argv = ["eval", "--model", "m.json", "--test", "data.csv"]
+        cli._parser.cache_clear()
+        calls = []
+        monkeypatch.setattr(cli, "cmd_eval", lambda *args: calls.append(args) or original(*args))
+        assert main(eval_argv) == EXIT_OK
+        assert len(calls) == 1
+        monkeypatch.setattr(cli, "cmd_eval", original)
+        assert main(eval_argv) == EXIT_OK
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("name", ["cmd_eval", "train"])
     def test_a_patch_after_the_first_run_is_what_the_next_run_calls(
@@ -1163,6 +1181,5 @@ class TestParserCache:
             fresh, fresh_extra = cli.build_parser().parse_known_args(argv)
             assert extra == fresh_extra == []
             assert cli._flags(reused) == cli._flags(fresh), argv
-            assert reused.func is fresh.func
             assert reused.files(reused) == fresh.files(fresh)
             assert reused.parser.prog == fresh.parser.prog

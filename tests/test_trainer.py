@@ -23,11 +23,9 @@ from trisim.core import (
     WeakDataset,
 )
 from trisim.model import (
-    _BLOCK,
     _accuracy,
     _backward,
     _forward,
-    _over_rows,
     _scored,
     accuracy,
     adam_step,
@@ -369,16 +367,6 @@ class TestKernels:
         z, grad = np.full(40, np.nan), np.full(m.theta.size, np.nan)
         assert _forward(m, x, z) is z and z.tobytes() == forward(m, x).tobytes()
         assert _backward(m, x, up, grad) is grad and grad.tobytes() == backward(m, x, up).tobytes()
-
-    @pytest.mark.parametrize("rows", [1, _BLOCK // 50, 20000])
-    def test_linear_backward_is_the_blocked_sum(self, rows):
-        # up to _BLOCK multiply-adds _backward makes _over_rows's one call
-        # itself, and above it sums _over_rows's blocks; on 2 threads one
-        # call over 20000 x 50 gives other bits than the blocks
-        rng = np.random.default_rng(rows)
-        m = init_model("linear", 50, seed=1)
-        x, up = rng.normal(size=(rows, 50)), rng.normal(size=rows)
-        assert _backward(m, x, up)[:-1].tobytes() == _over_rows(up, x).tobytes()
 
     @pytest.mark.parametrize("kind", ["linear", "mlp"])
     def test_backward_kernel_names_a_non_finite_upstream(self, kind):
